@@ -13,7 +13,13 @@ import math
 from dataclasses import dataclass
 
 from . import tensor as T
-from .distraction import MaskController, apply_mask, identify_distractions, schedule_df
+from .distraction import (
+    MaskController,
+    apply_mask,
+    identify_distractions,
+    schedule_df,
+    sub_site,
+)
 from .tensor import ParamStore, Parameter, ShapeError, Tensor
 
 
@@ -52,9 +58,9 @@ def scaled_scores(x_q: Tensor, x_k: Tensor, w_q, w_k, head_count: int) -> Attent
 
 def attended_values(attn: AttentionWeights, values: Tensor) -> Tensor:
     """Weight context values per head subspace and merge back to (n, d)."""
-    if attn.weights.shape[0] != attn.head_count:
+    if attn.weights.shape[-3] != attn.head_count:
         raise ShapeError(
-            f"weights carry {attn.weights.shape[0]} heads, expected {attn.head_count}"
+            f"weights carry {attn.weights.shape[-3]} heads, expected {attn.head_count}"
         )
     return T.head_mix(attn.weights, values)
 
@@ -229,8 +235,8 @@ def cross_encoder_layer(seq1, seq2, p: CrossLayerParams, d_f: float,
     n2 = T.affine(T.layer_norm(x2, p.ln2_gain, p.ln2_bias, p.eps), p.f2_w, p.f2_b)
     a12 = scaled_scores(n1, n2, p.w_q, p.w_k, p.head_count)
     a21 = scaled_scores(n2, n1, p.w_q, p.w_k, p.head_count)
-    a12 = _masked(a12, d_f, masker, f"{site}/into1", allow_above_one)
-    a21 = _masked(a21, d_f, masker, f"{site}/into2", allow_above_one)
+    a12 = _masked(a12, d_f, masker, sub_site(site, "into1"), allow_above_one)
+    a21 = _masked(a21, d_f, masker, sub_site(site, "into2"), allow_above_one)
     ca1 = attended_values(a12, T.matmul(n2, p.w_v2))
     ca2 = attended_values(a21, T.matmul(n1, p.w_v1))
     y1 = x1 + T.affine(ca1, p.g1_w, p.g1_b)
@@ -251,6 +257,6 @@ def run_encoder_stack(seq1, seq2, stack: EncoderStack, d_f_initial: float, delta
         seq2 = self_attention_encoder(seq2, layer.self2)
         d_f = schedule_df(d_f_initial, delta, k, allow_above_one=allow_above_one)
         seq1, seq2 = cross_encoder_layer(
-            seq1, seq2, layer.cross, d_f, masker, f"{site}/layer{k}", allow_above_one
+            seq1, seq2, layer.cross, d_f, masker, sub_site(site, f"layer{k}"), allow_above_one
         )
     return seq1, seq2

@@ -90,6 +90,13 @@ def apply_mask(attn, mask) -> "AttentionWeights":
     return dataclasses.replace(attn, weights=attn.weights * keep)
 
 
+def sub_site(site, name: str):
+    """The label `site/name`; for a tuple of candidate labels, one per label."""
+    if isinstance(site, str):
+        return f"{site}/{name}"
+    return tuple(f"{label}/{name}" for label in site)
+
+
 def schedule_df(
     d_f_initial: float, delta: float, layer_index: int, allow_above_one: bool = False
 ) -> float:
@@ -125,6 +132,10 @@ class MaskController:
     masks captured by an earlier live pass, keyed by site label, so repeated
     forward evaluations see a frozen mask. With record="full" each record
     keeps the mask itself plus pre/post weight copies for inspection dumps.
+
+    A candidate batch carries (K, heads, n, m) weights and K site labels: its
+    masks are computed and applied in one pass, and one record per label is
+    appended, in label order.
     """
 
     MODES = ("live", "off", "replay")
@@ -151,21 +162,39 @@ class MaskController:
     def begin_pass(self) -> None:
         self.records.clear()
 
-    def apply(self, attn, d_f: float, site: str) -> "AttentionWeights":
+    def apply(self, attn, d_f: float, site) -> "AttentionWeights":
         if self.mode == "off":
             return attn
+        weights = attn.weights.data
+        batched = weights.ndim == 4
+        labels = tuple(site) if batched else (site,)
+        if batched and len(labels) != weights.shape[0]:
+            raise ShapeError(f"{len(labels)} site labels for {weights.shape[0]} candidates")
         if self.mode == "replay":
-            if site not in self.frozen:
-                raise KeyError(f"no frozen mask recorded for site {site!r}")
+            for label in labels:
+                if label not in self.frozen:
+                    raise KeyError(f"no frozen mask recorded for site {label!r}")
+            frozen = [self.frozen[label] for label in labels]
             detail = DistractionMask(
-                mask=self.frozen[site],
-                threshold=np.zeros(attn.weights.shape[:-1]),
-                rho=np.zeros(attn.weights.shape[:-1]),
+                mask=np.stack(frozen) if batched else frozen[0],
+                threshold=np.zeros(weights.shape[:-1]),
+                rho=np.zeros(weights.shape[:-1]),
                 d_f=d_f,
             )
         else:
             detail = identify_distractions(attn, d_f, allow_above_one=self.allow_above_one)
         masked = apply_mask(attn, detail)
+        if not batched:
+            self._record(site, d_f, detail, weights, masked.weights.data)
+            return masked
+        for k, label in enumerate(labels):
+            part = DistractionMask(
+                mask=detail.mask[k], threshold=detail.threshold[k], rho=detail.rho[k], d_f=d_f
+            )
+            self._record(label, d_f, part, weights[k], masked.weights.data[k])
+        return masked
+
+    def _record(self, site: str, d_f: float, detail: DistractionMask, pre, post) -> None:
         rec = MaskRecord(
             site=site,
             d_f=float(d_f),
@@ -174,10 +203,9 @@ class MaskController:
         )
         if self.record == "full":
             rec.detail = detail
-            rec.pre_weights = attn.weights.data.copy()
-            rec.post_weights = masked.weights.data.copy()
+            rec.pre_weights = pre.copy()
+            rec.post_weights = post.copy()
         self.records.append(rec)
-        return masked
 
     def frozen_masks(self) -> dict[str, np.ndarray]:
         """Site-to-mask map from the last pass; requires record="full"."""

@@ -89,11 +89,11 @@ def vector_space_transform(x_a: Tensor, x_t: Tensor, params: FusionParams,
 
 def cross_aligned_fuse(x_a: Tensor, x_t_align: Tensor, params: FusionParams) -> Tensor:
     """Concatenate anchor and aligned tail per row, then project back to d."""
-    if x_a.shape[0] != x_t_align.shape[0]:
+    if x_a.shape[:-1] != x_t_align.shape[:-1]:
         raise ShapeError(
-            f"anchor rows {x_a.shape[0]} do not match aligned rows {x_t_align.shape[0]}"
+            f"anchor rows {x_a.shape[:-1]} do not match aligned rows {x_t_align.shape[:-1]}"
         )
-    cat = T.concat([x_a, x_t_align], axis=1)
+    cat = T.concat([x_a, x_t_align], axis=-1)
     return T.affine(cat, params.w_f, params.b)
 
 
@@ -104,11 +104,11 @@ def simple_concat_fuse(x_a: Tensor, x_t: Tensor, params: FusionParams) -> Tensor
     tail is an exact multiple of the anchor (frames per clip); equal row
     counts pass straight through.
     """
-    n, m = x_a.shape[0], x_t.shape[0]
+    n, m = x_a.shape[-2], x_t.shape[-2]
     if m != n:
         if n == 0 or m % n != 0:
             raise ShapeError(f"cannot reconcile {m} tail rows to {n} anchor rows")
         group = m // n
-        x_t = T.tensor_mean(T.reshape(x_t, (n, group, x_t.shape[1])), axis=1)
-    cat = T.concat([x_a, x_t], axis=1)
+        x_t = T.tensor_mean(T.reshape(x_t, x_t.shape[:-2] + (n, group, x_t.shape[-1])), axis=-2)
+    cat = T.concat([x_a, x_t], axis=-1)
     return T.affine(cat, params.w_f, params.b)

@@ -6,6 +6,11 @@ Every stage prepends a learned CLS token per stream, adds positional
 encodings, runs the self/cross encoder stack, and fuses along the configured
 anchor direction. The CLS row is stripped between stages and kept only for
 the final per-candidate mean feeding the answer decoder.
+
+Stage 3 runs once for all candidates of equal length, stacked on a leading
+candidate axis: answer tokens are (K, n, d), the shared fused stream is
+broadcast to every candidate, and each masking site records one entry per
+candidate under its own `stage3/candK/...` label.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import EncoderStack, run_encoder_stack
-from .distraction import MaskController
+from .distraction import MaskController, sub_site
 from .fusion import (
     AnchorAssignment,
     FusionParams,
@@ -39,7 +44,10 @@ FUSION_MODES = ("cross-aligned", "simple-concat")
 
 @dataclass
 class ModalitySequence:
-    """Token matrix tagged with its modality; row 0 is CLS when has_cls."""
+    """Token matrix tagged with its modality; row 0 is CLS when has_cls.
+
+    Tokens are (n, d), or (K, n, d) for a batch of K answer candidates.
+    """
 
     tokens: Tensor
     modality: str
@@ -48,8 +56,10 @@ class ModalitySequence:
     def __post_init__(self):
         if self.modality not in MODALITIES:
             raise ValueError(f"unknown modality: {self.modality!r}")
-        if self.tokens.ndim != 2:
-            raise ShapeError(f"sequence tokens must be 2-D, got {self.tokens.shape}")
+        if self.tokens.ndim not in (2, 3):
+            raise ShapeError(
+                f"sequence tokens must be (n, d) or (K, n, d), got {self.tokens.shape}"
+            )
 
     @property
     def pos_kind(self) -> str:
@@ -172,8 +182,10 @@ def add_cls_and_pos(seq: ModalitySequence, cls_token: Parameter,
     """Prepend the stage's CLS token, then add positional encodings to all rows."""
     if seq.has_cls:
         raise ValueError(f"{seq.modality} sequence already carries a CLS slot")
-    tokens = T.concat([cls_token, seq.tokens], axis=0)
-    length, dim = tokens.shape
+    tokens = seq.tokens
+    cls = cls_token if tokens.ndim == 2 else T.broadcast(cls_token, tokens.shape[0])
+    tokens = T.concat([cls, tokens], axis=-2)
+    length, dim = tokens.shape[-2:]
     if seq.pos_kind == "sinusoidal":
         tokens = tokens + Tensor(sinusoidal_encoding(length, dim))
     else:
@@ -234,14 +246,19 @@ def hinge_loss(scores: Tensor, label: int) -> Tensor:
     count = scores.shape[0]
     if not 0 <= label < count:
         raise ValueError(f"label {label} out of range for {count} candidates")
-    correct = scores[label]
-    total = None
-    for n in range(count):
-        if n == label:
-            continue
-        term = T.relu(1.0 + scores[n] - correct)
-        total = term if total is None else total + term
-    return total
+    wrong = np.ones(count)
+    wrong[label] = 0.0
+    return T.tensor_sum(T.relu(1.0 + scores - scores[label]) * wrong)
+
+
+def _candidate_groups(answers) -> list[list[int]]:
+    """Candidate indices grouped by feature shape, in order of first appearance."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for cand, answer in enumerate(answers):
+        if answer.ndim != 2:
+            raise ShapeError(f"answer features must be 2-D, got {answer.shape}")
+        groups.setdefault(answer.shape, []).append(cand)
+    return list(groups.values())
 
 
 def predict(probabilities) -> int:
@@ -326,7 +343,9 @@ class DraxModel:
     def embed_tokens(self, raw: np.ndarray, modality: str) -> ModalitySequence:
         w, b = self.embeddings[modality]
         raw = np.asarray(raw, dtype=np.float64)
-        if raw.ndim != 2 or raw.shape[1] != w.shape[0]:
+        # Only answers come as a candidate batch (K, n, raw_dim).
+        ranks = (2, 3) if modality == "answer" else (2,)
+        if raw.ndim not in ranks or raw.shape[-1] != w.shape[0]:
             raise ShapeError(
                 f"{modality} features must be (n, {w.shape[0]}), got {raw.shape}"
             )
@@ -334,7 +353,12 @@ class DraxModel:
 
     def run_stage(self, index: int, seq1: ModalitySequence, seq2: ModalitySequence,
                   masker: MaskController | None, keep_cls: bool = False,
-                  site: str | None = None) -> ModalitySequence:
+                  site: str | tuple[str, ...] | None = None) -> ModalitySequence:
+        """One stage on (n, d) streams, or on a candidate batch.
+
+        For a batch, `seq2` is (K, n, d), `seq1` is the (n, d) stream every
+        candidate shares, and `site` holds one label per candidate.
+        """
         cfg = self.config
         sp = self.stages[index]
         if (seq1.modality, seq2.modality) != (sp.modality1, sp.modality2):
@@ -345,6 +369,8 @@ class DraxModel:
         site = site or sp.name
         x1 = add_cls_and_pos(seq1, sp.cls1, sp.pos1)
         x2 = add_cls_and_pos(seq2, sp.cls2, sp.pos2)
+        if x1.tokens.ndim < x2.tokens.ndim:
+            x1 = dataclasses.replace(x1, tokens=T.broadcast(x1.tokens, x2.tokens.shape[0]))
         y1, y2 = run_encoder_stack(
             x1, x2, sp.stack, cfg.d_f_initial, cfg.delta, masker,
             site=site, allow_above_one=cfg.allow_df_above_one,
@@ -355,31 +381,37 @@ class DraxModel:
         if cfg.fusion_mode == "cross-aligned":
             aligned = vector_space_transform(
                 anchor.tokens, tail.tokens, sp.fusion, cfg.d_f_fusion, masker,
-                site=f"{site}/fusion", allow_above_one=cfg.allow_df_above_one,
+                site=sub_site(site, "fusion"), allow_above_one=cfg.allow_df_above_one,
             )
             fused = cross_aligned_fuse(anchor.tokens, aligned, sp.fusion)
             has_cls = True
         elif index == 0:
             # Ablation fusion, video stage: drop both CLS rows and reconcile the
             # tail by consecutive-group averaging before concat + projection.
-            fused = simple_concat_fuse(anchor.tokens[1:], tail.tokens[1:], sp.fusion)
+            fused = simple_concat_fuse(
+                anchor.tokens[..., 1:, :], tail.tokens[..., 1:, :], sp.fusion
+            )
             has_cls = False
         else:
             # Ablation fusion, language stages: the tail contributes only its
             # encoded CLS row, repeated across the anchor rows.
-            rows = anchor.tokens.shape[0]
-            tail_cls = tail.tokens[0:1]
+            rows = anchor.tokens.shape[-2]
+            tail_cls = tail.tokens[..., 0:1, :]
             fused = simple_concat_fuse(
-                anchor.tokens, T.concat([tail_cls] * rows, axis=0), sp.fusion
+                anchor.tokens, T.concat([tail_cls] * rows, axis=-2), sp.fusion
             )
             has_cls = True
         if has_cls and not keep_cls:
-            fused = fused[1:]
+            fused = fused[..., 1:, :]
             has_cls = False
         return ModalitySequence(fused, "fused", has_cls=has_cls)
 
     def forward(self, bundle, masker: MaskController | None = None) -> Tensor:
-        """Per-candidate representations, one row per answer candidate."""
+        """Per-candidate representations, one row per answer candidate.
+
+        Stage 3 runs once per group of equally shaped candidates (one group
+        of four for fixed-length answers), with the group on a leading axis.
+        """
         if masker is None:
             masker = self.make_masker()
         masker.begin_pass()
@@ -388,14 +420,27 @@ class DraxModel:
         fused = self.run_stage(0, appearance, motion, masker)
         question = self.embed_tokens(bundle.question, "question")
         fused = self.run_stage(1, fused, question, masker)
-        reps = []
-        for cand, answer in enumerate(bundle.answers):
-            answer_seq = self.embed_tokens(answer, "answer")
+        start = len(masker.records)
+        by_candidate: dict[int, list] = {}
+        means, order = [], []
+        for cands in _candidate_groups(bundle.answers):
+            answers = self.embed_tokens(np.stack([bundle.answers[c] for c in cands]), "answer")
+            mark = len(masker.records)
             out = self.run_stage(
-                2, fused, answer_seq, masker, keep_cls=True, site=f"stage3/cand{cand}"
+                2, fused, answers, masker, keep_cls=True,
+                site=tuple(f"stage3/cand{c}" for c in cands),
             )
-            reps.append(T.tensor_mean(out.tokens, axis=0, keepdims=True))
-        return T.concat(reps, axis=0)
+            for k, cand in enumerate(cands):
+                by_candidate[cand] = masker.records[mark + k::len(cands)]
+            means.append(T.tensor_mean(out.tokens, axis=-2))
+            order += cands
+        # A batched site records its candidates side by side; list the records
+        # candidate by candidate, as one stage run per candidate would.
+        masker.records[start:] = [rec for c in sorted(by_candidate) for rec in by_candidate[c]]
+        reps = means[0] if len(means) == 1 else T.concat(means, axis=0)
+        if order != sorted(order):
+            reps = reps[np.argsort(order)]
+        return reps
 
     def scores(self, bundle, masker: MaskController | None = None) -> tuple[Tensor, Tensor]:
         return answer_decoder(self.forward(bundle, masker), self.decoder)

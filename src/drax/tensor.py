@@ -1,11 +1,12 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 The tensor set here is intentionally small: matrix products (optionally
-batched over a leading head axis), elementwise arithmetic with numpy-style
+batched over a leading axis), elementwise arithmetic with numpy-style
 broadcasting, softmax, layer normalization, ELU/ReLU, reductions, slicing,
-reshaping and concatenation. That is exactly the vocabulary the encoder,
-masking and fusion stack needs, and every operation records a vector-Jacobian
-closure so a single scalar `backward` call fills in leaf gradients.
+reshaping, concatenation and a leading-axis `broadcast`. That is exactly the
+vocabulary the encoder, masking and fusion stack needs, and every operation
+records a vector-Jacobian closure so a single scalar `backward` call fills
+in leaf gradients.
 
 Every recorded op costs a fixed Python overhead, which dominates at the
 model's sizes, so the hot composites are fused into single ops with
@@ -19,6 +20,12 @@ analytic vector-Jacobian products:
 
 Each one agrees with the composite of primitives it replaces (values and
 gradients within 1e-12).
+
+The answer stage runs all candidates at once, so token matrices may carry
+one leading candidate axis: (K, n, d) instead of (n, d). `matmul`,
+`affine`, `head_softmax` and `head_mix` accept it with their weights shared
+across it (weight gradients sum over it), and `broadcast` repeats a stream
+every candidate shares along it.
 """
 
 from __future__ import annotations
@@ -35,10 +42,6 @@ class ShapeError(ValueError):
 
 
 _grad_enabled = True
-
-
-def is_grad_enabled() -> bool:
-    return _grad_enabled
 
 
 @contextlib.contextmanager
@@ -277,31 +280,42 @@ def neg(a) -> Tensor:
     return _from_op(-a.data, (a,), vjp)
 
 
+def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of the 2-D `w` in `x @ w`, summed over any leading axis of `x`."""
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
 def matmul(a, b) -> Tensor:
-    """Matrix product for 2-D operands or equally batched 3-D operands."""
+    """Matrix product: 2-D @ 2-D, 3-D @ 2-D (`b` shared across the leading
+    axis) or equally batched 3-D @ 3-D."""
     a, b = as_tensor(a), as_tensor(b)
     ad, bd = a.data, b.data
     ok = (
         ad.ndim in (2, 3)
-        and bd.ndim == ad.ndim
+        and bd.ndim in (2, ad.ndim)
         and ad.shape[-1] == bd.shape[-2]
-        and (ad.ndim == 2 or ad.shape[0] == bd.shape[0])
+        and (bd.ndim == 2 or ad.shape[0] == bd.shape[0])
     )
     if not ok:
         raise ShapeError(f"matmul shape mismatch: {ad.shape} x {bd.shape}")
     data = ad @ bd
 
     def vjp(g):
-        return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
+        g_b = _weight_grad(ad, g) if bd.ndim == 2 else ad.swapaxes(-1, -2) @ g
+        return g @ bd.swapaxes(-1, -2), g_b
 
     return _from_op(data, (a, b), vjp)
 
 
 def affine(x, w, b) -> Tensor:
-    """`x @ w + b` for 2-D `x` and `w`, with `b` broadcast over rows, as one op."""
+    """`x @ w + b` as one op, for `x` of shape (n, k) or (K, n, k).
+
+    `w` (k, m) and `b` are shared across the leading axis; `b` broadcasts
+    over rows.
+    """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     xd, wd = x.data, w.data
-    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0]:
+    if xd.ndim not in (2, 3) or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]:
         raise ShapeError(f"affine shape mismatch: {xd.shape} x {wd.shape}")
     try:
         data = xd @ wd + b.data
@@ -309,21 +323,20 @@ def affine(x, w, b) -> Tensor:
         raise ShapeError(f"affine bias {b.shape} does not fit {xd.shape} x {wd.shape}") from exc
 
     def vjp(g):
-        return g @ wd.T, xd.T @ g, _unbroadcast(g, b.shape)
+        return g @ wd.T, _weight_grad(xd, g), _unbroadcast(g, b.shape)
 
     return _from_op(data, (x, w, b), vjp)
 
 
 def _split_heads(x: np.ndarray, head_count: int) -> np.ndarray:
-    """(n, d) -> (heads, n, d/heads) view."""
-    n, d = x.shape
-    return x.reshape(n, head_count, d // head_count).transpose(1, 0, 2)
+    """(..., n, d) -> (..., heads, n, d/heads) view."""
+    return x.reshape(x.shape[:-1] + (head_count, x.shape[-1] // head_count)).swapaxes(-3, -2)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
-    """(heads, n, d/heads) -> (n, d), inverse of `_split_heads`."""
-    h, n, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(n, h * dh)
+    """(..., heads, n, d/heads) -> (..., n, d), inverse of `_split_heads`."""
+    h, n, dh = x.shape[-3:]
+    return x.swapaxes(-3, -2).reshape(x.shape[:-3] + (n, h * dh))
 
 
 def head_softmax(x_q, w_q, x_k, w_k, head_count: int, scale: float) -> Tensor:
@@ -331,14 +344,18 @@ def head_softmax(x_q, w_q, x_k, w_k, head_count: int, scale: float) -> Tensor:
 
     The projections `q = x_q @ w_q` (n, d) and `k = x_k @ w_k` (m, d) are
     split column-wise into `head_count` subspaces of d/head_count; the
-    result has shape (heads, n, m).
+    result has shape (heads, n, m). With a leading candidate axis on both
+    `x_q` and `x_k`, (K, n, d) and (K, m, d), it is (K, heads, n, m).
     """
     x_q, w_q, x_k, w_k = as_tensor(x_q), as_tensor(w_q), as_tensor(x_k), as_tensor(w_k)
     xq, wq, xk, wk = x_q.data, w_q.data, x_k.data, w_k.data
     if not (
-        xq.ndim == wq.ndim == xk.ndim == wk.ndim == 2
-        and xq.shape[1] == wq.shape[0]
-        and xk.shape[1] == wk.shape[0]
+        xq.ndim == xk.ndim
+        and xq.ndim in (2, 3)
+        and wq.ndim == wk.ndim == 2
+        and xq.shape[:-2] == xk.shape[:-2]
+        and xq.shape[-1] == wq.shape[0]
+        and xk.shape[-1] == wk.shape[0]
         and wq.shape[1] == wk.shape[1]
     ):
         raise ShapeError(
@@ -347,13 +364,13 @@ def head_softmax(x_q, w_q, x_k, w_k, head_count: int, scale: float) -> Tensor:
     if wq.shape[1] % head_count != 0:
         raise ShapeError(f"hidden dim {wq.shape[1]} not divisible by {head_count} heads")
     qh, kh = _split_heads(xq @ wq, head_count), _split_heads(xk @ wk, head_count)
-    data = _softmax_data((qh @ kh.transpose(0, 2, 1)) * scale, -1)
+    data = _softmax_data((qh @ kh.swapaxes(-1, -2)) * scale, -1)
 
     def vjp(g):
         gs = _softmax_grad(g, data, -1) * scale
         g_q = _merge_heads(gs @ kh)
-        g_k = _merge_heads(gs.transpose(0, 2, 1) @ qh)
-        return g_q @ wq.T, xq.T @ g_q, g_k @ wk.T, xk.T @ g_k
+        g_k = _merge_heads(gs.swapaxes(-1, -2) @ qh)
+        return g_q @ wq.T, _weight_grad(xq, g_q), g_k @ wk.T, _weight_grad(xk, g_k)
 
     return _from_op(data, (x_q, w_q, x_k, w_k), vjp)
 
@@ -362,21 +379,44 @@ def head_mix(weights, values) -> Tensor:
     """Mix per-head value subspaces by per-head weights and merge, as one op.
 
     `weights` (heads, n, m) and `values` (m, d) give an (n, d) result whose
-    head-h columns are `weights[h] @ values[:, head-h columns]`.
+    head-h columns are `weights[h] @ values[:, head-h columns]`; with a
+    leading candidate axis on both, (K, heads, n, m) and (K, m, d), it is
+    (K, n, d).
     """
     w, v = as_tensor(weights), as_tensor(values)
     wd, vd = w.data, v.data
-    if wd.ndim != 3 or vd.ndim != 2 or wd.shape[2] != vd.shape[0] or vd.shape[1] % wd.shape[0]:
+    if not (
+        wd.ndim in (3, 4)
+        and vd.ndim == wd.ndim - 1
+        and wd.shape[:-3] == vd.shape[:-2]
+        and wd.shape[-1] == vd.shape[-2]
+        and vd.shape[-1] % wd.shape[-3] == 0
+    ):
         raise ShapeError(f"head_mix shape mismatch: {wd.shape} x {vd.shape}")
-    heads = wd.shape[0]
+    heads = wd.shape[-3]
     vh = _split_heads(vd, heads)
     data = _merge_heads(wd @ vh)
 
     def vjp(g):
         gh = _split_heads(g, heads)
-        return gh @ vh.transpose(0, 2, 1), _merge_heads(wd.transpose(0, 2, 1) @ gh)
+        return gh @ vh.swapaxes(-1, -2), _merge_heads(wd.swapaxes(-1, -2) @ gh)
 
     return _from_op(data, (w, v), vjp)
+
+
+def broadcast(a, count: int) -> Tensor:
+    """Repeat `a` `count` times along a new leading axis, as one op.
+
+    This gives every candidate of a batch its own copy of a stream they all
+    share; the gradient sums over the new axis.
+    """
+    a = as_tensor(a)
+    data = np.broadcast_to(a.data, (count,) + a.shape).copy()
+
+    def vjp(g):
+        return (g.sum(axis=0),)
+
+    return _from_op(data, (a,), vjp)
 
 
 def transpose(a, axes: Sequence[int] | None = None) -> Tensor:
@@ -409,7 +449,8 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
 
 
 def index(a, key) -> Tensor:
-    """Basic (slice/int/tuple) indexing; gradient scatters back into place."""
+    """Basic (slice/int/tuple) indexing, or a permutation array; the gradient
+    scatters back into place."""
     a = as_tensor(a)
     data = a.data[key]
 

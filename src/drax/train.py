@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from .model import DraxModel, predict
+from .tensor import no_grad
 
 
 def global_grad_norm(params) -> float:
@@ -77,7 +78,7 @@ def train_epoch(model: DraxModel, dataset, epoch: int) -> dict:
 
 
 def evaluate(model: DraxModel, dataset) -> dict:
-    """Accuracy and per-sample predictions, in dataset order."""
+    """Accuracy and per-sample predictions, in dataset order; records no tape."""
     if not dataset:
         raise ValueError("evaluation dataset is empty")
     masker = model.make_masker()
@@ -85,7 +86,8 @@ def evaluate(model: DraxModel, dataset) -> dict:
     hits = 0
     loss_total = 0.0
     for index, bundle in enumerate(dataset):
-        loss, probs = model.sample_loss(bundle, masker)
+        with no_grad():
+            loss, probs = model.sample_loss(bundle, masker)
         guess = predict(probs)
         hits += int(guess == bundle.label)
         loss_total += loss.item()

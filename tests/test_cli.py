@@ -225,8 +225,18 @@ class TestInspectAttention:
         records = [json.loads(l) for l in (trace_dir / "trace.jsonl").read_text().splitlines()]
         masks = [r for r in records if r["record"] == "mask"]
         densities = [r for r in records if r["record"] == "density"]
-        # 1 layer: 2 cross sites per stack run (3 stage1/2 + 4 candidates make
-        # 6 runs) plus 6 fusion sites = 18 sites, 2 heads each.
+        # 1 layer: 2 cross sites and 1 fusion site for stage 1, stage 2 and
+        # each of the 4 candidates = 18 sites, 2 heads each. Every candidate
+        # lists all of its sites before the next candidate's.
+        sites = [
+            f"{prefix}/{site}"
+            for prefix in ["stage1", "stage2"] + [f"stage3/cand{c}" for c in range(4)]
+            for site in ("layer1/into1", "layer1/into2", "fusion")
+        ]
+        assert [(r["record"], r["site"], r.get("head")) for r in records] == [
+            line for site in sites
+            for line in [("mask", site, 0), ("mask", site, 1), ("density", site, None)]
+        ]
         assert len(densities) == 18
         assert len(masks) == 36
         for record in masks:

@@ -228,6 +228,39 @@ class TestMaskController:
         with pytest.raises(KeyError):
             ctrl.apply(make_attn([1.0]), 0.5, "nowhere")
 
+    @pytest.mark.parametrize("mode", ["live", "replay"])
+    def test_candidate_batch_matches_one_call_per_candidate(self, mode):
+        rng = np.random.default_rng(6)
+        labels = ("c0/x", "c1/x", "c2/x")
+        slices = [random_row_stochastic(rng, 2, 3, 5) for _ in labels]
+        frozen = {label: rng.random((2, 3, 5)) < 0.5 for label in labels}
+        batch = AttentionWeights(
+            weights=Tensor(np.stack([a.weights.data for a in slices])), head_count=2, scale=1.0
+        )
+        single = MaskController(mode=mode, record="full", frozen=frozen)
+        outs = [single.apply(a, 0.8, label) for a, label in zip(slices, labels)]
+        batched = MaskController(mode=mode, record="full", frozen=frozen)
+        out = batched.apply(batch, 0.8, labels)
+        assert [rec.site for rec in batched.records] == list(labels)
+        for k, (one, rec) in enumerate(zip(single.records, batched.records)):
+            np.testing.assert_array_equal(out.weights.data[k], outs[k].weights.data)
+            assert (rec.d_f, rec.density, rec.shape) == (one.d_f, one.density, one.shape)
+            for field in ("mask", "threshold", "rho"):
+                np.testing.assert_array_equal(getattr(rec.detail, field),
+                                              getattr(one.detail, field))
+            np.testing.assert_array_equal(rec.pre_weights, one.pre_weights)
+            np.testing.assert_array_equal(rec.post_weights, one.post_weights)
+            if mode == "replay":
+                np.testing.assert_array_equal(rec.detail.mask, frozen[labels[k]])
+
+    def test_candidate_batch_needs_one_label_per_candidate(self):
+        batch = AttentionWeights(weights=Tensor(np.full((3, 2, 1, 2), 0.5)), head_count=2,
+                                 scale=1.0)
+        with pytest.raises(ShapeError):
+            MaskController().apply(batch, 0.5, ("a", "b"))
+        with pytest.raises(KeyError):
+            MaskController(mode="replay", frozen={"a": None}).apply(batch, 0.5, ("a", "b", "c"))
+
     def test_begin_pass_clears_records(self):
         ctrl = MaskController(mode="live")
         ctrl.apply(make_attn([0.5, 0.3, 0.2]), 0.5, "a")

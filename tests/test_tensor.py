@@ -356,6 +356,86 @@ class TestFusedOps:
             T.head_mix(Tensor(np.zeros((4, 3, 5))), Tensor(np.zeros((5, 6))))
 
 
+def _per_candidate(op, batched, shared):
+    """`op` run on each slice of the `batched` tensors, stacked on a new axis."""
+    count = batched[0].shape[0]
+    slices = []
+    for k in range(count):
+        out = op(*(t[k] for t in batched), *shared)
+        slices.append(T.reshape(out, (1,) + out.shape))
+    return T.concat(slices, axis=0)
+
+
+class TestCandidateAxis:
+    """Ops on a leading candidate axis against one op per candidate slice.
+
+    The shared weights' gradients sum over the candidates.
+    """
+
+    def test_matmul_3d_by_2d(self):
+        rng = np.random.default_rng(30)
+        x, w = _leaf(rng, 3, 4, 5), _leaf(rng, 5, 6)
+        _assert_same_op(
+            lambda: T.matmul(x, w), lambda: _per_candidate(T.matmul, [x], [w]), [x, w], rng
+        )
+
+    def test_affine(self):
+        rng = np.random.default_rng(31)
+        x, w, b = _leaf(rng, 4, 3, 5), _leaf(rng, 5, 2), _leaf(rng, 2)
+        _assert_same_op(
+            lambda: T.affine(x, w, b),
+            lambda: _per_candidate(T.affine, [x], [w, b]),
+            [x, w, b], rng,
+        )
+
+    @pytest.mark.parametrize("heads,n,m", [(1, 3, 4), (2, 4, 3)])
+    def test_head_softmax(self, heads, n, m):
+        rng = np.random.default_rng(32)
+        x_q, x_k = _leaf(rng, 3, n, 6, scale=2.0), _leaf(rng, 3, m, 6, scale=2.0)
+        w_q, w_k = _leaf(rng, 6, 4), _leaf(rng, 6, 4)
+        _assert_same_op(
+            lambda: T.head_softmax(x_q, w_q, x_k, w_k, heads, 0.7),
+            lambda: _per_candidate(
+                lambda q, k: T.head_softmax(q, w_q, k, w_k, heads, 0.7), [x_q, x_k], []
+            ),
+            [x_q, w_q, x_k, w_k], rng,
+        )
+
+    def test_head_mix(self):
+        rng = np.random.default_rng(33)
+        weights = _leaf(rng, 4, 2, 3, 5)
+        values = _leaf(rng, 4, 5, 6)
+        _assert_same_op(
+            lambda: T.head_mix(weights, values),
+            lambda: _per_candidate(T.head_mix, [weights, values], []),
+            [weights, values], rng,
+        )
+
+    def test_broadcast_repeats_and_sums_gradient(self):
+        rng = np.random.default_rng(34)
+        a = _leaf(rng, 3, 5)
+        _assert_same_op(
+            lambda: T.broadcast(a, 4),
+            lambda: T.concat([T.reshape(a, (1, 3, 5))] * 4, axis=0),
+            [a], rng,
+        )
+
+    def test_shape_errors(self):
+        w = Tensor(np.zeros((6, 6)))
+        with pytest.raises(ShapeError):
+            T.matmul(Tensor(np.zeros((2, 3, 4))), w)
+        with pytest.raises(ShapeError):
+            T.affine(Tensor(np.zeros((2, 3, 4, 6))), w, Tensor(np.zeros(6)))
+        with pytest.raises(ShapeError):
+            T.head_softmax(Tensor(np.zeros((2, 3, 6))), w, Tensor(np.zeros((3, 3, 6))), w, 2, 1.0)
+        with pytest.raises(ShapeError):
+            T.head_softmax(Tensor(np.zeros((2, 3, 6))), w, Tensor(np.zeros((3, 6))), w, 2, 1.0)
+        with pytest.raises(ShapeError):
+            T.head_mix(Tensor(np.zeros((2, 2, 3, 5))), Tensor(np.zeros((3, 5, 6))))
+        with pytest.raises(ShapeError):
+            T.head_mix(Tensor(np.zeros((2, 2, 3, 5))), Tensor(np.zeros((5, 6))))
+
+
 class TestParamStore:
     def test_same_seed_same_parameters(self):
         def build(seed):
