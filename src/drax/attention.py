@@ -13,13 +13,7 @@ import math
 from dataclasses import dataclass
 
 from . import tensor as T
-from .distraction import (
-    MaskController,
-    apply_mask,
-    identify_distractions,
-    schedule_df,
-    sub_site,
-)
+from .distraction import MaskController, schedule_df, sub_site
 from .tensor import ParamStore, Parameter, ShapeError, Tensor
 
 
@@ -214,16 +208,8 @@ def self_attention_encoder(seq, p: SelfAttentionParams):
     return _with_tokens(seq, x)
 
 
-def _masked(attn: AttentionWeights, d_f: float, masker: MaskController | None, site: str,
-            allow_above_one: bool) -> AttentionWeights:
-    if masker is not None:
-        return masker.apply(attn, d_f, site)
-    return apply_mask(attn, identify_distractions(attn, d_f, allow_above_one=allow_above_one))
-
-
 def cross_encoder_layer(seq1, seq2, p: CrossLayerParams, d_f: float,
-                        masker: MaskController | None = None, site: str = "cross",
-                        allow_above_one: bool = False):
+                        masker: MaskController, site: str = "cross"):
     """Bidirectional masked cross-attention with residual back-projection.
 
     Each stream is pre-normalized, projected, and updated from the other
@@ -235,8 +221,8 @@ def cross_encoder_layer(seq1, seq2, p: CrossLayerParams, d_f: float,
     n2 = T.affine(T.layer_norm(x2, p.ln2_gain, p.ln2_bias, p.eps), p.f2_w, p.f2_b)
     a12 = scaled_scores(n1, n2, p.w_q, p.w_k, p.head_count)
     a21 = scaled_scores(n2, n1, p.w_q, p.w_k, p.head_count)
-    a12 = _masked(a12, d_f, masker, sub_site(site, "into1"), allow_above_one)
-    a21 = _masked(a21, d_f, masker, sub_site(site, "into2"), allow_above_one)
+    a12 = masker.apply(a12, d_f, sub_site(site, "into1"))
+    a21 = masker.apply(a21, d_f, sub_site(site, "into2"))
     ca1 = attended_values(a12, T.matmul(n2, p.w_v2))
     ca2 = attended_values(a21, T.matmul(n1, p.w_v1))
     y1 = x1 + T.affine(ca1, p.g1_w, p.g1_b)
@@ -245,18 +231,18 @@ def cross_encoder_layer(seq1, seq2, p: CrossLayerParams, d_f: float,
 
 
 def run_encoder_stack(seq1, seq2, stack: EncoderStack, d_f_initial: float, delta: float,
-                      masker: MaskController | None = None, site: str = "stack",
-                      allow_above_one: bool = False):
+                      masker: MaskController, site: str = "stack"):
     """Alternate per-stream self encoders with cross layers for every level.
 
     The distraction factor advances by `delta` per level, starting at
-    `d_f_initial` for the first cross layer.
+    `d_f_initial` for the first cross layer; the masker decides whether the
+    schedule may exceed 1.
     """
     for k, layer in enumerate(stack.layers, start=1):
         seq1 = self_attention_encoder(seq1, layer.self1)
         seq2 = self_attention_encoder(seq2, layer.self2)
-        d_f = schedule_df(d_f_initial, delta, k, allow_above_one=allow_above_one)
+        d_f = schedule_df(d_f_initial, delta, k, allow_above_one=masker.allow_above_one)
         seq1, seq2 = cross_encoder_layer(
-            seq1, seq2, layer.cross, d_f, masker, sub_site(site, f"layer{k}"), allow_above_one
+            seq1, seq2, layer.cross, d_f, masker, sub_site(site, f"layer{k}")
         )
     return seq1, seq2

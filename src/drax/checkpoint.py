@@ -67,13 +67,20 @@ def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     return header["config"], arrays
 
 
-def load_model(path) -> DraxModel:
-    """Rebuild the model from a checkpoint, validating every name and shape."""
+def load_model(path, overrides: dict | None = None) -> DraxModel:
+    """Rebuild the model from a checkpoint, validating every name and shape.
+
+    `overrides` are typed config values applied on top of the stored config
+    once that has been validated: an invalid stored config raises
+    CheckpointError, an invalid override ConfigError.
+    """
     config_dict, arrays = read_checkpoint(path)
     try:
         config = DraxConfig.from_dict(config_dict)
     except ValueError as exc:
         raise CheckpointError(f"checkpoint config invalid: {exc}") from None
+    if overrides:
+        config = DraxConfig.from_dict({**config.to_dict(), **overrides})
     model = DraxModel(config)
     restore_parameters(model, arrays)
     return model

@@ -15,7 +15,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .checkpoint import CheckpointError, load_model, read_checkpoint, restore_parameters, save_checkpoint
+from .checkpoint import CheckpointError, load_model, save_checkpoint
 from .data import (
     DataError,
     SyntheticSpec,
@@ -75,12 +75,38 @@ def _parse_overrides(items) -> dict[str, str]:
     return values
 
 
+def _parse_bool(text: str) -> bool:
+    lowered = text.strip().lower()
+    if lowered in ("true", "1", "yes", "on"):
+        return True
+    if lowered in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(text)
+
+
+_PARSERS = {"bool": _parse_bool, "int": int, "float": float}
+
+
+def coerce_fields(cls, raw: dict[str, str], what: str = "config") -> dict:
+    """Type each key=value string by the dataclass field of `cls` it names."""
+    kinds = {f.name: f.type for f in fields(cls)}
+    typed = {}
+    for key, text in raw.items():
+        if key not in kinds:
+            raise ConfigError(f"unknown {what} key: {key}")
+        try:
+            typed[key] = _PARSERS.get(kinds[key], str)(text)
+        except ValueError:
+            raise ConfigError(f"cannot parse {key}={text!r} as {kinds[key]}") from None
+    return typed
+
+
 def build_config(args) -> DraxConfig:
     raw: dict[str, str] = {}
     if getattr(args, "config", None):
         raw.update(parse_config_file(args.config))
     raw.update(_parse_overrides(getattr(args, "set", None)))
-    typed = {key: DraxConfig.coerce(key, value) for key, value in raw.items()}
+    typed = coerce_fields(DraxConfig, raw)
     if getattr(args, "seed", None) is not None:
         typed["seed"] = args.seed
     return DraxConfig.from_dict(typed)
@@ -88,17 +114,8 @@ def build_config(args) -> DraxConfig:
 
 def build_spec(args) -> SyntheticSpec:
     """SyntheticSpec from --set overrides (gen-data's config surface)."""
-    raw = _parse_overrides(getattr(args, "set", None))
-    by_name = {f.name: f for f in fields(SyntheticSpec)}
-    typed = {}
-    for key, text in raw.items():
-        if key not in by_name:
-            raise ConfigError(f"unknown generator key: {key}")
-        kind = by_name[key].type
-        try:
-            typed[key] = float(text) if kind == "float" else int(text)
-        except ValueError:
-            raise ConfigError(f"cannot parse {key}={text!r} as {kind}") from None
+    typed = coerce_fields(SyntheticSpec, _parse_overrides(getattr(args, "set", None)),
+                          "generator")
     if getattr(args, "seed", None) is not None:
         typed["seed"] = args.seed
     spec = SyntheticSpec(**typed)
@@ -147,21 +164,9 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _model_from_checkpoint(args) -> DraxModel:
-    overrides = _parse_overrides(getattr(args, "set", None))
-    if not overrides:
-        return load_model(args.checkpoint)
-    config_dict, arrays = read_checkpoint(args.checkpoint)
-    config_dict.update(
-        {key: DraxConfig.coerce(key, value) for key, value in overrides.items()}
-    )
-    model = DraxModel(DraxConfig.from_dict(config_dict))
-    restore_parameters(model, arrays)
-    return model
-
-
 def cmd_eval(args) -> int:
-    model = _model_from_checkpoint(args)
+    overrides = coerce_fields(DraxConfig, _parse_overrides(args.set))
+    model = load_model(args.checkpoint, overrides)
     dataset = load_dataset(args.data)
     result = evaluate(model, dataset)
     records = [{"record": "sample", **sample} for sample in result["samples"]]
@@ -196,7 +201,8 @@ def _load_one_sample(path):
 
 
 def cmd_inspect_attention(args) -> int:
-    model = _model_from_checkpoint(args)
+    overrides = coerce_fields(DraxConfig, _parse_overrides(args.set))
+    model = load_model(args.checkpoint, overrides)
     bundle = _load_one_sample(args.data)
     masker = model.make_masker(record="full")
     model.forward(bundle, masker)

@@ -64,6 +64,9 @@ class FeatureBundle:
             raise DataError(f"label {self.label} out of range [0, {ANSWER_COUNT})")
         for name in ("appearance", "motion", "question"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        for name, array in _tensor_records(self):
+            if not np.isfinite(array).all():
+                raise DataError(f"{name} features hold non-finite values")
 
 
 def _tensor_records(bundle: FeatureBundle) -> list[tuple[str, np.ndarray]]:

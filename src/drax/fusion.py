@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import tensor as T
 from .attention import attended_values, scaled_scores
-from .distraction import MaskController, apply_mask, identify_distractions
+from .distraction import MaskController
 from .tensor import ParamStore, Parameter, ShapeError, Tensor
 
 
@@ -66,8 +66,8 @@ class FusionParams:
 
 
 def vector_space_transform(x_a: Tensor, x_t: Tensor, params: FusionParams,
-                           d_f_fusion: float, masker: MaskController | None = None,
-                           site: str = "fusion", allow_above_one: bool = False) -> Tensor:
+                           d_f_fusion: float, masker: MaskController,
+                           site: str = "fusion") -> Tensor:
     """Rewrite the tail in anchor rows via masked attention over raw tail rows.
 
     Output row i is a per-head-subspace linear combination of the tail rows
@@ -78,13 +78,7 @@ def vector_space_transform(x_a: Tensor, x_t: Tensor, params: FusionParams,
             f"anchor dim {x_a.shape[-1]} does not match tail dim {x_t.shape[-1]}"
         )
     attn = scaled_scores(x_a, x_t, params.w_q, params.w_k, params.head_count)
-    if masker is not None:
-        attn = masker.apply(attn, d_f_fusion, site)
-    else:
-        attn = apply_mask(
-            attn, identify_distractions(attn, d_f_fusion, allow_above_one=allow_above_one)
-        )
-    return attended_values(attn, x_t)
+    return attended_values(masker.apply(attn, d_f_fusion, site), x_t)
 
 
 def cross_aligned_fuse(x_a: Tensor, x_t_align: Tensor, params: FusionParams) -> Tensor:

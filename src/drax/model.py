@@ -40,6 +40,7 @@ class ConfigError(ValueError):
 MODALITIES = ("appearance", "motion", "question", "answer", "fused")
 LOSS_MODES = ("logit-hinge", "probability-hinge")
 FUSION_MODES = ("cross-aligned", "simple-concat")
+_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
 @dataclass
@@ -95,6 +96,12 @@ class DraxConfig:
     grad_clip: float = 5.0
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # bool is an int subclass: accept it for bool fields only.
+            wrong_bool = isinstance(value, bool) != (f.type == "bool")
+            if wrong_bool or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if self.d < 1 or self.heads < 1 or self.d % self.heads != 0:
             raise ConfigError(f"d={self.d} must be a positive multiple of heads={self.heads}")
         if self.layers < 1:
@@ -141,29 +148,6 @@ class DraxConfig:
         config = cls(**values)
         config.validate()
         return config
-
-    @classmethod
-    def coerce(cls, key: str, text: str):
-        """Parse a key=value override string into the field's type."""
-        by_name = {f.name: f for f in fields(cls)}
-        if key not in by_name:
-            raise ConfigError(f"unknown config key: {key}")
-        kind = by_name[key].type
-        try:
-            if kind == "bool":
-                lowered = text.strip().lower()
-                if lowered in ("true", "1", "yes", "on"):
-                    return True
-                if lowered in ("false", "0", "no", "off"):
-                    return False
-                raise ValueError(text)
-            if kind == "int":
-                return int(text)
-            if kind == "float":
-                return float(text)
-            return text
-        except ValueError:
-            raise ConfigError(f"cannot parse {key}={text!r} as {kind}") from None
 
 
 def sinusoidal_encoding(length: int, dim: int) -> np.ndarray:
@@ -352,7 +336,7 @@ class DraxModel:
         return ModalitySequence(T.affine(Tensor(raw), w, b), modality)
 
     def run_stage(self, index: int, seq1: ModalitySequence, seq2: ModalitySequence,
-                  masker: MaskController | None, keep_cls: bool = False,
+                  masker: MaskController, keep_cls: bool = False,
                   site: str | tuple[str, ...] | None = None) -> ModalitySequence:
         """One stage on (n, d) streams, or on a candidate batch.
 
@@ -372,8 +356,7 @@ class DraxModel:
         if x1.tokens.ndim < x2.tokens.ndim:
             x1 = dataclasses.replace(x1, tokens=T.broadcast(x1.tokens, x2.tokens.shape[0]))
         y1, y2 = run_encoder_stack(
-            x1, x2, sp.stack, cfg.d_f_initial, cfg.delta, masker,
-            site=site, allow_above_one=cfg.allow_df_above_one,
+            x1, x2, sp.stack, cfg.d_f_initial, cfg.delta, masker, site=site
         )
         anchor_name = (cfg.anchor_stage1, cfg.anchor_stage2, cfg.anchor_stage3)[index]
         anchor, tail = (y1, y2) if anchor_name == y1.modality else (y2, y1)
@@ -381,7 +364,7 @@ class DraxModel:
         if cfg.fusion_mode == "cross-aligned":
             aligned = vector_space_transform(
                 anchor.tokens, tail.tokens, sp.fusion, cfg.d_f_fusion, masker,
-                site=sub_site(site, "fusion"), allow_above_one=cfg.allow_df_above_one,
+                site=sub_site(site, "fusion"),
             )
             fused = cross_aligned_fuse(anchor.tokens, aligned, sp.fusion)
             has_cls = True

@@ -173,7 +173,9 @@ class TestCrossEncoderLayer:
         rng = np.random.default_rng(9)
         p = self.make(9)
         s1, s2 = seq(rng.normal(size=(4, 8))), seq(rng.normal(size=(3, 8)), "motion")
-        masked1, masked2 = cross_encoder_layer(s1, s2, p, d_f=0.0)
+        live = MaskController()
+        masked1, masked2 = cross_encoder_layer(s1, s2, p, d_f=0.0, masker=live)
+        assert [rec.density for rec in live.records] == [0.0, 0.0]
         off = MaskController(mode="off")
         plain1, plain2 = cross_encoder_layer(s1, s2, p, d_f=0.0, masker=off)
         np.testing.assert_allclose(masked1.tokens.data, plain1.tokens.data, atol=1e-12)
@@ -190,7 +192,9 @@ class TestCrossEncoderLayer:
             g2_w=p.g1_w, g2_b=p.g1_b,
         )
         x = rng.normal(size=(4, 8))
-        y1, y2 = cross_encoder_layer(seq(x), seq(x.copy(), "motion"), shared, d_f=0.4)
+        y1, y2 = cross_encoder_layer(
+            seq(x), seq(x.copy(), "motion"), shared, d_f=0.4, masker=MaskController()
+        )
         np.testing.assert_allclose(y1.tokens.data, y2.tokens.data, atol=1e-12)
 
     def test_residual_with_zero_backprojection(self):
@@ -199,7 +203,9 @@ class TestCrossEncoderLayer:
         for dead in (p.g1_w, p.g1_b, p.g2_w, p.g2_b):
             dead.data[:] = 0.0
         x1, x2 = rng.normal(size=(3, 8)), rng.normal(size=(5, 8))
-        y1, y2 = cross_encoder_layer(seq(x1), seq(x2, "motion"), p, d_f=0.5)
+        y1, y2 = cross_encoder_layer(
+            seq(x1), seq(x2, "motion"), p, d_f=0.5, masker=MaskController()
+        )
         np.testing.assert_array_equal(y1.tokens.data, x1)
         np.testing.assert_array_equal(y2.tokens.data, x2)
 
@@ -207,8 +213,8 @@ class TestCrossEncoderLayer:
         rng = np.random.default_rng(12)
         p = self.make(12)
         s1, s2 = seq(rng.normal(size=(4, 8))), seq(rng.normal(size=(3, 8)), "motion")
-        y1, y2 = cross_encoder_layer(s1, s2, p, d_f=0.6)
-        z2, z1 = cross_encoder_layer(s2, s1, swapped_params(p), d_f=0.6)
+        y1, y2 = cross_encoder_layer(s1, s2, p, d_f=0.6, masker=MaskController())
+        z2, z1 = cross_encoder_layer(s2, s1, swapped_params(p), d_f=0.6, masker=MaskController())
         np.testing.assert_array_equal(y1.tokens.data, z1.tokens.data)
         np.testing.assert_array_equal(y2.tokens.data, z2.tokens.data)
 
@@ -216,7 +222,8 @@ class TestCrossEncoderLayer:
         p = self.make(13)
         with pytest.raises(ValueError):
             cross_encoder_layer(
-                seq(np.zeros((2, 8))), seq(np.zeros((2, 8)), "motion"), p, d_f=1.5
+                seq(np.zeros((2, 8))), seq(np.zeros((2, 8)), "motion"), p, d_f=1.5,
+                masker=MaskController(),
             )
 
     def test_hand_stepped_single_head_oracle(self):
@@ -243,7 +250,9 @@ class TestCrossEncoderLayer:
         want1 = x1 + (a12 @ (n2 @ p.w_v2.data)) @ p.g1_w.data + p.g1_b.data
         want2 = x2 + (a21 @ (n1 @ p.w_v1.data)) @ p.g2_w.data + p.g2_b.data
 
-        y1, y2 = cross_encoder_layer(seq(x1), seq(x2, "motion"), p, d_f=d_f)
+        y1, y2 = cross_encoder_layer(
+            seq(x1), seq(x2, "motion"), p, d_f=d_f, masker=MaskController()
+        )
         np.testing.assert_allclose(y1.tokens.data, want1, atol=1e-10)
         np.testing.assert_allclose(y2.tokens.data, want2, atol=1e-10)
 
@@ -257,11 +266,11 @@ class TestEncoderStack:
         rng = np.random.default_rng(15)
         stack = self.build(15)
         s1, s2 = seq(rng.normal(size=(4, 8))), seq(rng.normal(size=(3, 8)), "motion")
-        got1, got2 = run_encoder_stack(s1, s2, stack, 0.3, 0.3)
+        got1, got2 = run_encoder_stack(s1, s2, stack, 0.3, 0.3, MaskController())
         layer = stack.layers[0]
         e1 = self_attention_encoder(s1, layer.self1)
         e2 = self_attention_encoder(s2, layer.self2)
-        want1, want2 = cross_encoder_layer(e1, e2, layer.cross, 0.3)
+        want1, want2 = cross_encoder_layer(e1, e2, layer.cross, 0.3, MaskController())
         np.testing.assert_array_equal(got1.tokens.data, want1.tokens.data)
         np.testing.assert_array_equal(got2.tokens.data, want2.tokens.data)
 
@@ -269,11 +278,11 @@ class TestEncoderStack:
         rng = np.random.default_rng(16)
         stack = self.build(16, depth=2)
         s1, s2 = seq(rng.normal(size=(3, 8))), seq(rng.normal(size=(4, 8)), "motion")
-        got1, got2 = run_encoder_stack(s1, s2, stack, 0.2, 0.1)
+        got1, got2 = run_encoder_stack(s1, s2, stack, 0.2, 0.1, MaskController())
         for k, layer in enumerate(stack.layers, start=1):
             s1 = self_attention_encoder(s1, layer.self1)
             s2 = self_attention_encoder(s2, layer.self2)
-            s1, s2 = cross_encoder_layer(s1, s2, layer.cross, 0.2 + (k - 1) * 0.1)
+            s1, s2 = cross_encoder_layer(s1, s2, layer.cross, 0.2 + (k - 1) * 0.1, MaskController())
         np.testing.assert_array_equal(got1.tokens.data, s1.tokens.data)
         np.testing.assert_array_equal(got2.tokens.data, s2.tokens.data)
 
@@ -297,7 +306,7 @@ class TestEncoderStack:
             y1, y2 = run_encoder_stack(
                 seq(rng.normal(size=(3, 8)) * 2),
                 seq(rng.normal(size=(5, 8)) * 2, "motion"),
-                stack, 0.3, 0.3,
+                stack, 0.3, 0.3, MaskController(),
             )
             assert np.all(np.isfinite(y1.tokens.data))
             assert np.all(np.isfinite(y2.tokens.data))

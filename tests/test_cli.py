@@ -1,13 +1,16 @@
 """End-to-end checks for the command-line entry points."""
 
 import json
+import shutil
+import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from drax.checkpoint import read_checkpoint
 from drax.cli import ABLATION_VARIANTS, build_parser, main, parse_config_file
-from drax.data import SyntheticSpec, generate_synthetic, save_dataset
+from drax.data import SyntheticSpec, generate_synthetic, read_features, save_dataset, write_features
 from drax.model import DraxConfig
 
 
@@ -35,6 +38,22 @@ def dataset_dir(tmp_path_factory):
     )
     save_dataset(generate_synthetic(spec), directory, spec=spec)
     return directory
+
+
+@pytest.fixture(scope="module")
+def checkpoint(dataset_dir, tmp_path_factory):
+    """A one-epoch tiny checkpoint shared by the override tests."""
+    run = tmp_path_factory.mktemp("cli-run")
+    assert main([
+        "train", "--data", str(dataset_dir), "--out", str(run),
+        "--seed", "0", *TINY_MODEL_SETS, "--set", "epochs=1",
+    ]) == 0
+    return run / "model.ckpt"
+
+
+def _summary(eval_dir):
+    lines = (eval_dir / "eval.jsonl").read_text().splitlines()
+    return json.loads(lines[-1])
 
 
 class TestConfigPlumbing:
@@ -207,6 +226,75 @@ class TestTrainEval:
         json_lines = [l for l in out.splitlines() if l.startswith("{")]
         assert len(json_lines) == 5
         assert json.loads(json_lines[-1])["record"] == "summary"
+
+
+class TestCheckpointOverrides:
+    """`--set` on eval/inspect-attention: checked against the stored config."""
+
+    def test_loss_mode_override_changes_summary_loss(self, checkpoint, dataset_dir, tmp_path):
+        base = ["eval", "--checkpoint", str(checkpoint), "--data", str(dataset_dir)]
+        assert main([*base, "--out", str(tmp_path / "plain")]) == 0
+        assert main([
+            *base, "--out", str(tmp_path / "prob"), "--set", "loss_mode=probability-hinge",
+        ]) == 0
+        plain, prob = _summary(tmp_path / "plain"), _summary(tmp_path / "prob")
+        assert prob["loss"] != plain["loss"]
+        assert prob["accuracy"] == plain["accuracy"]
+
+    @pytest.mark.parametrize("command", ["eval", "inspect-attention"])
+    @pytest.mark.parametrize(
+        "override, code",
+        [("d=16", 4), ("d_f_fusion=2", 2), ("bogus=1", 2)],
+        ids=["shape-mismatch", "invalid-value", "unknown-key"],
+    )
+    def test_bad_override_exit_code(self, checkpoint, dataset_dir, tmp_path, capsys,
+                                    command, override, code):
+        assert main([
+            command, "--checkpoint", str(checkpoint), "--data", str(dataset_dir),
+            "--out", str(tmp_path / "out"), "--set", override,
+        ]) == code
+        prefix = "checkpoint error" if code == 4 else "config error"
+        assert capsys.readouterr().err.startswith(prefix)
+
+    @pytest.mark.parametrize("extra", [[], ["--set", "loss_mode=probability-hinge"]],
+                             ids=["plain", "with-set"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("d_f_fusion", 2.0), ("d", "8"), ("d", 8.0), ("heads", None),
+         ("masking_enabled", "no")],
+        ids=["out-of-range", "str-int", "float-int", "null", "str-bool"],
+    )
+    def test_invalid_stored_config_is_exit_4(self, checkpoint, dataset_dir, tmp_path, capsys,
+                                             key, value, extra):
+        raw = checkpoint.read_bytes()
+        (length,) = struct.unpack("<I", raw[:4])
+        header = json.loads(raw[4:4 + length])
+        header["config"][key] = value
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(struct.pack("<I", len(blob)) + blob + raw[4 + length:])
+        assert main([
+            "eval", "--checkpoint", str(bad), "--data", str(dataset_dir),
+            "--out", str(tmp_path / "out"), *extra,
+        ]) == 4
+        assert "checkpoint config invalid" in capsys.readouterr().err
+
+
+class TestNonFiniteFeatures:
+    def test_nan_feature_file_is_exit_3(self, checkpoint, dataset_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        good = read_features(data / "sample_00000.drxf")
+        # write_features only reads the bundle's fields, so a plain namespace
+        # yields a well-formed file (valid CRC) whose payload holds NaNs.
+        poisoned = SimpleNamespace(**{
+            name: getattr(good, name)
+            for name in ("appearance", "motion", "question", "answers", "label")
+        })
+        poisoned.appearance = np.full_like(good.appearance, np.nan)
+        write_features(poisoned, data / "sample_00000.drxf")
+        assert main(["eval", "--checkpoint", str(checkpoint), "--data", str(data)]) == 3
+        assert "non-finite" in capsys.readouterr().err
 
 
 class TestInspectAttention:

@@ -109,6 +109,22 @@ class TestFeatureFile:
                 answers=(rng.normal(size=(1, 3)),) * 4, label=9,
             )
 
+    @pytest.mark.parametrize("field", ["appearance", "motion", "question", "answers"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_bundle_rejected(self, field, bad):
+        rng = np.random.default_rng(2)
+        parts = dict(
+            appearance=rng.normal(size=(2, 3)), motion=rng.normal(size=(2, 3)),
+            question=rng.normal(size=(2, 3)),
+            answers=tuple(rng.normal(size=(1, 3)) for _ in range(4)), label=0,
+        )
+        if field == "answers":
+            parts["answers"][3][0, 1] = bad
+        else:
+            parts[field][1, 2] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            FeatureBundle(**parts)
+
 
 class TestPseudoEmbed:
     def test_deterministic(self):

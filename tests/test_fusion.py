@@ -51,7 +51,8 @@ class TestVectorSpaceTransform:
         rng = np.random.default_rng(0)
         params = make_params(0, 8, heads=2)
         out = vector_space_transform(
-            Tensor(rng.normal(size=(2, 8))), Tensor(rng.normal(size=(5, 8))), params, 0.4
+            Tensor(rng.normal(size=(2, 8))), Tensor(rng.normal(size=(5, 8))), params, 0.4,
+            MaskController(),
         )
         assert out.shape == (2, 8)
 
@@ -61,21 +62,21 @@ class TestVectorSpaceTransform:
         d = 8
         params = make_params(20 + heads, d, heads)
         x_a, x_t = rng.normal(size=(3, d)), rng.normal(size=(6, d))
-        got = vector_space_transform(Tensor(x_a), Tensor(x_t), params, 0.0).data
+        got = vector_space_transform(Tensor(x_a), Tensor(x_t), params, 0.0, MaskController()).data
         np.testing.assert_allclose(got, alignment_oracle(x_a, x_t, params, heads), atol=1e-10)
 
     def test_dim_mismatch(self):
         params = make_params(1, 8)
         with pytest.raises(ShapeError):
             vector_space_transform(
-                Tensor(np.zeros((2, 8))), Tensor(np.zeros((3, 6))), params, 0.0
+                Tensor(np.zeros((2, 8))), Tensor(np.zeros((3, 6))), params, 0.0, MaskController()
             )
 
     def test_invalid_factor(self):
         params = make_params(2, 8)
         with pytest.raises(ValueError):
             vector_space_transform(
-                Tensor(np.zeros((2, 8))), Tensor(np.zeros((3, 8))), params, 1.3
+                Tensor(np.zeros((2, 8))), Tensor(np.zeros((3, 8))), params, 1.3, MaskController()
             )
 
     def test_aligned_rows_stay_in_tail_convex_hull(self):
@@ -87,7 +88,9 @@ class TestVectorSpaceTransform:
         params = make_params(3, d, heads=1)
         for _ in range(10):
             x_a, x_t = rng.normal(size=(3, d)), rng.normal(size=(m, d))
-            out = vector_space_transform(Tensor(x_a), Tensor(x_t), params, 0.0).data
+            out = vector_space_transform(
+                Tensor(x_a), Tensor(x_t), params, 0.0, MaskController()
+            ).data
             for row in out:
                 coeffs, residual, rank, _ = np.linalg.lstsq(x_t.T, row, rcond=None)
                 assert rank == m

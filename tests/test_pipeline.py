@@ -15,6 +15,7 @@ from drax.checkpoint import (
     restore_parameters,
     save_checkpoint,
 )
+from drax.cli import coerce_fields
 from drax.data import FeatureBundle, SyntheticSpec, generate_synthetic
 from drax.distraction import MaskController
 from drax.model import (
@@ -71,6 +72,10 @@ class TestConfig:
             {"anchor_stage2": "motion"},
             {"epochs": 0},
             {"learning_rate": -1.0},
+            {"d": 8.0},
+            {"heads": "2"},
+            {"masking_enabled": "no"},
+            {"delta": True},
         ],
     )
     def test_invalid_values(self, overrides):
@@ -87,16 +92,27 @@ class TestConfig:
             DraxConfig.from_dict({"d": 8, "mystery": 1})
 
     def test_coerce(self):
-        assert DraxConfig.coerce("d", "32") == 32
-        assert DraxConfig.coerce("delta", "0.25") == 0.25
-        assert DraxConfig.coerce("masking_enabled", "false") is False
-        assert DraxConfig.coerce("loss_mode", "logit-hinge") == "logit-hinge"
+        typed = coerce_fields(DraxConfig, {
+            "d": "32", "delta": "0.25", "masking_enabled": "false",
+            "loss_mode": "logit-hinge",
+        })
+        assert typed == {
+            "d": 32, "delta": 0.25, "masking_enabled": False, "loss_mode": "logit-hinge",
+        }
+        assert typed["masking_enabled"] is False
+        spec = coerce_fields(SyntheticSpec, {"samples": "12", "noise_sigma": "0.75"})
+        assert spec == {"samples": 12, "noise_sigma": 0.75}
+        assert isinstance(spec["samples"], int) and isinstance(spec["noise_sigma"], float)
         with pytest.raises(ConfigError):
-            DraxConfig.coerce("d", "eight")
+            coerce_fields(DraxConfig, {"d": "eight"})
         with pytest.raises(ConfigError):
-            DraxConfig.coerce("masking_enabled", "maybe")
-        with pytest.raises(ConfigError):
-            DraxConfig.coerce("nonesuch", "1")
+            coerce_fields(DraxConfig, {"masking_enabled": "maybe"})
+        with pytest.raises(ConfigError, match="unknown config key: nonesuch"):
+            coerce_fields(DraxConfig, {"nonesuch": "1"})
+        with pytest.raises(ConfigError, match="cannot parse samples='1.5' as int"):
+            coerce_fields(SyntheticSpec, {"samples": "1.5"})
+        with pytest.raises(ConfigError, match="unknown generator key: d"):
+            coerce_fields(SyntheticSpec, {"d": "8"}, "generator")
 
 
 class TestSequencesAndPositions:
