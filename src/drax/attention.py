@@ -26,20 +26,6 @@ class AttentionWeights:
     scale: float
 
 
-def split_heads(x: Tensor, head_count: int) -> Tensor:
-    """(n, d) -> (heads, n, d/heads) subspace view."""
-    n, d = x.shape
-    if d % head_count != 0:
-        raise ShapeError(f"hidden dim {d} not divisible by {head_count} heads")
-    return T.transpose(T.reshape(x, (n, head_count, d // head_count)), (1, 0, 2))
-
-
-def merge_heads(x: Tensor) -> Tensor:
-    """(heads, n, d/heads) -> (n, d), inverse of split_heads."""
-    h, n, dh = x.shape
-    return T.reshape(T.transpose(x, (1, 0, 2)), (n, h * dh))
-
-
 def scaled_scores(x_q: Tensor, x_k: Tensor, w_q, w_k, head_count: int) -> AttentionWeights:
     """Project queries and keys, score per head, softmax over the context axis."""
     d = x_q.shape[-1]

@@ -87,6 +87,11 @@ def load_model(path, overrides: dict | None = None) -> DraxModel:
 
 
 def restore_parameters(model: DraxModel, arrays: dict[str, np.ndarray]) -> None:
+    """Copy stored arrays into the model's parameters.
+
+    Every name and shape must match, and every value must be finite: a NaN
+    or infinite payload raises CheckpointError naming the parameter.
+    """
     params = model.store.params
     missing = sorted(set(params) - set(arrays))
     if missing:
@@ -100,4 +105,6 @@ def restore_parameters(model: DraxModel, arrays: dict[str, np.ndarray]) -> None:
                 f"shape mismatch for {name!r}: checkpoint {arrays[name].shape}, "
                 f"model {param.data.shape}"
             )
+        if not np.isfinite(arrays[name]).all():
+            raise CheckpointError(f"checkpoint parameter {name!r} holds NaN or infinite values")
         param.data[...] = arrays[name]

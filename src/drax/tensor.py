@@ -240,7 +240,8 @@ def add(a, b) -> Tensor:
         raise ShapeError(f"add shape mismatch: {a.shape} + {b.shape}") from exc
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _from_op(data, (a, b), vjp)
 
@@ -253,7 +254,8 @@ def sub(a, b) -> Tensor:
         raise ShapeError(f"sub shape mismatch: {a.shape} - {b.shape}") from exc
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.shape) if b.requires_grad else None)
 
     return _from_op(data, (a, b), vjp)
 
@@ -266,7 +268,8 @@ def mul(a, b) -> Tensor:
         raise ShapeError(f"mul shape mismatch: {a.shape} * {b.shape}") from exc
 
     def vjp(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
     return _from_op(data, (a, b), vjp)
 
@@ -323,7 +326,9 @@ def affine(x, w, b) -> Tensor:
         raise ShapeError(f"affine bias {b.shape} does not fit {xd.shape} x {wd.shape}") from exc
 
     def vjp(g):
-        return g @ wd.T, _weight_grad(xd, g), _unbroadcast(g, b.shape)
+        return (g @ wd.T if x.requires_grad else None,
+                _weight_grad(xd, g) if w.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _from_op(data, (x, w, b), vjp)
 

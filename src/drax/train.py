@@ -1,4 +1,10 @@
-"""Plain gradient-descent training and deterministic evaluation."""
+"""Plain gradient-descent training and deterministic evaluation.
+
+Training takes one SGD step per sample on the hinge loss. A loss of exactly
+0 means every relu of the hinge is inactive, so every parameter gradient is
+exactly 0 and the update would change nothing: such steps skip backward and
+the update. A NaN loss is not 0 and takes the normal path.
+"""
 
 from __future__ import annotations
 
@@ -11,10 +17,12 @@ from .tensor import no_grad
 
 
 def global_grad_norm(params) -> float:
+    """L2 norm over every present gradient, one BLAS dot product per tensor."""
     total = 0.0
     for p in params:
         if p.grad is not None:
-            total += float(np.sum(p.grad * p.grad))
+            flat = p.grad.ravel()
+            total += float(np.dot(flat, flat))
     return math.sqrt(total)
 
 
@@ -43,9 +51,10 @@ def _merge_densities(totals: dict, counts: dict, densities: dict) -> None:
 def train_epoch(model: DraxModel, dataset, epoch: int) -> dict:
     """One pass over the dataset in a seed-and-epoch-determined shuffle order.
 
-    Updates follow each sample (single-sample steps); the reported accuracy
-    uses each sample's prediction before its own update. Returns epoch-mean
-    loss, accuracy, and the mean mask density per masking site.
+    Updates follow each sample (single-sample steps); a zero-loss sample
+    takes no step and leaves every `.grad` None. The reported accuracy uses
+    each sample's prediction before its own update. Returns epoch-mean loss,
+    accuracy, and the mean mask density per masking site.
     """
     if not dataset:
         raise ValueError("training dataset is empty")
@@ -61,9 +70,11 @@ def train_epoch(model: DraxModel, dataset, epoch: int) -> dict:
         bundle = dataset[int(idx)]
         model.zero_grad()
         loss, probs = model.sample_loss(bundle, masker)
-        loss.backward()
-        sgd_step(params, cfg.learning_rate, cfg.grad_clip)
-        loss_total += loss.item()
+        value = loss.item()
+        if value != 0.0:
+            loss.backward()
+            sgd_step(params, cfg.learning_rate, cfg.grad_clip)
+        loss_total += value
         hits += int(predict(probs) == bundle.label)
         _merge_densities(density_totals, density_counts, masker.density_by_site())
     count = len(dataset)

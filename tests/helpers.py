@@ -1,4 +1,5 @@
-"""Shared numeric test utilities: finite differences and brute-force oracles."""
+"""Shared numeric test utilities: finite differences, brute-force oracles and
+the composite head split/merge that the fused attention ops replace."""
 
 import numpy as np
 
@@ -75,3 +76,15 @@ def softmax_oracle(row):
     """Direct exp/sum softmax of a 1-D array (no stabilization tricks)."""
     e = np.exp(row - np.max(row))
     return e / e.sum()
+
+
+def split_heads(x, head_count):
+    """(n, d) -> (heads, n, d/heads) as reshape + transpose tape ops."""
+    n, d = x.shape
+    return T.transpose(T.reshape(x, (n, head_count, d // head_count)), (1, 0, 2))
+
+
+def merge_heads(x):
+    """(heads, n, d/heads) -> (n, d), inverse of split_heads, as tape ops."""
+    h, n, dh = x.shape
+    return T.reshape(T.transpose(x, (1, 0, 2)), (n, h * dh))

@@ -13,11 +13,9 @@ from drax.attention import (
     SelfAttentionParams,
     attended_values,
     cross_encoder_layer,
-    merge_heads,
     run_encoder_stack,
     scaled_scores,
     self_attention_encoder,
-    split_heads,
 )
 from drax.distraction import MaskController
 from drax.model import ModalitySequence
@@ -37,22 +35,24 @@ def layer_norm_oracle(x, gain, bias, eps=1e-5):
 
 
 class TestHeadSplitting:
+    """The head split/merge that the fused attention ops run."""
+
     def test_round_trip(self):
         rng = np.random.default_rng(0)
-        x = Tensor(rng.normal(size=(5, 12)))
-        back = merge_heads(split_heads(x, 3))
-        np.testing.assert_array_equal(back.data, x.data)
+        for shape in [(5, 12), (2, 5, 12)]:
+            x = rng.normal(size=shape)
+            np.testing.assert_array_equal(T._merge_heads(T._split_heads(x, 3)), x)
 
     def test_subspace_layout(self):
-        x = Tensor(np.arange(8.0).reshape(2, 4))
-        heads = split_heads(x, 2).data
+        heads = T._split_heads(np.arange(8.0).reshape(2, 4), 2)
         # Head 0 holds the first half of each token's channels.
         np.testing.assert_array_equal(heads[0], [[0, 1], [4, 5]])
         np.testing.assert_array_equal(heads[1], [[2, 3], [6, 7]])
 
     def test_indivisible_dim_rejected(self):
-        with pytest.raises(ShapeError):
-            split_heads(Tensor(np.zeros((2, 7))), 2)
+        x, w = Tensor(np.zeros((2, 7))), Tensor(np.zeros((7, 7)))
+        with pytest.raises(ShapeError, match="not divisible by 2 heads"):
+            T.head_softmax(x, w, x, w, 2, 1.0)
 
 
 class TestScaledScores:

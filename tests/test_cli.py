@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from drax.checkpoint import read_checkpoint
+from drax.checkpoint import load_model, read_checkpoint, save_checkpoint
 from drax.cli import ABLATION_VARIANTS, build_parser, main, parse_config_file
 from drax.data import SyntheticSpec, generate_synthetic, read_features, save_dataset, write_features
 from drax.model import DraxConfig
@@ -295,6 +295,21 @@ class TestNonFiniteFeatures:
         write_features(poisoned, data / "sample_00000.drxf")
         assert main(["eval", "--checkpoint", str(checkpoint), "--data", str(data)]) == 3
         assert "non-finite" in capsys.readouterr().err
+
+
+class TestNonFiniteCheckpoint:
+    @pytest.mark.parametrize("name, value", [("decoder.b_out", np.nan), ("decoder.w_a", np.inf)])
+    def test_non_finite_parameter_is_exit_4(self, checkpoint, dataset_dir, tmp_path, capsys,
+                                            name, value):
+        model = load_model(checkpoint)
+        model.store.params[name].data.flat[0] = value
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(model, bad)
+        out = tmp_path / "out"
+        assert main(["eval", "--checkpoint", str(bad), "--data", str(dataset_dir),
+                     "--out", str(out)]) == 4
+        assert f"parameter {name!r} holds NaN or infinite values" in capsys.readouterr().err
+        assert not (out / "eval.jsonl").exists()
 
 
 class TestInspectAttention:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import struct
 
 import numpy as np
@@ -31,7 +32,7 @@ from drax.model import (
     sinusoidal_encoding,
 )
 from drax.tensor import ParamStore, ShapeError, Tensor
-from drax.train import evaluate, fit, sgd_step, train_epoch
+from drax.train import evaluate, fit, global_grad_norm, sgd_step, train_epoch
 
 
 def tiny_config(**overrides) -> DraxConfig:
@@ -407,6 +408,35 @@ class TestForward:
         ops = loss_tape_ops(monkeypatch, DraxModel(DraxConfig()), bundle)
         assert 0 < ops <= 310
 
+    @pytest.mark.parametrize("loss_mode", ["logit-hinge", "probability-hinge"])
+    def test_gradients_independent_of_constant_vjps(self, monkeypatch, loss_mode):
+        """Every parameter gradient of a default-config loss is bit-identical
+        to the one taken with every constant (raw features, masks, the hinge
+        selector) made a grad-requiring leaf, so that every VJP part is
+        computed and backward drops the constants' parts."""
+        bundle = generate_synthetic(SyntheticSpec(samples=1, seed=0))[0]
+        config = DraxConfig(loss_mode=loss_mode)
+
+        def gradients():
+            model = DraxModel(config)
+            loss, probs = model.sample_loss(bundle, model.make_masker())
+            loss.backward()
+            return loss.item(), probs, {p.name: p.grad for p in model.parameters()}
+
+        loss, probs, grads = gradients()
+        original_init = Tensor.__init__
+
+        def all_grad_init(self, data, requires_grad=False):
+            original_init(self, data, requires_grad=True)
+
+        monkeypatch.setattr(Tensor, "__init__", all_grad_init)
+        full_loss, full_probs, full_grads = gradients()
+        assert loss == full_loss
+        assert probs.tobytes() == full_probs.tobytes()
+        assert grads.keys() == full_grads.keys()
+        for name, grad in grads.items():
+            assert grad.tobytes() == full_grads[name].tobytes(), name
+
     def test_loss_modes_differ(self):
         bundle = tiny_bundle()
         logit_model = DraxModel(tiny_config())
@@ -516,6 +546,24 @@ class TestBatchedStage3:
             model.forward(flat)
 
 
+def zero_loss_case(config):
+    """A model and a bundle whose hinge loss is exactly 0 in either loss mode.
+
+    The label is the top-scoring candidate, and the decoder's output weights
+    are scaled until every logit gap exceeds 1000, which clears the logit
+    margin and saturates the candidate softmax. The masks are unchanged:
+    they do not depend on the decoder.
+    """
+    model = DraxModel(config)
+    bundle = tiny_bundle(config=config)
+    with T.no_grad():
+        logits = model.scores(bundle, model.make_masker())[1].data
+    label = int(np.argmax(logits))
+    gap = np.min(np.delete(logits[label] - logits, label))
+    model.store.params["decoder.w_out"].data *= 1000.0 / gap
+    return model, dataclasses.replace(bundle, label=label)
+
+
 class TestTraining:
     def make_dataset(self, count=6, config=None):
         return [tiny_bundle(seed=i, label=i % 4, config=config) for i in range(count)]
@@ -569,6 +617,34 @@ class TestTraining:
         assert any("layer1/into1" in site for site in sites)
         assert all(0.0 <= v <= 1.0 for v in sites.values())
 
+    def test_grad_norm_matches_elementwise_sum(self):
+        model = DraxModel(DraxConfig())
+        rng = np.random.default_rng(0)
+        params = model.parameters()
+        for p in params[1:]:
+            p.grad = rng.normal(size=p.data.shape)
+        want = math.sqrt(sum(float(np.sum(p.grad * p.grad)) for p in params[1:]))
+        assert global_grad_norm(params) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("grad_clip", [0.0, 1e6, 0.5])
+    def test_sgd_step_matches_elementwise_update(self, grad_clip):
+        model = DraxModel(tiny_config())
+        rng = np.random.default_rng(1)
+        params = model.parameters()
+        for p in params[1:]:
+            p.grad = rng.normal(size=p.data.shape)
+        before = [p.data.copy() for p in params]
+        norm = math.sqrt(sum(float(np.sum(p.grad * p.grad)) for p in params[1:]))
+        scale = 0.1 * (grad_clip / norm if 0.0 < grad_clip < norm else 1.0)
+        sgd_step(params, 0.1, grad_clip)
+        assert params[0].data.tobytes() == before[0].tobytes()
+        for p, old in zip(params[1:], before[1:]):
+            want = old - scale * p.grad
+            if grad_clip == 0.5:
+                np.testing.assert_allclose(p.data, want, rtol=1e-12, atol=1e-15)
+            else:
+                assert p.data.tobytes() == want.tobytes(), p.name
+
     def test_gradient_clipping_bounds_step(self):
         model = DraxModel(tiny_config(grad_clip=0.001, learning_rate=1.0))
         rng = np.random.default_rng(0)
@@ -579,6 +655,46 @@ class TestTraining:
         sgd_step(params, learning_rate=1.0, grad_clip=0.001)
         moved = np.sqrt(sum(np.sum((p.data - b) ** 2) for p, b in zip(params, before)))
         assert moved == pytest.approx(0.001, rel=1e-6)
+
+    @pytest.mark.parametrize("loss_mode", ["logit-hinge", "probability-hinge"])
+    def test_zero_loss_has_zero_gradients(self, loss_mode):
+        model, bundle = zero_loss_case(tiny_config(loss_mode=loss_mode))
+        loss, _ = model.sample_loss(bundle, model.make_masker())
+        assert loss.item() == 0.0
+        loss.backward()
+        assert any(p.grad is not None for p in model.parameters())
+        for p in model.parameters():
+            assert p.grad is None or not np.any(p.grad), p.name
+
+    @pytest.mark.parametrize("loss_mode", ["logit-hinge", "probability-hinge"])
+    def test_zero_loss_step_skips_backward_and_update(self, loss_mode):
+        model, bundle = zero_loss_case(tiny_config(loss_mode=loss_mode))
+        before = {n: a.copy() for n, a in model.param_arrays().items()}
+        metrics = train_epoch(model, [bundle], epoch=1)
+        assert all(p.grad is None for p in model.parameters())
+        for name, array in model.param_arrays().items():
+            assert array.tobytes() == before[name].tobytes(), name
+        # The full step, backward and update, which a zero loss reduces to the identity.
+        full, _ = zero_loss_case(tiny_config(loss_mode=loss_mode))
+        masker = full.make_masker()
+        full.zero_grad()
+        loss, probs = full.sample_loss(bundle, masker)
+        loss.backward()
+        sgd_step(full.parameters(), full.config.learning_rate, full.config.grad_clip)
+        assert metrics == {
+            "loss": loss.item(),
+            "accuracy": float(predict(probs) == bundle.label),
+            "mask_density": dict(sorted(masker.density_by_site().items())),
+        }
+        for name, array in full.param_arrays().items():
+            assert array.tobytes() == before[name].tobytes(), name
+
+    def test_nan_loss_still_runs_backward(self):
+        model = DraxModel(tiny_config())
+        model.store.params["decoder.b_out"].data[...] = np.nan
+        metrics = train_epoch(model, [tiny_bundle()], epoch=1)
+        assert math.isnan(metrics["loss"])
+        assert all(p.grad is not None for p in model.parameters())
 
     def test_empty_dataset_rejected(self):
         model = DraxModel(tiny_config())
@@ -678,6 +794,15 @@ class TestCheckpoint:
         path.write_bytes(raw[:-16])
         with pytest.raises(CheckpointError, match="truncated|trailing"):
             read_checkpoint(path)
+
+    @pytest.mark.parametrize("name, value", [("decoder.b_out", np.nan), ("decoder.w_a", np.inf)])
+    def test_load_model_rejects_non_finite_payload(self, tmp_path, name, value):
+        model = DraxModel(tiny_config())
+        model.store.params[name].data.flat[-1] = value
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        with pytest.raises(CheckpointError, match=f"parameter {name!r} holds NaN or infinite"):
+            load_model(path)
 
     def test_load_model_rejects_truncated_and_trailing_payloads(self, tmp_path):
         path = tmp_path / "m.ckpt"

@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 
 from drax import tensor as T
-from drax.attention import merge_heads, split_heads
 from drax.tensor import ParamStore, Parameter, ShapeError, Tensor
 
-from helpers import check_gradients, finite_difference, matmul_oracle, relative_error, softmax_oracle
+from helpers import (
+    check_gradients,
+    finite_difference,
+    matmul_oracle,
+    merge_heads,
+    relative_error,
+    softmax_oracle,
+    split_heads,
+)
 
 
 class TestForwardValues:
@@ -212,6 +219,32 @@ class TestBackward:
 
         fd = finite_difference(value, x)
         np.testing.assert_allclose(fd, 1.0 / np.cosh(x) ** 2, atol=1e-6)
+
+
+class TestConstantOperands:
+    """A constant operand gets no VJP part; the other operands' parts are
+    bit-identical to those taken with every operand requiring grad."""
+
+    @pytest.mark.parametrize("op, shapes", [
+        (T.affine, [(3, 2, 5), (5, 4), (4,)]),
+        (T.mul, [(2, 4, 3), (1, 3)]),
+        (T.add, [(4, 3), (3,)]),
+        (T.sub, [(4, 3), (4, 3)]),
+    ])
+    def test_parts_match_all_grad_operands(self, op, shapes):
+        rng = np.random.default_rng(len(shapes))
+        arrays = [rng.normal(size=shape) for shape in shapes]
+        full = op(*(Tensor(a, requires_grad=True) for a in arrays))
+        g = rng.normal(size=full.shape)
+        want = full._vjp(g)
+        for constant in range(len(arrays)):
+            inputs = [Tensor(a, requires_grad=k != constant) for k, a in enumerate(arrays)]
+            parts = op(*inputs)._vjp(g)
+            for k, (part, expected) in enumerate(zip(parts, want)):
+                if k == constant:
+                    assert part is None
+                else:
+                    assert part.tobytes() == expected.tobytes()
 
 
 def _value_and_grads(build, inputs, probe):
