@@ -8,7 +8,6 @@ low-relevance context positions contribute nothing to the update.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -174,7 +173,9 @@ class EncoderStack:
 
 
 def _with_tokens(seq, tokens: Tensor):
-    return dataclasses.replace(seq, tokens=tokens)
+    # Built directly: `seq` is a model.ModalitySequence, and that module
+    # imports this one.
+    return type(seq)(tokens, seq.modality, seq.has_cls)
 
 
 def multi_head_self_attention(x: Tensor, p: SelfAttentionParams) -> Tensor:

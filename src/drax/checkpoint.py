@@ -81,7 +81,7 @@ def load_model(path, overrides: dict | None = None) -> DraxModel:
         raise CheckpointError(f"checkpoint config invalid: {exc}") from None
     if overrides:
         config = DraxConfig.from_dict({**config.to_dict(), **overrides})
-    model = DraxModel(config)
+    model = DraxModel(config, draw=False)
     restore_parameters(model, arrays)
     return model
 

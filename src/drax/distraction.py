@@ -9,7 +9,6 @@ weights pass gradients through, zeroed positions pass nothing.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -36,7 +35,11 @@ class DistractionMask:
 
     def density(self) -> float:
         """Fraction of weights masked, over all heads and rows."""
-        return np.count_nonzero(self.mask) / self.mask.size if self.mask.size else 0.0
+        return _density(self.mask)
+
+
+def _density(mask: np.ndarray) -> float:
+    return np.count_nonzero(mask) / mask.size if mask.size else 0.0
 
 
 def relevance_scores(attn) -> np.ndarray:
@@ -82,12 +85,18 @@ def apply_mask(attn, mask) -> "AttentionWeights":
     is a bit-for-bit identity.
     """
     m = mask.mask if isinstance(mask, DistractionMask) else np.asarray(mask, dtype=bool)
+    return _zero_masked(attn, m)
+
+
+def _zero_masked(attn, m: np.ndarray) -> "AttentionWeights":
     if m.shape != attn.weights.shape:
         raise ShapeError(f"mask shape {m.shape} does not match weights {attn.weights.shape}")
     if not m.any():
         return attn
     keep = Tensor(1.0 - m.astype(np.float64))
-    return dataclasses.replace(attn, weights=attn.weights * keep)
+    # Built directly: `attn` is an attention.AttentionWeights, and that
+    # module imports this one.
+    return type(attn)(attn.weights * keep, attn.head_count, attn.scale)
 
 
 def sub_site(site, name: str):
@@ -175,8 +184,18 @@ class MaskController:
                 if label not in self.frozen:
                     raise KeyError(f"no frozen mask recorded for site {label!r}")
             frozen = [self.frozen[label] for label in labels]
+            mask = np.stack(frozen) if batched else frozen[0]
+            if self.record == "summary":
+                # A summary record needs only each label's density and shape.
+                masked = _zero_masked(attn, mask)
+                d_f = float(d_f)
+                self.records += [
+                    MaskRecord(site=label, d_f=d_f, density=_density(m), shape=tuple(m.shape))
+                    for label, m in zip(labels, frozen)
+                ]
+                return masked
             detail = DistractionMask(
-                mask=np.stack(frozen) if batched else frozen[0],
+                mask=mask,
                 threshold=np.zeros(weights.shape[:-1]),
                 rho=np.zeros(weights.shape[:-1]),
                 d_f=d_f,

@@ -260,10 +260,12 @@ class DraxModel:
         ("stage3", "fused", "answer"),
     )
 
-    def __init__(self, config: DraxConfig):
+    def __init__(self, config: DraxConfig, draw: bool = True):
+        """Build every parameter from `config.seed`; with `draw=False` the
+        random ones start as zeros, for a model a checkpoint fills in."""
         config.validate()
         self.config = config
-        store = ParamStore(config.seed)
+        store = ParamStore(config.seed, draw=draw)
         self.store = store
         d = config.d
         ffn_width = config.ffn_width_multiple * d
@@ -354,7 +356,9 @@ class DraxModel:
         x1 = add_cls_and_pos(seq1, sp.cls1, sp.pos1)
         x2 = add_cls_and_pos(seq2, sp.cls2, sp.pos2)
         if x1.tokens.ndim < x2.tokens.ndim:
-            x1 = dataclasses.replace(x1, tokens=T.broadcast(x1.tokens, x2.tokens.shape[0]))
+            x1 = ModalitySequence(
+                T.broadcast(x1.tokens, x2.tokens.shape[0]), x1.modality, x1.has_cls
+            )
         y1, y2 = run_encoder_stack(
             x1, x2, sp.stack, cfg.d_f_initial, cfg.delta, masker, site=site
         )

@@ -8,6 +8,12 @@ vocabulary the encoder, masking and fusion stack needs, and every operation
 records a vector-Jacobian closure so a single scalar `backward` call fills
 in leaf gradients.
 
+Every recorded op result carries a creation number from one module
+counter. An op's operands exist before its result, so a parent is always
+older than its child, and `backward` visits the graph newest first without
+searching it: the creation order is already a topological order (Wengert,
+CACM 1964). There is no global tape; a graph lives as long as its loss.
+
 Every recorded op costs a fixed Python overhead, which dominates at the
 model's sizes, so the hot composites are fused into single ops with
 analytic vector-Jacobian products:
@@ -31,6 +37,8 @@ every candidate shares along it.
 from __future__ import annotations
 
 import contextlib
+import heapq
+import itertools
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -42,6 +50,7 @@ class ShapeError(ValueError):
 
 
 _grad_enabled = True
+_next_seq = itertools.count(1).__next__  # creation numbers of recorded op results
 
 
 @contextlib.contextmanager
@@ -64,7 +73,7 @@ class Tensor:
     updates between steps.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_seq")
 
     def __init__(self, data, requires_grad: bool = False):
         # `_from_op` sets these slots too, without calling __init__.
@@ -73,6 +82,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._vjp: Callable[[np.ndarray], tuple] | None = None
+        self._seq = 0  # creation number; 0 for everything `_from_op` did not record
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -166,11 +176,14 @@ class ParamStore:
 
     Construction order is fixed by the caller, so two stores built with the
     same seed and the same build sequence produce identical parameters.
+    With `draw=False` random parameters start as zeros instead, for a model
+    whose values are about to be overwritten (a checkpoint load).
     """
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, draw: bool = True):
         self.seed = int(seed)
         self.rng = np.random.default_rng(self.seed)
+        self.draw = draw
         self.params: dict[str, Parameter] = {}
 
     def _register(self, param: Parameter) -> Parameter:
@@ -180,6 +193,8 @@ class ParamStore:
         return param
 
     def uniform(self, name: str, shape: tuple[int, ...], fan_in: int, fan_out: int) -> Parameter:
+        if not self.draw:
+            return self.zeros(name, shape)
         bound = math.sqrt(6.0 / (fan_in + fan_out))
         data = self.rng.uniform(-bound, bound, size=shape)
         return self._register(Parameter(name, data))
@@ -215,7 +230,10 @@ def _from_op(data: np.ndarray, parents: tuple[Tensor, ...], vjp: Callable) -> Te
     out.data = data if type(data) is np.ndarray else np.asarray(data, dtype=np.float64)
     out.grad = None
     out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
-    out._parents, out._vjp = (parents, vjp) if out.requires_grad else ((), None)
+    if out.requires_grad:
+        out._parents, out._vjp, out._seq = parents, vjp, _next_seq()
+    else:
+        out._parents, out._vjp, out._seq = (), None, 0
     return out
 
 
@@ -229,7 +247,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
+    # No reshape to the shape it has: a view would cost the leaf a copy.
+    return grad if grad.shape == shape else grad.reshape(shape)
 
 
 def add(a, b) -> Tensor:
@@ -605,48 +624,61 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     return _from_op(data, (x, gain, bias), vjp)
 
 
-def _toposort(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
-    return order
-
-
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every reachable leaf's `.grad`.
 
     `loss` must be a scalar. Repeated calls keep accumulating on leaves;
     intermediate nodes never retain gradients, so re-running backward on the
     same graph adds exactly one more copy of the gradient.
+
+    Op nodes are visited newest first, by creation number: every consumer of
+    a node is younger than it, so all of a node's gradient parts have
+    arrived when it is visited. Leaf gradients are collected and written
+    only at the end, so a VJP that raises leaves every `.grad` as it was.
+    A leaf that had no gradient takes its collected array as is when
+    backward owns it, that is when backward summed it or a VJP computed it
+    afresh; an array a VJP passed through (its own `g`) or a view is copied,
+    because other nodes may hold the same memory. VJPs therefore return
+    fresh arrays, `g` itself or views, never an array kept from the forward.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         return
-    order = _toposort(loss)
-    flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(order):
-        g = flowing.pop(id(node), None)
-        if g is None:
-            continue
-        if node.is_leaf():
-            node.grad = g.copy() if node.grad is None else node.grad + g
-            continue
-        parts = node._vjp(g)
-        for parent, part in zip(node._parents, parts):
+    pending: dict[Tensor, np.ndarray] = {}  # op nodes' gradients, summed as parts arrive
+    leaves: dict[Tensor, np.ndarray] = {}
+    borrowed: set[Tensor] = set()  # leaves whose collected array backward does not own
+    heap: list[tuple[int, Tensor]] = []
+    if loss._parents:
+        pending[loss] = np.ones_like(loss.data)
+        heap.append((-loss._seq, loss))
+    else:
+        leaves[loss] = np.ones_like(loss.data)
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        node = pop(heap)[1]
+        g = pending.pop(node)
+        for parent, part in zip(node._parents, node._vjp(g)):
             if part is None or not parent.requires_grad:
                 continue
-            held = flowing.get(id(parent))
-            flowing[id(parent)] = part if held is None else held + part
+            if parent._parents:
+                held = pending.get(parent)
+                if held is None:
+                    pending[parent] = part
+                    push(heap, (-parent._seq, parent))
+                else:
+                    pending[parent] = held + part
+                continue
+            held = leaves.get(parent)
+            if held is None:
+                leaves[parent] = part
+                if part is g or part.base is not None:
+                    borrowed.add(parent)
+            else:
+                leaves[parent] = held + part
+                borrowed.discard(parent)
+    for leaf, g in leaves.items():
+        if leaf.grad is not None:
+            leaf.grad = leaf.grad + g
+        else:
+            leaf.grad = g.copy() if leaf in borrowed else g

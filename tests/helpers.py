@@ -1,5 +1,6 @@
-"""Shared numeric test utilities: finite differences, brute-force oracles and
-the composite head split/merge that the fused attention ops replace."""
+"""Shared numeric test utilities: finite differences, brute-force oracles,
+the composite head split/merge that the fused attention ops replace, and
+the graph-search backward that creation-order backward replaces."""
 
 import numpy as np
 
@@ -88,3 +89,47 @@ def merge_heads(x):
     """(heads, n, d/heads) -> (n, d), inverse of split_heads, as tape ops."""
     h, n, dh = x.shape
     return T.reshape(T.transpose(x, (1, 0, 2)), (n, h * dh))
+
+
+def _toposort(root):
+    order = []
+    seen = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if id(parent) not in seen:
+                stack.append((parent, False))
+    return order
+
+
+def reference_backward(loss):
+    """`T.backward` as a depth-first topological sort of the graph, then one
+    reverse sweep with every leaf gradient copied: the oracle for the
+    creation-order walk."""
+    if loss.data.size != 1:
+        raise T.ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
+    if not loss.requires_grad:
+        return
+    order = _toposort(loss)
+    flowing = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(order):
+        g = flowing.pop(id(node), None)
+        if g is None:
+            continue
+        if node.is_leaf():
+            node.grad = g.copy() if node.grad is None else node.grad + g
+            continue
+        parts = node._vjp(g)
+        for parent, part in zip(node._parents, parts):
+            if part is None or not parent.requires_grad:
+                continue
+            held = flowing.get(id(parent))
+            flowing[id(parent)] = part if held is None else held + part

@@ -253,6 +253,35 @@ class TestMaskController:
             if mode == "replay":
                 np.testing.assert_array_equal(rec.detail.mask, frozen[labels[k]])
 
+    @pytest.mark.parametrize("labels", [("x",), ("c0/x", "c1/x", "c2/x")])
+    def test_summary_replay_matches_full_replay(self, labels):
+        rng = np.random.default_rng(7)
+        frozen = {label: rng.random((2, 3, 5)) < 0.4 for label in labels}
+        frozen[labels[0]][...] = False
+        slices = [random_row_stochastic(rng, 2, 3, 5) for _ in labels]
+        batched = len(labels) > 1
+        attn = slices[0] if not batched else AttentionWeights(
+            weights=Tensor(np.stack([a.weights.data for a in slices])), head_count=2, scale=1.0
+        )
+        site = labels if batched else labels[0]
+        summary = MaskController(mode="replay", frozen=frozen)
+        full = MaskController(mode="replay", record="full", frozen=frozen)
+        out, want = summary.apply(attn, 0.8, site), full.apply(attn, 0.8, site)
+        assert out.weights.data.tobytes() == want.weights.data.tobytes()
+        assert (out.head_count, out.scale) == (want.head_count, want.scale)
+        assert [(r.site, r.d_f, r.density, r.shape) for r in summary.records] == [
+            (r.site, r.d_f, r.density, r.shape) for r in full.records
+        ]
+        assert all(r.detail is None and r.pre_weights is None for r in summary.records)
+        if not batched:
+            # An all-false mask leaves the weights object itself in place.
+            assert out is attn and summary.records[0].density == 0.0
+        wrong = {label: np.zeros((2, 3, 4), dtype=bool) for label in labels}
+        short = MaskController(mode="replay", frozen=wrong)
+        with pytest.raises(ShapeError):
+            short.apply(attn, 0.8, site)
+        assert short.records == []
+
     def test_candidate_batch_needs_one_label_per_candidate(self):
         batch = AttentionWeights(weights=Tensor(np.full((3, 2, 1, 2), 0.5)), head_count=2,
                                  scale=1.0)

@@ -34,6 +34,8 @@ from drax.model import (
 from drax.tensor import ParamStore, ShapeError, Tensor
 from drax.train import evaluate, fit, global_grad_norm, sgd_step, train_epoch
 
+from helpers import reference_backward
+
 
 def tiny_config(**overrides) -> DraxConfig:
     base = dict(
@@ -538,12 +540,93 @@ class TestBatchedStage3:
         for rec in got[2]:
             np.testing.assert_array_equal(rec.detail.mask, frozen[rec.site])
 
+    def test_summary_replay_matches_full_replay(self):
+        model = DraxModel(tiny_config(layers=2))
+        live = model.make_masker(record="full")
+        model.forward(tiny_bundle(seed=8), live)
+        frozen = live.frozen_masks()
+        bundle = tiny_bundle(seed=9)
+        summary = MaskController(mode="replay", frozen=frozen)
+        full = MaskController(mode="replay", record="full", frozen=frozen)
+        got = forward_outputs(model, lambda masker: model.forward(bundle, masker), summary)
+        want = forward_outputs(model, lambda masker: model.forward(bundle, masker), full)
+        assert got[0].tobytes() == want[0].tobytes()
+        for name, grad in got[1].items():
+            assert (grad is None and want[1][name] is None
+                    or grad.tobytes() == want[1][name].tobytes()), name
+        assert [(r.site, r.d_f, r.density, r.shape) for r in got[2]] == [
+            (r.site, r.d_f, r.density, r.shape) for r in want[2]
+        ]
+
     def test_rejects_answers_that_are_not_token_matrices(self):
         model = DraxModel(tiny_config())
         bundle = tiny_bundle()
         flat = dataclasses.replace(bundle, answers=(bundle.answers[0][0],) + bundle.answers[1:])
         with pytest.raises(ShapeError):
             model.forward(flat)
+
+
+def positive_loss(model, bundle):
+    loss, _ = model.sample_loss(bundle, model.make_masker())
+    assert loss.item() > 0.0
+    return loss
+
+
+def gradients_after(model, loss, run_backward) -> dict:
+    model.zero_grad()
+    run_backward(loss)
+    return {p.name: p.grad for p in model.parameters()}
+
+
+def default_case(loss_mode):
+    bundle = generate_synthetic(SyntheticSpec(samples=1, seed=0))[0]
+    return DraxModel(DraxConfig(loss_mode=loss_mode)), bundle
+
+
+class TestBackwardEquivalence:
+    """Creation-order backward against the graph-search backward it
+    replaces: every parameter gradient within 1e-12 of the largest entry of
+    its array, and the same parameters left without a gradient."""
+
+    def assert_same_gradients(self, model, bundle):
+        loss = positive_loss(model, bundle)
+        got = gradients_after(model, loss, T.backward)
+        want = gradients_after(model, loss, reference_backward)
+        assert [n for n, g in got.items() if g is None] == [
+            n for n, g in want.items() if g is None
+        ]
+        for name, grad in got.items():
+            if grad is not None:
+                bound = 1e-12 * np.max(np.abs(want[name]))
+                np.testing.assert_allclose(grad, want[name], rtol=0, atol=bound, err_msg=name)
+
+    @pytest.mark.parametrize("loss_mode", ["logit-hinge", "probability-hinge"])
+    def test_default_config(self, loss_mode):
+        self.assert_same_gradients(*default_case(loss_mode))
+
+    @pytest.mark.parametrize("anchor", ["answer", "fused"])
+    @pytest.mark.parametrize("fusion_mode", ["cross-aligned", "simple-concat"])
+    def test_tiny_configs(self, fusion_mode, anchor):
+        cfg = tiny_config(fusion_mode=fusion_mode, anchor_stage3=anchor, layers=2)
+        rng = np.random.default_rng(4)
+        bundle = dataclasses.replace(
+            tiny_bundle(config=cfg), appearance=rng.normal(size=(6, cfg.appearance_dim))
+        )
+        self.assert_same_gradients(DraxModel(cfg), bundle)
+
+    def test_default_gradients_own_their_memory(self):
+        model, bundle = default_case("logit-hinge")
+        loss = positive_loss(model, bundle)
+        model.zero_grad()
+        loss.backward()
+        grads = [p.grad for p in model.parameters() if p.grad is not None]
+        datas = [p.data for p in model.parameters()]
+        assert len(grads) == len(datas)
+        for k, grad in enumerate(grads):
+            for other in grads[k + 1:]:
+                assert not np.may_share_memory(grad, other)
+            for data in datas:
+                assert not np.may_share_memory(grad, data)
 
 
 def zero_loss_case(config):
@@ -644,6 +727,19 @@ class TestTraining:
                 np.testing.assert_allclose(p.data, want, rtol=1e-12, atol=1e-15)
             else:
                 assert p.data.tobytes() == want.tobytes(), p.name
+
+    @pytest.mark.parametrize("grad_clip", [0.0, 1e-3])
+    def test_sgd_step_leaves_gradients_unchanged(self, grad_clip):
+        # Callers read `.grad` after the update, e.g. to check the step taken.
+        model, bundle = default_case("logit-hinge")
+        positive_loss(model, bundle).backward()
+        params = model.parameters()
+        grads = [p.grad for p in params]
+        before = [g.tobytes() for g in grads]
+        norm = sgd_step(params, 0.02, grad_clip)
+        assert grad_clip == 0.0 or norm > grad_clip
+        assert all(p.grad is g for p, g in zip(params, grads))
+        assert [g.tobytes() for g in grads] == before
 
     def test_gradient_clipping_bounds_step(self):
         model = DraxModel(tiny_config(grad_clip=0.001, learning_rate=1.0))
@@ -746,6 +842,23 @@ class TestCheckpoint:
         np.testing.assert_array_equal(
             clone.forward(bundle).data, model.forward(bundle).data
         )
+
+    def test_load_draws_no_initial_values(self, tmp_path, monkeypatch):
+        model = DraxModel(tiny_config())
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+
+        class NoDraws:
+            def __init__(self, seed):
+                pass
+
+            def uniform(self, *args, **kwargs):
+                raise AssertionError("load_model drew initial parameter values")
+
+        monkeypatch.setattr(np.random, "default_rng", NoDraws)
+        clone = load_model(path)
+        for name, array in model.param_arrays().items():
+            assert clone.param_arrays()[name].tobytes() == array.tobytes(), name
 
     def test_eval_accuracy_preserved(self, tmp_path):
         model = DraxModel(tiny_config())

@@ -11,6 +11,7 @@ from helpers import (
     finite_difference,
     matmul_oracle,
     merge_heads,
+    reference_backward,
     relative_error,
     softmax_oracle,
     split_heads,
@@ -219,6 +220,115 @@ class TestBackward:
 
         fd = finite_difference(value, x)
         np.testing.assert_allclose(fd, 1.0 / np.cosh(x) ** 2, atol=1e-6)
+
+
+def _grads_of(build, leaves, run_backward):
+    """Each leaf's gradient after `run_backward` on a fresh `build()`."""
+    for t in leaves:
+        t.zero_grad()
+    run_backward(build())
+    return [t.grad for t in leaves]
+
+
+class TestCreationOrderBackward:
+    """Creation-order backward against the graph-search oracle, and the
+    ownership of the leaf gradients it writes."""
+
+    def test_results_are_numbered_after_their_operands(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        y = x * 2.0
+        z = T.add(y, x)
+        assert x._seq == 0 and 0 < y._seq < z._seq
+        assert (Tensor(np.ones(3)) * 2.0)._seq == 0
+        with T.no_grad():
+            assert (x * 2.0)._seq == 0
+
+    def test_shared_subgraph_matches_reference(self):
+        # `h` feeds three consumers made in an order unlike the DFS's.
+        rng = np.random.default_rng(21)
+        x, w = _leaf(rng, 3, 4), _leaf(rng, 4, 4)
+        b = _leaf(rng, 4)
+
+        def build():
+            h = T.elu(T.affine(x, w, b))
+            late = T.matmul(h, w)
+            mixed = T.concat([h[1:], h[:1] * 3.0], axis=0)
+            return T.tensor_sum(T.layer_norm(late + mixed, b, b) * h)
+
+        got = _grads_of(build, [x, w, b], T.backward)
+        want = _grads_of(build, [x, w, b], reference_backward)
+        for g, r in zip(got, want):
+            np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-15)
+
+    def test_interleaved_graphs_keep_their_own_gradients(self):
+        rng = np.random.default_rng(22)
+        x, w = _leaf(rng, 2, 3), _leaf(rng, 3, 3)
+        a1 = T.matmul(x, w)
+        b1 = T.elu(x)
+        a2 = T.tensor_sum(T.relu(a1) * 2.0)
+        b2 = T.tensor_sum(T.matmul(b1, w))
+        for loss in (a2, b2):
+            got = _grads_of(lambda: loss, [x, w], T.backward)
+            want = _grads_of(lambda: loss, [x, w], reference_backward)
+            for g, r in zip(got, want):
+                np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-15)
+
+    def test_scalar_leaf_loss(self):
+        x = Tensor(2.5, requires_grad=True)
+        T.backward(x)
+        T.backward(x)
+        assert x.grad == 2.0
+
+    @pytest.mark.parametrize("op", [T.add, T.sub])
+    def test_passed_through_gradient_is_copied(self, op):
+        # add hands the same `g` to both operands, sub hands it to the first.
+        p1 = Tensor(np.arange(4.0), requires_grad=True)
+        p2 = Tensor(np.ones(4), requires_grad=True)
+        T.backward(T.tensor_sum(op(p1, p2)))
+        second = p2.grad.copy()
+        p1.grad += 100.0
+        assert p2.grad.tobytes() == second.tobytes()
+        assert not np.may_share_memory(p1.grad, p2.grad)
+
+    def test_view_parts_are_copied(self):
+        # concat's parts are views of one array, reshape's a view of `g`.
+        p1 = Tensor(np.ones((2, 3)), requires_grad=True)
+        p2 = Tensor(np.ones((1, 3)), requires_grad=True)
+        p3 = Tensor(np.ones(6), requires_grad=True)
+        joined = T.concat([p1, p2], axis=0)
+        T.backward(T.tensor_sum(T.add(joined[:2], T.reshape(p3, (2, 3)))) + T.tensor_sum(joined))
+        grads = [p1.grad, p2.grad, p3.grad]
+        for k, g in enumerate(grads):
+            assert g.base is None
+            for other in grads[k + 1:]:
+                assert not np.may_share_memory(g, other)
+        np.testing.assert_array_equal(p1.grad, np.full((2, 3), 2.0))
+        np.testing.assert_array_equal(p2.grad, np.ones((1, 3)))
+        np.testing.assert_array_equal(p3.grad, np.ones(6))
+
+    def test_failed_vjp_leaves_gradients_and_next_backward(self):
+        rng = np.random.default_rng(23)
+        x, w = _leaf(rng, 2, 3), _leaf(rng, 3, 2)
+
+        def broken_vjp(g):
+            raise RuntimeError("vjp failed")
+
+        # `direct` is younger than `bad`, so x and w receive parts from it
+        # before the failing node is reached.
+        h = T.matmul(x, w)
+        bad = T._from_op(h.data * 2.0, (h,), broken_vjp)
+        direct = T.matmul(x, w)
+        with pytest.raises(RuntimeError, match="vjp failed"):
+            T.backward(T.tensor_sum(T.add(bad, direct)))
+        assert x.grad is None and w.grad is None
+
+        def build():
+            return T.tensor_sum(T.elu(T.matmul(x, w)) * 3.0)
+
+        got = _grads_of(build, [x, w], T.backward)
+        want = _grads_of(build, [x, w], reference_backward)
+        for g, r in zip(got, want):
+            np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-15)
 
 
 class TestConstantOperands:
