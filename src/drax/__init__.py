@@ -1,96 +1,17 @@
-"""Distraction removal and cross-aligned fusion for video question answering."""
+"""Distraction removal and cross-aligned fusion for video question answering.
 
-from .attention import (
-    AttentionWeights,
-    EncoderStack,
-    attended_values,
-    cross_encoder_layer,
-    run_encoder_stack,
-    scaled_scores,
-    self_attention_encoder,
-)
-from .checkpoint import CheckpointError, load_model, save_checkpoint
-from .data import (
-    DataError,
-    FeatureBundle,
-    SyntheticSpec,
-    generate_synthetic,
-    load_dataset,
-    pseudo_embed,
-    read_features,
-    save_dataset,
-    write_features,
-)
-from .distraction import (
-    DistractionMask,
-    MaskController,
-    apply_mask,
-    identify_distractions,
-    schedule_df,
-)
-from .fusion import (
-    AnchorAssignment,
-    cross_aligned_fuse,
-    simple_concat_fuse,
-    vector_space_transform,
-)
-from .model import (
-    ConfigError,
-    DraxConfig,
-    DraxModel,
-    ModalitySequence,
-    answer_decoder,
-    hinge_loss,
-    predict,
-)
-from .tensor import Parameter, ParamStore, ShapeError, Tensor, no_grad
+The root exports the quick-start API and the errors; the rest is in submodules.
+"""
+
+from .checkpoint import CheckpointError
+from .data import DataError, SyntheticSpec, generate_synthetic
+from .model import ConfigError, DraxConfig, DraxModel
+from .tensor import ShapeError
 from .train import evaluate, fit, sgd_step, train_epoch
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnchorAssignment",
-    "AttentionWeights",
-    "CheckpointError",
-    "ConfigError",
-    "DataError",
-    "DistractionMask",
-    "DraxConfig",
-    "DraxModel",
-    "EncoderStack",
-    "FeatureBundle",
-    "MaskController",
-    "ModalitySequence",
-    "ParamStore",
-    "Parameter",
-    "ShapeError",
-    "SyntheticSpec",
-    "Tensor",
-    "answer_decoder",
-    "apply_mask",
-    "attended_values",
-    "cross_aligned_fuse",
-    "cross_encoder_layer",
-    "evaluate",
-    "fit",
-    "generate_synthetic",
-    "hinge_loss",
-    "identify_distractions",
-    "load_dataset",
-    "load_model",
-    "no_grad",
-    "predict",
-    "pseudo_embed",
-    "read_features",
-    "run_encoder_stack",
-    "save_checkpoint",
-    "save_dataset",
-    "scaled_scores",
-    "schedule_df",
-    "self_attention_encoder",
-    "sgd_step",
-    "simple_concat_fuse",
-    "train_epoch",
-    "vector_space_transform",
-    "write_features",
+    "CheckpointError", "ConfigError", "DataError", "DraxConfig", "DraxModel", "ShapeError",
+    "SyntheticSpec", "evaluate", "fit", "generate_synthetic", "sgd_step", "train_epoch",
 ]

@@ -25,12 +25,16 @@ class AttentionWeights:
     scale: float
 
 
+def _head_scale(d: int, head_count: int) -> float:
+    return 1.0 / math.sqrt(d / head_count)
+
+
 def scaled_scores(x_q: Tensor, x_k: Tensor, w_q, w_k, head_count: int) -> AttentionWeights:
     """Project queries and keys, score per head, softmax over the context axis."""
     d = x_q.shape[-1]
     if x_k.shape[-1] != d:
         raise ShapeError(f"query dim {d} does not match key dim {x_k.shape[-1]}")
-    scale = 1.0 / math.sqrt(d / head_count)
+    scale = _head_scale(d, head_count)
     weights = T.head_softmax(x_q, w_q, x_k, w_k, head_count, scale)
     return AttentionWeights(weights=weights, head_count=head_count, scale=scale)
 
@@ -178,20 +182,17 @@ def _with_tokens(seq, tokens: Tensor):
     return type(seq)(tokens, seq.modality, seq.has_cls)
 
 
-def multi_head_self_attention(x: Tensor, p: SelfAttentionParams) -> Tensor:
-    attn = scaled_scores(x, x, p.w_q, p.w_k, p.head_count)
-    out = attended_values(attn, T.matmul(x, p.w_v))
-    return T.matmul(out, p.w_o)
-
-
 def self_attention_encoder(seq, p: SelfAttentionParams):
-    """MSA -> add & norm -> feed-forward -> add & norm; shape-preserving."""
+    """MSA -> add & norm -> feed-forward -> add & norm, as two tape ops;
+    shape-preserving."""
     x = seq.tokens
-    if x.shape[-1] != p.w_q.shape[0]:
-        raise ShapeError(f"token dim {x.shape[-1]} does not match encoder dim {p.w_q.shape[0]}")
-    x = T.layer_norm(x + multi_head_self_attention(x, p), p.ln1_gain, p.ln1_bias, p.eps)
-    hidden = T.elu(T.affine(x, p.ffn_w1, p.ffn_b1))
-    x = T.layer_norm(x + T.affine(hidden, p.ffn_w2, p.ffn_b2), p.ln2_gain, p.ln2_bias, p.eps)
+    d = x.shape[-1]
+    if d != p.w_q.shape[0]:
+        raise ShapeError(f"token dim {d} does not match encoder dim {p.w_q.shape[0]}")
+    x = T.self_attention_block(x, p.w_q, p.w_k, p.w_v, p.w_o, p.ln1_gain, p.ln1_bias,
+                               p.head_count, _head_scale(d, p.head_count), p.eps)
+    x = T.feed_forward_block(x, p.ffn_w1, p.ffn_b1, p.ffn_w2, p.ffn_b2, p.ln2_gain,
+                             p.ln2_bias, p.eps)
     return _with_tokens(seq, x)
 
 
@@ -210,10 +211,8 @@ def cross_encoder_layer(seq1, seq2, p: CrossLayerParams, d_f: float,
     a21 = scaled_scores(n2, n1, p.w_q, p.w_k, p.head_count)
     a12 = masker.apply(a12, d_f, sub_site(site, "into1"))
     a21 = masker.apply(a21, d_f, sub_site(site, "into2"))
-    ca1 = attended_values(a12, T.matmul(n2, p.w_v2))
-    ca2 = attended_values(a21, T.matmul(n1, p.w_v1))
-    y1 = x1 + T.affine(ca1, p.g1_w, p.g1_b)
-    y2 = x2 + T.affine(ca2, p.g2_w, p.g2_b)
+    y1 = T.attend(x1, a12.weights, n2, p.w_v2, p.g1_w, p.g1_b)
+    y2 = T.attend(x2, a21.weights, n1, p.w_v1, p.g2_w, p.g2_b)
     return _with_tokens(seq1, y1), _with_tokens(seq2, y2)
 
 

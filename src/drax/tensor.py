@@ -22,16 +22,21 @@ analytic vector-Jacobian products:
 - `affine`: `x @ w + b`;
 - `head_softmax`: project queries and keys, split them into heads,
   score, scale and softmax over the key axis;
-- `head_mix`: weight per-head values and merge the heads back.
+- `head_mix`: weight per-head values and merge the heads back;
+- `self_attention_block`, `feed_forward_block`: the two halves of a
+  self-attention encoder, each with its residual and `layer_norm`;
+- `attend`: a cross-attention update, `x + affine(head_mix(...))`.
 
-Each one agrees with the composite of primitives it replaces (values and
-gradients within 1e-12).
+`layer_norm`, `elu`, `head_softmax` and `head_mix` are numpy kernels
+(`_layer_norm`, ...) that return `(data, vjp)`: a public op records one, a
+block chains several under one op, so its values equal its composite's bit
+for bit. Each fused op agrees with its composite (gradients within 1e-12).
 
 The answer stage runs all candidates at once, so token matrices may carry
-one leading candidate axis: (K, n, d) instead of (n, d). `matmul`,
-`affine`, `head_softmax` and `head_mix` accept it with their weights shared
-across it (weight gradients sum over it), and `broadcast` repeats a stream
-every candidate shares along it.
+one leading candidate axis: (K, n, d) instead of (n, d). `matmul` and
+every fused op accept it with their weights shared across it (weight
+gradients sum over it), and `broadcast` repeats a stream every candidate
+shares along it.
 """
 
 from __future__ import annotations
@@ -132,9 +137,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(other, self)
 
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -145,9 +147,6 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         return reshape(self, shape)
-
-    def transpose(self, axes: Sequence[int] | None = None) -> "Tensor":
-        return transpose(self, axes)
 
     def sum(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
         return tensor_sum(self, axis=axis, keepdims=keepdims)
@@ -363,16 +362,8 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(-3, -2).reshape(x.shape[:-3] + (n, h * dh))
 
 
-def head_softmax(x_q, w_q, x_k, w_k, head_count: int, scale: float) -> Tensor:
-    """Per-head `softmax(q_h k_h^T * scale)` over the key axis, as one op.
-
-    The projections `q = x_q @ w_q` (n, d) and `k = x_k @ w_k` (m, d) are
-    split column-wise into `head_count` subspaces of d/head_count; the
-    result has shape (heads, n, m). With a leading candidate axis on both
-    `x_q` and `x_k`, (K, n, d) and (K, m, d), it is (K, heads, n, m).
-    """
-    x_q, w_q, x_k, w_k = as_tensor(x_q), as_tensor(w_q), as_tensor(x_k), as_tensor(w_k)
-    xq, wq, xk, wk = x_q.data, w_q.data, x_k.data, w_k.data
+def _head_softmax(xq, wq, xk, wk, head_count: int, scale: float):
+    """The `head_softmax` kernel on arrays: (data, vjp)."""
     if not (
         xq.ndim == xk.ndim
         and xq.ndim in (2, 3)
@@ -396,19 +387,24 @@ def head_softmax(x_q, w_q, x_k, w_k, head_count: int, scale: float) -> Tensor:
         g_k = _merge_heads(gs.swapaxes(-1, -2) @ qh)
         return g_q @ wq.T, _weight_grad(xq, g_q), g_k @ wk.T, _weight_grad(xk, g_k)
 
+    return data, vjp
+
+
+def head_softmax(x_q, w_q, x_k, w_k, head_count: int, scale: float) -> Tensor:
+    """Per-head `softmax(q_h k_h^T * scale)` over the key axis, as one op.
+
+    The projections `q = x_q @ w_q` (n, d) and `k = x_k @ w_k` (m, d) are
+    split column-wise into `head_count` subspaces of d/head_count; the
+    result has shape (heads, n, m). With a leading candidate axis on both
+    `x_q` and `x_k`, (K, n, d) and (K, m, d), it is (K, heads, n, m).
+    """
+    x_q, w_q, x_k, w_k = as_tensor(x_q), as_tensor(w_q), as_tensor(x_k), as_tensor(w_k)
+    data, vjp = _head_softmax(x_q.data, w_q.data, x_k.data, w_k.data, head_count, scale)
     return _from_op(data, (x_q, w_q, x_k, w_k), vjp)
 
 
-def head_mix(weights, values) -> Tensor:
-    """Mix per-head value subspaces by per-head weights and merge, as one op.
-
-    `weights` (heads, n, m) and `values` (m, d) give an (n, d) result whose
-    head-h columns are `weights[h] @ values[:, head-h columns]`; with a
-    leading candidate axis on both, (K, heads, n, m) and (K, m, d), it is
-    (K, n, d).
-    """
-    w, v = as_tensor(weights), as_tensor(values)
-    wd, vd = w.data, v.data
+def _head_mix(wd, vd):
+    """The `head_mix` kernel on arrays: (data, vjp)."""
     if not (
         wd.ndim in (3, 4)
         and vd.ndim == wd.ndim - 1
@@ -425,7 +421,75 @@ def head_mix(weights, values) -> Tensor:
         gh = _split_heads(g, heads)
         return gh @ vh.swapaxes(-1, -2), _merge_heads(wd.swapaxes(-1, -2) @ gh)
 
+    return data, vjp
+
+
+def head_mix(weights, values) -> Tensor:
+    """Mix per-head value subspaces by per-head weights and merge, as one op.
+
+    `weights` (heads, n, m) and `values` (m, d) give an (n, d) result whose
+    head-h columns are `weights[h] @ values[:, head-h columns]`; with a
+    leading candidate axis on both, (K, heads, n, m) and (K, m, d), it is
+    (K, n, d).
+    """
+    w, v = as_tensor(weights), as_tensor(values)
+    data, vjp = _head_mix(w.data, v.data)
     return _from_op(data, (w, v), vjp)
+
+
+def self_attention_block(x, w_q, w_k, w_v, w_o, gain, bias, head_count: int, scale: float,
+                         eps: float = 1e-5) -> Tensor:
+    """`layer_norm(x + head_mix(head_softmax(x, w_q, x, w_k), x @ w_v) @ w_o)`
+    as one op; every operand is a Tensor."""
+    xd, wv, wo = x.data, w_v.data, w_o.data
+    weights, softmax_vjp = _head_softmax(xd, w_q.data, xd, w_k.data, head_count, scale)
+    mixed, mix_vjp = _head_mix(weights, xd @ wv)
+    data, norm_vjp = _layer_norm(xd + mixed @ wo, gain.data, bias.data, eps)
+
+    def vjp(g):
+        g_sum, g_gain, g_bias = norm_vjp(g)
+        g_weights, g_values = mix_vjp(g_sum @ wo.T)
+        g_xq, g_wq, g_xk, g_wk = softmax_vjp(g_weights)
+        # x's four parts, added in the order the composite's backward adds them.
+        g_x = g_sum + g_values @ wv.T + g_xq + g_xk
+        return (g_x, g_wq, g_wk, _weight_grad(xd, g_values), _weight_grad(mixed, g_sum),
+                g_gain, g_bias)
+
+    return _from_op(data, (x, w_q, w_k, w_v, w_o, gain, bias), vjp)
+
+
+def feed_forward_block(x, w1, b1, w2, b2, gain, bias, eps: float = 1e-5) -> Tensor:
+    """`layer_norm(x + affine(elu(affine(x, w1, b1)), w2, b2))` as one op;
+    every operand is a Tensor."""
+    xd, wd1, wd2 = x.data, w1.data, w2.data
+    hidden, elu_vjp = _elu(xd @ wd1 + b1.data)
+    data, norm_vjp = _layer_norm(xd + (hidden @ wd2 + b2.data), gain.data, bias.data, eps)
+
+    def vjp(g):
+        g_sum, g_gain, g_bias = norm_vjp(g)
+        (g_pre,) = elu_vjp(g_sum @ wd2.T)
+        return (g_sum + g_pre @ wd1.T, _weight_grad(xd, g_pre), _unbroadcast(g_pre, b1.shape),
+                _weight_grad(hidden, g_sum), _unbroadcast(g_sum, b2.shape), g_gain, g_bias)
+
+    return _from_op(data, (x, w1, b1, w2, b2, gain, bias), vjp)
+
+
+def attend(x, weights, src, w_v, w_o, b_o) -> Tensor:
+    """`x + affine(head_mix(weights, src @ w_v), w_o, b_o)` as one op: the
+    residual update of `x` from `src`'s values under per-head weights. Every
+    operand is a Tensor."""
+    sd, wv, wo = src.data, w_v.data, w_o.data
+    mixed, mix_vjp = _head_mix(weights.data, sd @ wv)
+    update = mixed @ wo + b_o.data
+    if update.shape != x.shape:
+        raise ShapeError(f"attend update {update.shape} does not fit x {x.shape}")
+
+    def vjp(g):
+        g_weights, g_values = mix_vjp(g @ wo.T)
+        return (g, g_weights, g_values @ wv.T, _weight_grad(sd, g_values),
+                _weight_grad(mixed, g), _unbroadcast(g, b_o.shape))
+
+    return _from_op(x.data + update, (x, weights, src, w_v, w_o, b_o), vjp)
 
 
 def broadcast(a, count: int) -> Tensor:
@@ -569,15 +633,21 @@ def _softmax_grad(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
     return (g - inner) * y
 
 
+def _elu(xd):
+    """The `elu` kernel on an array: (data, vjp)."""
+    negative = np.expm1(np.minimum(xd, 0.0))
+    data = np.where(xd >= 0.0, xd, negative)
+
+    def vjp(g):
+        return (g * np.where(xd >= 0.0, 1.0, negative + 1.0),)
+
+    return data, vjp
+
+
 def elu(a) -> Tensor:
     """x for x >= 0, exp(x) - 1 below; slope 1 from both sides at zero."""
     a = as_tensor(a)
-    negative = np.expm1(np.minimum(a.data, 0.0))
-    data = np.where(a.data >= 0.0, a.data, negative)
-
-    def vjp(g):
-        return (g * np.where(a.data >= 0.0, 1.0, negative + 1.0),)
-
+    data, vjp = _elu(a.data)
     return _from_op(data, (a,), vjp)
 
 
@@ -592,14 +662,8 @@ def relu(a) -> Tensor:
     return _from_op(data, (a,), vjp)
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize each last-axis slice to zero mean / unit variance, then scale.
-
-    One op with an analytic vector-Jacobian product, instead of the eleven
-    primitive ops of the same formula.
-    """
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    xd, gd, bd = x.data, gain.data, bias.data
+def _layer_norm(xd, gd, bd, eps: float):
+    """The `layer_norm` kernel on arrays: (data, vjp)."""
     dim = xd.shape[-1]
     if gd.shape != (dim,) or bd.shape != (dim,):
         raise ShapeError(
@@ -621,6 +685,17 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         )
         return g_x, _unbroadcast(g * normed, gd.shape), _unbroadcast(g, bd.shape)
 
+    return data, vjp
+
+
+def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+    """Normalize each last-axis slice to zero mean / unit variance, then scale.
+
+    One op with an analytic vector-Jacobian product, instead of the eleven
+    primitive ops of the same formula.
+    """
+    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    data, vjp = _layer_norm(x.data, gain.data, bias.data, eps)
     return _from_op(data, (x, gain, bias), vjp)
 
 

@@ -3,7 +3,8 @@
 Training takes one SGD step per sample on the hinge loss. A loss of exactly
 0 means every relu of the hinge is inactive, so every parameter gradient is
 exactly 0 and the update would change nothing: such steps skip backward and
-the update. A NaN loss is not 0 and takes the normal path.
+the update. A NaN loss is not 0 and runs backward, but a step whose gradient
+norm is not finite skips the update, so one NaN cannot poison the model.
 """
 
 from __future__ import annotations
@@ -30,9 +31,12 @@ def sgd_step(params, learning_rate: float, grad_clip: float = 0.0) -> float:
     """Descend every parameter along its gradient; returns the global norm.
 
     With a positive `grad_clip`, gradients are rescaled so their global norm
-    never exceeds it. Parameters without gradients are left alone.
+    never exceeds it. Parameters without gradients are left alone, and so is
+    every parameter when the norm is NaN or infinite.
     """
     norm = global_grad_norm(params)
+    if not math.isfinite(norm):
+        return norm
     scale = learning_rate
     if grad_clip > 0.0 and norm > grad_clip:
         scale *= grad_clip / norm

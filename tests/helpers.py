@@ -1,6 +1,7 @@
 """Shared numeric test utilities: finite differences, brute-force oracles,
-the composite head split/merge that the fused attention ops replace, and
-the graph-search backward that creation-order backward replaces."""
+the composite head split/merge that the fused attention ops replace, the
+composite encoder blocks that the fused block ops replace, and the
+graph-search backward that creation-order backward replaces."""
 
 import numpy as np
 
@@ -89,6 +90,23 @@ def merge_heads(x):
     """(heads, n, d/heads) -> (n, d), inverse of split_heads, as tape ops."""
     h, n, dh = x.shape
     return T.reshape(T.transpose(x, (1, 0, 2)), (n, h * dh))
+
+
+def self_attention_composite(x, w_q, w_k, w_v, w_o, gain, bias, heads, scale, eps=1e-5):
+    """`T.self_attention_block` as the six ops it fuses."""
+    mixed = T.head_mix(T.head_softmax(x, w_q, x, w_k, heads, scale), T.matmul(x, w_v))
+    return T.layer_norm(T.add(x, T.matmul(mixed, w_o)), gain, bias, eps)
+
+
+def feed_forward_composite(x, w1, b1, w2, b2, gain, bias, eps=1e-5):
+    """`T.feed_forward_block` as the five ops it fuses."""
+    hidden = T.elu(T.affine(x, w1, b1))
+    return T.layer_norm(T.add(x, T.affine(hidden, w2, b2)), gain, bias, eps)
+
+
+def attend_composite(x, weights, src, w_v, w_o, b_o):
+    """`T.attend` as the four ops it fuses."""
+    return T.add(x, T.affine(T.head_mix(weights, T.matmul(src, w_v)), w_o, b_o))
 
 
 def _toposort(root):

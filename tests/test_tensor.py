@@ -7,12 +7,15 @@ from drax import tensor as T
 from drax.tensor import ParamStore, Parameter, ShapeError, Tensor
 
 from helpers import (
+    attend_composite,
     check_gradients,
+    feed_forward_composite,
     finite_difference,
     matmul_oracle,
     merge_heads,
     reference_backward,
     relative_error,
+    self_attention_composite,
     softmax_oracle,
     split_heads,
 )
@@ -497,6 +500,106 @@ class TestFusedOps:
             T.head_mix(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((5, 6))))
         with pytest.raises(ShapeError):
             T.head_mix(Tensor(np.zeros((4, 3, 5))), Tensor(np.zeros((5, 6))))
+
+
+def _assert_same_block(fused, composite, inputs, rng):
+    """`_assert_same_op`, with the values bit-identical: a block chains the
+    kernels of the ops it fuses."""
+    _assert_same_op(fused, composite, inputs, rng)
+    assert fused().data.tobytes() == composite().data.tobytes()
+
+
+def _attention_weights(rng, *shape, keep=0.7):
+    """Row-stochastic weights over the last axis with some entries zeroed, as
+    after masking."""
+    raw = rng.random(size=shape)
+    return Tensor(raw / raw.sum(axis=-1, keepdims=True) * (rng.random(size=shape) < keep),
+                  requires_grad=True)
+
+
+class TestFusedBlocks:
+    """Each fused encoder block against the composite of ops it replaces, on
+    (n, d) streams and on (K, n, d) candidate batches."""
+
+    @pytest.mark.parametrize("lead, heads", [((), 2), ((3,), 3)])
+    def test_self_attention_block(self, lead, heads):
+        rng = np.random.default_rng(40)
+        d = 6
+        x = _leaf(rng, *lead, 4, d, scale=2.0)
+        w_q, w_k, w_v, w_o = (_leaf(rng, d, d) for _ in range(4))
+        gain, bias = _leaf(rng, d, shift=1.0), _leaf(rng, d)
+        args = (x, w_q, w_k, w_v, w_o, gain, bias, heads, 1.0 / np.sqrt(d / heads))
+        _assert_same_block(
+            lambda: T.self_attention_block(*args), lambda: self_attention_composite(*args),
+            [x, w_q, w_k, w_v, w_o, gain, bias], rng,
+        )
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_feed_forward_block(self, lead):
+        rng = np.random.default_rng(41)
+        x = _leaf(rng, *lead, 4, 6)
+        w1, b1 = _leaf(rng, 6, 10), _leaf(rng, 10, scale=0.5)
+        w2, b2 = _leaf(rng, 10, 6), _leaf(rng, 6)
+        gain, bias = _leaf(rng, 6, shift=1.0), _leaf(rng, 6)
+        inputs = [x, w1, b1, w2, b2, gain, bias]
+        assert (T.affine(x, w1, b1).data < 0).any()  # both elu branches are taken
+        _assert_same_block(
+            lambda: T.feed_forward_block(*inputs), lambda: feed_forward_composite(*inputs),
+            inputs, rng,
+        )
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_attend(self, lead):
+        rng = np.random.default_rng(42)
+        x, src = _leaf(rng, *lead, 4, 6), _leaf(rng, *lead, 5, 6)
+        weights = _attention_weights(rng, *lead, 2, 4, 5)
+        w_v, w_o, b_o = _leaf(rng, 6, 6), _leaf(rng, 6, 6), _leaf(rng, 6)
+        inputs = [x, weights, src, w_v, w_o, b_o]
+        _assert_same_block(
+            lambda: T.attend(*inputs), lambda: attend_composite(*inputs), inputs, rng,
+        )
+
+    def test_cross_layer_with_shared_weights(self):
+        """Both directions of a cross layer: the streams are queries, keys and
+        values at once, and the Q/K projections serve both directions."""
+        rng = np.random.default_rng(43)
+        n1, n2, x1, x2 = (_leaf(rng, k, 6) for k in (4, 5, 4, 5))
+        w_q, w_k, w_v1, w_v2, g1_w, g2_w = (_leaf(rng, 6, 6) for _ in range(6))
+        g1_b, g2_b = _leaf(rng, 6), _leaf(rng, 6)
+        keep12 = Tensor((rng.random(size=(2, 4, 5)) < 0.7).astype(np.float64))
+        keep21 = Tensor((rng.random(size=(2, 5, 4)) < 0.7).astype(np.float64))
+
+        def layer(op):
+            a12 = T.mul(T.head_softmax(n1, w_q, n2, w_k, 2, 0.5), keep12)
+            a21 = T.mul(T.head_softmax(n2, w_q, n1, w_k, 2, 0.5), keep21)
+            y1 = op(x1, a12, n2, w_v2, g1_w, g1_b)
+            y2 = op(x2, a21, n1, w_v1, g2_w, g2_b)
+            return T.concat([y1, y2], axis=0)
+
+        _assert_same_block(
+            lambda: layer(T.attend), lambda: layer(attend_composite),
+            [n1, n2, x1, x2, w_q, w_k, w_v1, w_v2, g1_w, g2_w, g1_b, g2_b], rng,
+        )
+
+    def test_blocks_record_one_node(self):
+        rng = np.random.default_rng(44)
+        x, w, b = _leaf(rng, 3, 4), _leaf(rng, 4, 4), _leaf(rng, 4)
+        weights = _attention_weights(rng, 2, 3, 3)
+        out = T.self_attention_block(x, w, w, w, w, b, b, 2, 0.5)
+        assert out._parents == (x, w, w, w, w, b, b)
+        assert T.feed_forward_block(x, w, b, w, b, b, b)._parents == (x, w, b, w, b, b, b)
+        assert T.attend(x, weights, x, w, w, b)._parents == (x, weights, x, w, w, b)
+
+    def test_attend_shape_errors(self):
+        x, src, w, b = (Tensor(np.zeros(s)) for s in ((3, 6), (4, 6), (6, 6), (6,)))
+        with pytest.raises(ShapeError):  # 6 columns do not split into 4 heads
+            T.attend(x, Tensor(np.zeros((4, 3, 4))), src, w, w, b)
+        with pytest.raises(ShapeError):  # weights over 5 keys, 4 source rows
+            T.attend(x, Tensor(np.zeros((2, 3, 5))), src, w, w, b)
+        with pytest.raises(ShapeError):  # candidate axis on the weights only
+            T.attend(x, Tensor(np.zeros((2, 2, 3, 4))), src, w, w, b)
+        with pytest.raises(ShapeError):  # 3 query rows update a 2-row x
+            T.attend(Tensor(np.zeros((2, 6))), Tensor(np.zeros((2, 3, 4))), src, w, w, b)
 
 
 def _per_candidate(op, batched, shared):
