@@ -148,10 +148,6 @@ class EncoderStack:
     head_count: int
     layers: list[EncoderLayerParams]
 
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
-
     @classmethod
     def create(cls, store: ParamStore, prefix: str, d: int, head_count: int, depth: int,
                ffn_width: int, eps: float = 1e-5):

@@ -149,15 +149,14 @@ def read_features(path) -> FeatureBundle:
         )
     try:
         answers = tuple(tensors[f"answer{i}"] for i in range(ANSWER_COUNT))
-        return FeatureBundle(
-            appearance=tensors["appearance"],
-            motion=tensors["motion"],
-            question=tensors["question"],
-            answers=answers,
-            label=int(round(float(tensors["label"][0]))),
-        )
+        streams = [tensors[name] for name in ("appearance", "motion", "question")]
+        label = tensors["label"]
     except KeyError as exc:
         raise DataError(f"feature file missing tensor {exc.args[0]!r}") from None
+    # is_integer() is False for NaN and inf.
+    if label.shape != (1,) or not float(label[0]).is_integer():
+        raise DataError(f"label tensor must hold one integral value, got {label}")
+    return FeatureBundle(*streams, answers=answers, label=int(label[0]))
 
 
 def pseudo_embed(token: str, dim: int) -> np.ndarray:

@@ -85,10 +85,6 @@ def apply_mask(attn, mask) -> "AttentionWeights":
     is a bit-for-bit identity.
     """
     m = mask.mask if isinstance(mask, DistractionMask) else np.asarray(mask, dtype=bool)
-    return _zero_masked(attn, m)
-
-
-def _zero_masked(attn, m: np.ndarray) -> "AttentionWeights":
     if m.shape != attn.weights.shape:
         raise ShapeError(f"mask shape {m.shape} does not match weights {attn.weights.shape}")
     if not m.any():
@@ -139,12 +135,15 @@ class MaskController:
     Modes: "live" computes masks from the current weights; "off" passes
     weights through untouched (the masking-disabled build); "replay" reuses
     masks captured by an earlier live pass, keyed by site label, so repeated
-    forward evaluations see a frozen mask. With record="full" each record
-    keeps the mask itself plus pre/post weight copies for inspection dumps.
+    forward evaluations see a frozen mask.
 
-    A candidate batch carries (K, heads, n, m) weights and K site labels: its
-    masks are computed and applied in one pass, and one record per label is
-    appended, in label order.
+    Every mode that masks takes one path: get the mask (identified live, or
+    the frozen ones stacked), zero the weights with `apply_mask`, then
+    append one record per site label. A candidate batch carries (K, heads,
+    n, m) weights and K labels, recorded in label order. A summary record
+    holds the site, d_f, density and shape; record="full" adds the
+    `DistractionMask` (a replayed one has zero `rho` and `threshold`) and
+    copies of the pre- and post-mask weights, for inspection dumps.
     """
 
     MODES = ("live", "off", "replay")
@@ -179,52 +178,30 @@ class MaskController:
         labels = tuple(site) if batched else (site,)
         if batched and len(labels) != weights.shape[0]:
             raise ShapeError(f"{len(labels)} site labels for {weights.shape[0]} candidates")
-        if self.mode == "replay":
+        if self.mode == "live":
+            detail = identify_distractions(attn, d_f, allow_above_one=self.allow_above_one)
+            mask = detail.mask
+        else:
             for label in labels:
                 if label not in self.frozen:
                     raise KeyError(f"no frozen mask recorded for site {label!r}")
             frozen = [self.frozen[label] for label in labels]
             mask = np.stack(frozen) if batched else frozen[0]
-            if self.record == "summary":
-                # A summary record needs only each label's density and shape.
-                masked = _zero_masked(attn, mask)
-                d_f = float(d_f)
-                self.records += [
-                    MaskRecord(site=label, d_f=d_f, density=_density(m), shape=tuple(m.shape))
-                    for label, m in zip(labels, frozen)
-                ]
-                return masked
-            detail = DistractionMask(
-                mask=mask,
-                threshold=np.zeros(weights.shape[:-1]),
-                rho=np.zeros(weights.shape[:-1]),
-                d_f=d_f,
-            )
-        else:
-            detail = identify_distractions(attn, d_f, allow_above_one=self.allow_above_one)
-        masked = apply_mask(attn, detail)
-        if not batched:
-            self._record(site, d_f, detail, weights, masked.weights.data)
-            return masked
+        masked = apply_mask(attn, mask)
         for k, label in enumerate(labels):
-            part = DistractionMask(
-                mask=detail.mask[k], threshold=detail.threshold[k], rho=detail.rho[k], d_f=d_f
-            )
-            self._record(label, d_f, part, weights[k], masked.weights.data[k])
+            at = k if batched else ...
+            m = mask[at]
+            rec = MaskRecord(site=label, d_f=float(d_f), density=_density(m), shape=m.shape)
+            if self.record == "full":
+                if self.mode == "live":
+                    rec.detail = DistractionMask(m, detail.threshold[at], detail.rho[at], d_f)
+                else:
+                    rows = m.shape[:-1]
+                    rec.detail = DistractionMask(m, np.zeros(rows), np.zeros(rows), d_f)
+                rec.pre_weights = weights[at].copy()
+                rec.post_weights = masked.weights.data[at].copy()
+            self.records.append(rec)
         return masked
-
-    def _record(self, site: str, d_f: float, detail: DistractionMask, pre, post) -> None:
-        rec = MaskRecord(
-            site=site,
-            d_f=float(d_f),
-            density=detail.density(),
-            shape=tuple(detail.mask.shape),
-        )
-        if self.record == "full":
-            rec.detail = detail
-            rec.pre_weights = pre.copy()
-            rec.post_weights = post.copy()
-        self.records.append(rec)
 
     def frozen_masks(self) -> dict[str, np.ndarray]:
         """Site-to-mask map from the last pass; requires record="full"."""

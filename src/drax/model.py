@@ -16,6 +16,7 @@ candidate under its own `stage3/candK/...` label.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -150,14 +151,19 @@ class DraxConfig:
         return config
 
 
+@functools.cache
 def sinusoidal_encoding(length: int, dim: int) -> np.ndarray:
-    """Classic fixed position table: sin on even channels, cos on odd."""
+    """Classic fixed position table: sin on even channels, cos on odd.
+
+    Built once per (length, dim) and shared, so the table is read-only.
+    """
     positions = np.arange(length, dtype=np.float64)[:, None]
     channels = np.arange(0, dim, 2, dtype=np.float64)
     angles = positions / np.power(10000.0, channels / dim)
     table = np.zeros((length, dim))
     table[:, 0::2] = np.sin(angles)
     table[:, 1::2] = np.cos(angles[:, : dim // 2])
+    table.flags.writeable = False
     return table
 
 
@@ -171,7 +177,7 @@ def add_cls_and_pos(seq: ModalitySequence, cls_token: Parameter,
     tokens = T.concat([cls, tokens], axis=-2)
     length, dim = tokens.shape[-2:]
     if seq.pos_kind == "sinusoidal":
-        tokens = tokens + Tensor(sinusoidal_encoding(length, dim))
+        tokens = tokens + sinusoidal_encoding(length, dim)
     else:
         if pos_table is None:
             raise ValueError(f"{seq.modality} sequence needs a learned position table")

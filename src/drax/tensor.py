@@ -6,7 +6,9 @@ broadcasting, softmax, layer normalization, ELU/ReLU, reductions, slicing,
 reshaping, concatenation and a leading-axis `broadcast`. That is exactly the
 vocabulary the encoder, masking and fusion stack needs, and every operation
 records a vector-Jacobian closure so a single scalar `backward` call fills
-in leaf gradients.
+in leaf gradients. Only `add`, `sub` and `mul` (and so the `+`, `-` and `*`
+operators) accept a scalar or an array operand; every other op takes
+Tensors.
 
 Every recorded op result carries a creation number from one module
 counter. An op's operands exist before its result, so a parent is always
@@ -128,31 +130,11 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return index(self, key)
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def sum(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
 
 
 class Parameter(Tensor):
@@ -292,9 +274,7 @@ def mul(a, b) -> Tensor:
     return _from_op(data, (a, b), vjp)
 
 
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-
+def neg(a: Tensor) -> Tensor:
     def vjp(g):
         return (-g,)
 
@@ -306,10 +286,9 @@ def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product: 2-D @ 2-D, 3-D @ 2-D (`b` shared across the leading
     axis) or equally batched 3-D @ 3-D."""
-    a, b = as_tensor(a), as_tensor(b)
     ad, bd = a.data, b.data
     ok = (
         ad.ndim in (2, 3)
@@ -328,13 +307,12 @@ def matmul(a, b) -> Tensor:
     return _from_op(data, (a, b), vjp)
 
 
-def affine(x, w, b) -> Tensor:
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """`x @ w + b` as one op, for `x` of shape (n, k) or (K, n, k).
 
     `w` (k, m) and `b` are shared across the leading axis; `b` broadcasts
     over rows.
     """
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     xd, wd = x.data, w.data
     if xd.ndim not in (2, 3) or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]:
         raise ShapeError(f"affine shape mismatch: {xd.shape} x {wd.shape}")
@@ -398,7 +376,6 @@ def head_softmax(x_q, w_q, x_k, w_k, head_count: int, scale: float) -> Tensor:
     result has shape (heads, n, m). With a leading candidate axis on both
     `x_q` and `x_k`, (K, n, d) and (K, m, d), it is (K, heads, n, m).
     """
-    x_q, w_q, x_k, w_k = as_tensor(x_q), as_tensor(w_q), as_tensor(x_k), as_tensor(w_k)
     data, vjp = _head_softmax(x_q.data, w_q.data, x_k.data, w_k.data, head_count, scale)
     return _from_op(data, (x_q, w_q, x_k, w_k), vjp)
 
@@ -424,7 +401,7 @@ def _head_mix(wd, vd):
     return data, vjp
 
 
-def head_mix(weights, values) -> Tensor:
+def head_mix(weights: Tensor, values: Tensor) -> Tensor:
     """Mix per-head value subspaces by per-head weights and merge, as one op.
 
     `weights` (heads, n, m) and `values` (m, d) give an (n, d) result whose
@@ -432,9 +409,8 @@ def head_mix(weights, values) -> Tensor:
     leading candidate axis on both, (K, heads, n, m) and (K, m, d), it is
     (K, n, d).
     """
-    w, v = as_tensor(weights), as_tensor(values)
-    data, vjp = _head_mix(w.data, v.data)
-    return _from_op(data, (w, v), vjp)
+    data, vjp = _head_mix(weights.data, values.data)
+    return _from_op(data, (weights, values), vjp)
 
 
 def self_attention_block(x, w_q, w_k, w_v, w_o, gain, bias, head_count: int, scale: float,
@@ -492,13 +468,12 @@ def attend(x, weights, src, w_v, w_o, b_o) -> Tensor:
     return _from_op(x.data + update, (x, weights, src, w_v, w_o, b_o), vjp)
 
 
-def broadcast(a, count: int) -> Tensor:
+def broadcast(a: Tensor, count: int) -> Tensor:
     """Repeat `a` `count` times along a new leading axis, as one op.
 
     This gives every candidate of a batch its own copy of a stream they all
     share; the gradient sums over the new axis.
     """
-    a = as_tensor(a)
     data = np.broadcast_to(a.data, (count,) + a.shape).copy()
 
     def vjp(g):
@@ -507,8 +482,7 @@ def broadcast(a, count: int) -> Tensor:
     return _from_op(data, (a,), vjp)
 
 
-def transpose(a, axes: Sequence[int] | None = None) -> Tensor:
-    a = as_tensor(a)
+def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
     if axes is None:
         axes = tuple(reversed(range(a.ndim)))
     axes = tuple(axes)
@@ -522,8 +496,7 @@ def transpose(a, axes: Sequence[int] | None = None) -> Tensor:
     return _from_op(np.transpose(a.data, axes), (a,), vjp)
 
 
-def reshape(a, shape: tuple[int, ...]) -> Tensor:
-    a = as_tensor(a)
+def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     original = a.shape
     try:
         data = a.data.reshape(shape)
@@ -536,10 +509,9 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
     return _from_op(data, (a,), vjp)
 
 
-def index(a, key) -> Tensor:
+def index(a: Tensor, key) -> Tensor:
     """Basic (slice/int/tuple) indexing, or a permutation array; the gradient
     scatters back into place."""
-    a = as_tensor(a)
     data = a.data[key]
 
     def vjp(g):
@@ -551,7 +523,7 @@ def index(a, key) -> Tensor:
 
 
 def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
-    parts = tuple(as_tensor(p) for p in parts)
+    parts = tuple(parts)
     if not parts:
         raise ShapeError("concat requires at least one tensor")
     try:
@@ -568,8 +540,7 @@ def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
     return _from_op(data, parts, vjp)
 
 
-def tensor_sum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
+def tensor_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     if axis is not None and not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"sum axis {axis} invalid for shape {a.shape}")
     data = a.data.sum(axis=axis, keepdims=keepdims)
@@ -583,14 +554,12 @@ def tensor_sum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return _from_op(data, (a,), vjp)
 
 
-def tensor_mean(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
+def tensor_mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     count = a.size if axis is None else a.shape[axis]
     return tensor_sum(a, axis=axis, keepdims=keepdims) * (1.0 / count)
 
 
-def pow_const(a, exponent: float) -> Tensor:
-    a = as_tensor(a)
+def pow_const(a: Tensor, exponent: float) -> Tensor:
     data = a.data ** exponent
 
     def vjp(g):
@@ -599,8 +568,7 @@ def pow_const(a, exponent: float) -> Tensor:
     return _from_op(data, (a,), vjp)
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
+def exp(a: Tensor) -> Tensor:
     data = np.exp(a.data)
 
     def vjp(g):
@@ -609,9 +577,8 @@ def exp(a) -> Tensor:
     return _from_op(data, (a,), vjp)
 
 
-def softmax(a, axis: int = -1) -> Tensor:
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Max-stabilized softmax along `axis`; rows sum to one."""
-    a = as_tensor(a)
     if not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"softmax axis {axis} invalid for shape {a.shape}")
     data = _softmax_data(a.data, axis)
@@ -644,15 +611,13 @@ def _elu(xd):
     return data, vjp
 
 
-def elu(a) -> Tensor:
+def elu(a: Tensor) -> Tensor:
     """x for x >= 0, exp(x) - 1 below; slope 1 from both sides at zero."""
-    a = as_tensor(a)
     data, vjp = _elu(a.data)
     return _from_op(data, (a,), vjp)
 
 
-def relu(a) -> Tensor:
-    a = as_tensor(a)
+def relu(a: Tensor) -> Tensor:
     data = np.maximum(a.data, 0.0)
     keep = (a.data > 0.0).astype(np.float64)
 
@@ -688,13 +653,12 @@ def _layer_norm(xd, gd, bd, eps: float):
     return data, vjp
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize each last-axis slice to zero mean / unit variance, then scale.
 
     One op with an analytic vector-Jacobian product, instead of the eleven
     primitive ops of the same formula.
     """
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     data, vjp = _layer_norm(x.data, gain.data, bias.data, eps)
     return _from_op(data, (x, gain, bias), vjp)
 

@@ -296,6 +296,17 @@ class TestNonFiniteFeatures:
         assert main(["eval", "--checkpoint", str(checkpoint), "--data", str(data)]) == 3
         assert "non-finite" in capsys.readouterr().err
 
+    def test_nan_label_is_exit_3(self, checkpoint, dataset_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        good = read_features(data / "sample_00000.drxf")
+        poisoned = SimpleNamespace(**vars(good))
+        poisoned.label = np.nan
+        write_features(poisoned, data / "sample_00000.drxf")
+        assert main(["eval", "--checkpoint", str(checkpoint), "--data", str(data)]) == 3
+        err = capsys.readouterr().err
+        assert "label" in err and "Traceback" not in err
+
 
 class TestNonFiniteCheckpoint:
     @pytest.mark.parametrize("name, value", [("decoder.b_out", np.nan), ("decoder.w_a", np.inf)])

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from drax import data
 from drax.data import (
     ANSWER_COUNT,
     BadMagicError,
@@ -124,6 +125,18 @@ class TestFeatureFile:
             parts[field][1, 2] = bad
         with pytest.raises(DataError, match="non-finite"):
             FeatureBundle(**parts)
+
+    @pytest.mark.parametrize("label", [[], [np.nan], [np.inf], [2.6]],
+                             ids=["empty", "nan", "inf", "fraction"])
+    def test_malformed_label_rejected(self, tmp_path, monkeypatch, label):
+        # A well-formed file (valid CRC) whose label tensor is not one integer.
+        bundle = random_bundle()
+        records = data._tensor_records(bundle)[:-1] + [("label", np.array(label))]
+        monkeypatch.setattr(data, "_tensor_records", lambda _: records)
+        path = tmp_path / "label.drxf"
+        write_features(bundle, path)
+        with pytest.raises(DataError, match="label"):
+            read_features(path)
 
 
 class TestPseudoEmbed:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from drax import tensor as T
 from drax.attention import AttentionWeights
 from drax.distraction import (
     DistractionMask,
@@ -116,7 +117,7 @@ class TestApplyMask:
         raw = Tensor(np.array([[[0.5, 0.3, 0.2]]]), requires_grad=True)
         attn = AttentionWeights(weights=raw, head_count=1, scale=1.0)
         masked = apply_mask(attn, identify_distractions(attn, 0.5))
-        masked.weights.sum().backward()
+        T.tensor_sum(masked.weights).backward()
         # tau = 0.25, so only the last position is masked; surviving positions
         # pass gradient through while the masked one gets exactly zero.
         np.testing.assert_array_equal(raw.grad, [[[1.0, 1.0, 0.0]]])
@@ -281,6 +282,25 @@ class TestMaskController:
         with pytest.raises(ShapeError):
             short.apply(attn, 0.8, site)
         assert short.records == []
+
+    @pytest.mark.parametrize("labels", [("x",), ("c0/x", "c1/x", "c2/x")])
+    def test_summary_live_matches_full_live(self, labels):
+        rng = np.random.default_rng(8)
+        slices = [random_row_stochastic(rng, 2, 3, 5) for _ in labels]
+        batched = len(labels) > 1
+        attn = slices[0] if not batched else AttentionWeights(
+            weights=Tensor(np.stack([a.weights.data for a in slices])), head_count=2, scale=1.0
+        )
+        site = labels if batched else labels[0]
+        summary = MaskController(mode="live")
+        full = MaskController(mode="live", record="full")
+        out, want = summary.apply(attn, 0.8, site), full.apply(attn, 0.8, site)
+        assert out.weights.data.tobytes() == want.weights.data.tobytes()
+        assert [(r.site, r.d_f, r.density, r.shape) for r in summary.records] == [
+            (r.site, r.d_f, r.density, r.shape) for r in full.records
+        ]
+        assert all(r.detail is None for r in summary.records)
+        assert all(r.detail is not None and r.density > 0.0 for r in full.records)
 
     def test_candidate_batch_needs_one_label_per_candidate(self):
         batch = AttentionWeights(weights=Tensor(np.full((3, 2, 1, 2), 0.5)), head_count=2,

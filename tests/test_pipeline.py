@@ -143,6 +143,12 @@ class TestSequencesAndPositions:
         assert table[2, 1] == pytest.approx(np.cos(2.0))
         assert table[3, 2] == pytest.approx(np.sin(3.0 / 10000 ** (2 / 8)))
 
+    def test_sinusoidal_table_shared_and_read_only(self):
+        table = sinusoidal_encoding(5, 8)
+        assert sinusoidal_encoding(5, 8) is table
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+
     def test_cls_prepended_and_pos_added(self):
         store = ParamStore(0)
         cls_token = store.row("cls", 6)
