@@ -2,8 +2,9 @@
 
 Sequences flow through per-stream self-attention encoders, then a
 cross-attention layer in which each stream queries the other. The cross
-weights pass through the distraction step before they touch any values, so
-low-relevance context positions contribute nothing to the update.
+weights pass through the distraction step inside the score op, before they
+touch any values, so low-relevance context positions contribute nothing to
+the update.
 """
 
 from __future__ import annotations
@@ -29,13 +30,15 @@ def _head_scale(d: int, head_count: int) -> float:
     return 1.0 / math.sqrt(d / head_count)
 
 
-def scaled_scores(x_q: Tensor, x_k: Tensor, w_q, w_k, head_count: int) -> AttentionWeights:
-    """Project queries and keys, score per head, softmax over the context axis."""
+def scaled_scores(x_q: Tensor, x_k: Tensor, w_q, w_k, head_count: int,
+                  mask=None) -> AttentionWeights:
+    """Project queries and keys, score per head, softmax over the context
+    axis; `mask` (see `tensor.head_softmax`) zeroes weights in the same op."""
     d = x_q.shape[-1]
     if x_k.shape[-1] != d:
         raise ShapeError(f"query dim {d} does not match key dim {x_k.shape[-1]}")
     scale = _head_scale(d, head_count)
-    weights = T.head_softmax(x_q, w_q, x_k, w_k, head_count, scale)
+    weights = T.head_softmax(x_q, w_q, x_k, w_k, head_count, scale, mask)
     return AttentionWeights(weights=weights, head_count=head_count, scale=scale)
 
 
@@ -203,10 +206,10 @@ def cross_encoder_layer(seq1, seq2, p: CrossLayerParams, d_f: float,
     x1, x2 = seq1.tokens, seq2.tokens
     n1 = T.affine(T.layer_norm(x1, p.ln1_gain, p.ln1_bias, p.eps), p.f1_w, p.f1_b)
     n2 = T.affine(T.layer_norm(x2, p.ln2_gain, p.ln2_bias, p.eps), p.f2_w, p.f2_b)
-    a12 = scaled_scores(n1, n2, p.w_q, p.w_k, p.head_count)
-    a21 = scaled_scores(n2, n1, p.w_q, p.w_k, p.head_count)
-    a12 = masker.apply(a12, d_f, sub_site(site, "into1"))
-    a21 = masker.apply(a21, d_f, sub_site(site, "into2"))
+    a12 = scaled_scores(n1, n2, p.w_q, p.w_k, p.head_count,
+                        masker.site(d_f, sub_site(site, "into1")))
+    a21 = scaled_scores(n2, n1, p.w_q, p.w_k, p.head_count,
+                        masker.site(d_f, sub_site(site, "into2")))
     y1 = T.attend(x1, a12.weights, n2, p.w_v2, p.g1_w, p.g1_b)
     y2 = T.attend(x2, a21.weights, n1, p.w_v1, p.g2_w, p.g2_b)
     return _with_tokens(seq1, y1), _with_tokens(seq2, y2)
@@ -218,11 +221,14 @@ def run_encoder_stack(seq1, seq2, stack: EncoderStack, d_f_initial: float, delta
 
     The distraction factor advances by `delta` per level, starting at
     `d_f_initial` for the first cross layer; the masker decides whether the
-    schedule may exceed 1.
+    schedule may exceed 1. An (n, d) `seq1` beside a (K, n, d) candidate
+    batch is self-encoded once, then broadcast to every candidate.
     """
     for k, layer in enumerate(stack.layers, start=1):
         seq1 = self_attention_encoder(seq1, layer.self1)
         seq2 = self_attention_encoder(seq2, layer.self2)
+        if seq1.tokens.ndim < seq2.tokens.ndim:
+            seq1 = _with_tokens(seq1, T.broadcast(seq1.tokens, seq2.tokens.shape[0]))
         d_f = schedule_df(d_f_initial, delta, k, allow_above_one=masker.allow_above_one)
         seq1, seq2 = cross_encoder_layer(
             seq1, seq2, layer.cross, d_f, masker, sub_site(site, f"layer{k}")

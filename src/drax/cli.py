@@ -132,15 +132,6 @@ def _write_jsonl(path: Path, records) -> None:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _metrics_line(metrics: dict) -> dict:
-    return {
-        "epoch": metrics["epoch"],
-        "loss": metrics["loss"],
-        "accuracy": metrics["accuracy"],
-        "mask_density": metrics["mask_density"],
-    }
-
-
 def cmd_train(args) -> int:
     config = build_config(args)
     dataset = load_dataset(args.data)
@@ -150,7 +141,7 @@ def cmd_train(args) -> int:
     lines = []
 
     def log(_epoch, metrics):
-        lines.append(_metrics_line(metrics))
+        lines.append({key: metrics[key] for key in ("epoch", "loss", "accuracy", "mask_density")})
 
     history = fit(model, dataset, on_epoch=log)
     _write_jsonl(out / "metrics.jsonl", lines)
@@ -193,17 +184,11 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def _load_one_sample(path):
-    location = Path(path)
-    if location.is_dir():
-        return load_dataset(location)[0]
-    return read_features(location)
-
-
 def cmd_inspect_attention(args) -> int:
     overrides = coerce_fields(DraxConfig, _parse_overrides(args.set))
     model = load_model(args.checkpoint, overrides)
-    bundle = _load_one_sample(args.data)
+    data = Path(args.data)
+    bundle = load_dataset(data)[0] if data.is_dir() else read_features(data)
     masker = model.make_masker(record="full")
     model.forward(bundle, masker)
     out = Path(args.out)

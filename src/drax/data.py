@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -100,11 +101,13 @@ def write_features(bundle: FeatureBundle, path) -> None:
 
 
 class _Reader:
-    def __init__(self, raw: bytes):
+    """Reads a memoryview front to back; each slice is a view, not a copy."""
+
+    def __init__(self, raw: memoryview):
         self.raw = raw
         self.offset = 0
 
-    def take(self, count: int) -> bytes:
+    def take(self, count: int) -> memoryview:
         if self.offset + count > len(self.raw):
             raise TruncatedError(
                 f"file ends at byte {len(self.raw)}, needed {self.offset + count}"
@@ -123,7 +126,7 @@ def read_features(path) -> FeatureBundle:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read feature file {path}: {exc}") from None
-    reader = _Reader(raw)
+    reader = _Reader(memoryview(raw))
     if reader.take(len(MAGIC)) != MAGIC:
         raise BadMagicError(f"not a feature file: {path}")
     version, count = reader.unpack("<HI")
@@ -133,13 +136,12 @@ def read_features(path) -> FeatureBundle:
     payload_crc = 0
     for _ in range(count):
         (name_len,) = reader.unpack("<H")
-        name = reader.take(name_len).decode("utf-8")
+        name = str(reader.take(name_len), "utf-8")
         dtype_code, rank = reader.unpack("<BB")
         if dtype_code != 0:
             raise DataError(f"unknown dtype code {dtype_code} for tensor {name!r}")
         shape = reader.unpack(f"<{rank}I") if rank else ()
-        size = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        data = reader.take(size * 4)
+        data = reader.take(math.prod(shape) * 4)
         payload_crc = zlib.crc32(data, payload_crc)
         tensors[name] = np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float64)
     (stored_crc,) = reader.unpack("<I")

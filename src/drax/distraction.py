@@ -5,6 +5,11 @@ score; any weight strictly below a configured fraction of it is a
 distraction and is multiplied away. The comparison happens on raw weight
 values, so the mask acts as a constant during differentiation: surviving
 weights pass gradients through, zeroed positions pass nothing.
+
+`MaskController` has one mask-and-record body with two entry points: the
+model passes `site`'s callable to the score op, `tensor.head_softmax`,
+which masks within the same op and gets each row's relevance score free as
+its softmax normaliser's reciprocal; `apply` masks finished weights.
 """
 
 from __future__ import annotations
@@ -74,7 +79,7 @@ def identify_distractions(attn, d_f: float, allow_above_one: bool = False) -> Di
     """Relevance scores, thresholds and mask in one step."""
     rho = relevance_scores(attn)
     tau = threshold(rho, d_f, allow_above_one=allow_above_one)
-    return distraction_mask(attn, tau, d_f=d_f)
+    return DistractionMask(attn.weights.data < tau[..., None], tau, rho, d_f)
 
 
 def apply_mask(attn, mask) -> "AttentionWeights":
@@ -137,13 +142,13 @@ class MaskController:
     masks captured by an earlier live pass, keyed by site label, so repeated
     forward evaluations see a frozen mask.
 
-    Every mode that masks takes one path: get the mask (identified live, or
-    the frozen ones stacked), zero the weights with `apply_mask`, then
-    append one record per site label. A candidate batch carries (K, heads,
-    n, m) weights and K labels, recorded in label order. A summary record
-    holds the site, d_f, density and shape; record="full" adds the
+    Every mode that masks takes one path, `_mask`: get the mask (the
+    threshold on `rho` live, the frozen ones stacked), then append one
+    record per site label. A candidate batch carries (K, heads, n, m)
+    weights and K labels, recorded in label order. A summary record holds
+    the site, d_f, density and shape; record="full" adds the
     `DistractionMask` (a replayed one has zero `rho` and `threshold`) and
-    copies of the pre- and post-mask weights, for inspection dumps.
+    the pre- and post-mask weights, for inspection dumps.
     """
 
     MODES = ("live", "off", "replay")
@@ -170,38 +175,50 @@ class MaskController:
     def begin_pass(self) -> None:
         self.records.clear()
 
+    def site(self, d_f: float, site):
+        """`_mask` for one site (or candidate batch) as `head_softmax`'s `mask`."""
+        if self.mode == "off":
+            return None
+        return lambda weights, rho: self._mask(weights, rho, d_f, site)
+
     def apply(self, attn, d_f: float, site) -> "AttentionWeights":
         if self.mode == "off":
             return attn
-        weights = attn.weights.data
+        rho = relevance_scores(attn) if self.mode == "live" else None
+        return apply_mask(attn, self._mask(attn.weights.data, rho, d_f, site))
+
+    def _mask(self, weights: np.ndarray, rho: np.ndarray | None, d_f: float,
+              site) -> np.ndarray:
+        """The mask for pre-mask `weights` with row maxima `rho`, recorded."""
         batched = weights.ndim == 4
         labels = tuple(site) if batched else (site,)
         if batched and len(labels) != weights.shape[0]:
             raise ShapeError(f"{len(labels)} site labels for {weights.shape[0]} candidates")
         if self.mode == "live":
-            detail = identify_distractions(attn, d_f, allow_above_one=self.allow_above_one)
-            mask = detail.mask
+            tau = threshold(rho, d_f, allow_above_one=self.allow_above_one)
+            mask = weights < tau[..., None]
         else:
             for label in labels:
                 if label not in self.frozen:
                     raise KeyError(f"no frozen mask recorded for site {label!r}")
             frozen = [self.frozen[label] for label in labels]
-            mask = np.stack(frozen) if batched else frozen[0]
-        masked = apply_mask(attn, mask)
+            mask = np.stack(frozen) if batched else np.asarray(frozen[0], dtype=bool)
+            if mask.shape != weights.shape:
+                raise ShapeError(f"mask shape {mask.shape} does not match weights {weights.shape}")
         for k, label in enumerate(labels):
             at = k if batched else ...
             m = mask[at]
             rec = MaskRecord(site=label, d_f=float(d_f), density=_density(m), shape=m.shape)
             if self.record == "full":
                 if self.mode == "live":
-                    rec.detail = DistractionMask(m, detail.threshold[at], detail.rho[at], d_f)
+                    rec.detail = DistractionMask(m, tau[at], rho[at], d_f)
                 else:
                     rows = m.shape[:-1]
                     rec.detail = DistractionMask(m, np.zeros(rows), np.zeros(rows), d_f)
                 rec.pre_weights = weights[at].copy()
-                rec.post_weights = masked.weights.data[at].copy()
+                rec.post_weights = weights[at] * (1.0 - m)
             self.records.append(rec)
-        return masked
+        return mask
 
     def frozen_masks(self) -> dict[str, np.ndarray]:
         """Site-to-mask map from the last pass; requires record="full"."""

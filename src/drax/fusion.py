@@ -77,8 +77,9 @@ def vector_space_transform(x_a: Tensor, x_t: Tensor, params: FusionParams,
         raise ShapeError(
             f"anchor dim {x_a.shape[-1]} does not match tail dim {x_t.shape[-1]}"
         )
-    attn = scaled_scores(x_a, x_t, params.w_q, params.w_k, params.head_count)
-    return attended_values(masker.apply(attn, d_f_fusion, site), x_t)
+    attn = scaled_scores(x_a, x_t, params.w_q, params.w_k, params.head_count,
+                         masker.site(d_f_fusion, site))
+    return attended_values(attn, x_t)
 
 
 def cross_aligned_fuse(x_a: Tensor, x_t_align: Tensor, params: FusionParams) -> Tensor:

@@ -9,8 +9,8 @@ the final per-candidate mean feeding the answer decoder.
 
 Stage 3 runs once for all candidates of equal length, stacked on a leading
 candidate axis: answer tokens are (K, n, d), the shared fused stream is
-broadcast to every candidate, and each masking site records one entry per
-candidate under its own `stage3/candK/...` label.
+self-encoded once and then broadcast to every candidate, and each masking
+site records one entry per candidate under its own `stage3/candK/...` label.
 """
 
 from __future__ import annotations
@@ -361,10 +361,6 @@ class DraxModel:
         site = site or sp.name
         x1 = add_cls_and_pos(seq1, sp.cls1, sp.pos1)
         x2 = add_cls_and_pos(seq2, sp.cls2, sp.pos2)
-        if x1.tokens.ndim < x2.tokens.ndim:
-            x1 = ModalitySequence(
-                T.broadcast(x1.tokens, x2.tokens.shape[0]), x1.modality, x1.has_cls
-            )
         y1, y2 = run_encoder_stack(
             x1, x2, sp.stack, cfg.d_f_initial, cfg.delta, masker, site=site
         )

@@ -23,7 +23,8 @@ analytic vector-Jacobian products:
 - `layer_norm`: normalize, scale and shift;
 - `affine`: `x @ w + b`;
 - `head_softmax`: project queries and keys, split them into heads,
-  score, scale and softmax over the key axis;
+  score, scale and softmax over the key axis, then zero the entries a
+  masking site's callable marks (it sees `1 / row sum` as the row max);
 - `head_mix`: weight per-head values and merge the heads back;
 - `self_attention_block`, `feed_forward_block`: the two halves of a
   self-attention encoder, each with its residual and `layer_norm`;
@@ -340,7 +341,7 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(-3, -2).reshape(x.shape[:-3] + (n, h * dh))
 
 
-def _head_softmax(xq, wq, xk, wk, head_count: int, scale: float):
+def _head_softmax(xq, wq, xk, wk, head_count: int, scale: float, mask=None):
     """The `head_softmax` kernel on arrays: (data, vjp)."""
     if not (
         xq.ndim == xk.ndim
@@ -357,10 +358,18 @@ def _head_softmax(xq, wq, xk, wk, head_count: int, scale: float):
     if wq.shape[1] % head_count != 0:
         raise ShapeError(f"hidden dim {wq.shape[1]} not divisible by {head_count} heads")
     qh, kh = _split_heads(xq @ wq, head_count), _split_heads(xk @ wk, head_count)
-    data = _softmax_data((qh @ kh.swapaxes(-1, -2)) * scale, -1)
+    soft, sums = _softmax_data((qh @ kh.swapaxes(-1, -2)) * scale, -1)
+    data, keep = soft, None
+    # A row's largest exp is exp(0) = 1.0, so its largest weight is 1 / sum.
+    masked = None if mask is None else mask(soft, (1.0 / sums)[..., 0])
+    if masked is not None and masked.any():
+        if masked.shape != soft.shape:
+            raise ShapeError(f"mask shape {masked.shape} does not match weights {soft.shape}")
+        keep = 1.0 - masked
+        data = soft * keep
 
     def vjp(g):
-        gs = _softmax_grad(g, data, -1) * scale
+        gs = _softmax_grad(g if keep is None else g * keep, soft, -1) * scale
         g_q = _merge_heads(gs @ kh)
         g_k = _merge_heads(gs.swapaxes(-1, -2) @ qh)
         return g_q @ wq.T, _weight_grad(xq, g_q), g_k @ wk.T, _weight_grad(xk, g_k)
@@ -368,15 +377,19 @@ def _head_softmax(xq, wq, xk, wk, head_count: int, scale: float):
     return data, vjp
 
 
-def head_softmax(x_q, w_q, x_k, w_k, head_count: int, scale: float) -> Tensor:
+def head_softmax(x_q, w_q, x_k, w_k, head_count: int, scale: float, mask=None) -> Tensor:
     """Per-head `softmax(q_h k_h^T * scale)` over the key axis, as one op.
 
     The projections `q = x_q @ w_q` (n, d) and `k = x_k @ w_k` (m, d) are
     split column-wise into `head_count` subspaces of d/head_count; the
     result has shape (heads, n, m). With a leading candidate axis on both
     `x_q` and `x_k`, (K, n, d) and (K, m, d), it is (K, heads, n, m).
+
+    `mask(weights, rho)`, if given, sees the weights and each row's largest
+    weight and returns a bool array shaped like the weights, or None. The
+    True entries are zeroed, and the gradient treats the mask as a constant.
     """
-    data, vjp = _head_softmax(x_q.data, w_q.data, x_k.data, w_k.data, head_count, scale)
+    data, vjp = _head_softmax(x_q.data, w_q.data, x_k.data, w_k.data, head_count, scale, mask)
     return _from_op(data, (x_q, w_q, x_k, w_k), vjp)
 
 
@@ -581,7 +594,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Max-stabilized softmax along `axis`; rows sum to one."""
     if not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"softmax axis {axis} invalid for shape {a.shape}")
-    data = _softmax_data(a.data, axis)
+    data = _softmax_data(a.data, axis)[0]
 
     def vjp(g):
         return (_softmax_grad(g, data, axis),)
@@ -589,9 +602,11 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _from_op(data, (a,), vjp)
 
 
-def _softmax_data(x: np.ndarray, axis: int) -> np.ndarray:
+def _softmax_data(x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Max-stabilized softmax along `axis`, and its normaliser (kept dims)."""
     exps = np.exp(x - x.max(axis=axis, keepdims=True))
-    return exps / exps.sum(axis=axis, keepdims=True)
+    sums = exps.sum(axis=axis, keepdims=True)
+    return exps / sums, sums
 
 
 def _softmax_grad(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:

@@ -3,8 +3,10 @@
 Training takes one SGD step per sample on the hinge loss. A loss of exactly
 0 means every relu of the hinge is inactive, so every parameter gradient is
 exactly 0 and the update would change nothing: such steps skip backward and
-the update. A NaN loss is not 0 and runs backward, but a step whose gradient
-norm is not finite skips the update, so one NaN cannot poison the model.
+the update. So do steps whose loss is NaN or infinite: a NaN that reaches
+the loss only through the hinge would otherwise give all-zero gradients
+(relu passes none for NaN) and a silent no-op step. A step whose gradient
+norm is not finite also skips the update, so one NaN cannot poison the model.
 """
 
 from __future__ import annotations
@@ -46,17 +48,12 @@ def sgd_step(params, learning_rate: float, grad_clip: float = 0.0) -> float:
     return norm
 
 
-def _merge_densities(totals: dict, counts: dict, densities: dict) -> None:
-    for site, value in densities.items():
-        totals[site] = totals.get(site, 0.0) + value
-        counts[site] = counts.get(site, 0) + 1
-
-
 def train_epoch(model: DraxModel, dataset, epoch: int) -> dict:
     """One pass over the dataset in a seed-and-epoch-determined shuffle order.
 
-    Updates follow each sample (single-sample steps); a zero-loss sample
-    takes no step and leaves every `.grad` None. The reported accuracy uses
+    Updates follow each sample (single-sample steps); a sample whose loss is
+    zero or not finite takes no step and leaves every `.grad` None, and its
+    loss still counts towards the reported mean. The reported accuracy uses
     each sample's prediction before its own update. Returns epoch-mean loss,
     accuracy, and the mean mask density per masking site.
     """
@@ -75,12 +72,14 @@ def train_epoch(model: DraxModel, dataset, epoch: int) -> dict:
         model.zero_grad()
         loss, probs = model.sample_loss(bundle, masker)
         value = loss.item()
-        if value != 0.0:
+        if value != 0.0 and math.isfinite(value):
             loss.backward()
             sgd_step(params, cfg.learning_rate, cfg.grad_clip)
         loss_total += value
         hits += int(predict(probs) == bundle.label)
-        _merge_densities(density_totals, density_counts, masker.density_by_site())
+        for site, density in masker.density_by_site().items():
+            density_totals[site] = density_totals.get(site, 0.0) + density
+            density_counts[site] = density_counts.get(site, 0) + 1
     count = len(dataset)
     return {
         "loss": loss_total / count,

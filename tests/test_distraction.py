@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from drax import distraction as D
 from drax import tensor as T
 from drax.attention import AttentionWeights
+from drax.data import SyntheticSpec, generate_synthetic
 from drax.distraction import (
     DistractionMask,
     MaskController,
@@ -15,6 +17,7 @@ from drax.distraction import (
     schedule_df,
     threshold,
 )
+from drax.model import DraxConfig, DraxModel
 from drax.tensor import ShapeError, Tensor
 
 
@@ -336,3 +339,113 @@ class TestMaskController:
             rho=np.zeros((1, 1)),
         )
         assert dm.density() == 0.5
+
+
+def _score_inputs(rng, batched):
+    """Grad-requiring (x_q, w_q, x_k, w_k) for a 2-head score op, with a
+    3-candidate leading axis when `batched`."""
+    lead = (3,) if batched else ()
+    shapes = (lead + (4, 6), (6, 6), lead + (5, 6), (6, 6))
+    return [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+
+
+class TestMaskedScoreOp:
+    """`head_softmax` masking through `MaskController.site` against
+    `head_softmax` followed by `MaskController.apply`: values, records and
+    every input gradient bit-identical, in one tape op."""
+
+    def _run(self, fused, ctrl, inputs, d_f, site, probe):
+        for t in inputs:
+            t.zero_grad()
+        ops = 0
+        original = T._from_op
+
+        def counted(*args):
+            nonlocal ops
+            ops += 1
+            return original(*args)
+
+        T._from_op = counted
+        try:
+            if fused:
+                weights = T.head_softmax(*inputs, 2, 0.7, ctrl.site(d_f, site))
+            else:
+                attn = AttentionWeights(T.head_softmax(*inputs, 2, 0.7), head_count=2, scale=0.7)
+                weights = ctrl.apply(attn, d_f, site).weights
+        finally:
+            T._from_op = original
+        T.tensor_sum(weights * probe).backward()
+        return weights.data, [t.grad for t in inputs], ops
+
+    @pytest.mark.parametrize("d_f", [0.0, 0.6])
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("record", ["summary", "full"])
+    @pytest.mark.parametrize("mode", ["live", "replay", "off"])
+    def test_matches_apply(self, mode, record, batched, d_f):
+        """In replay, d_f = 0 pairs with all-false frozen masks, so both
+        modes cover the path where nothing is masked."""
+        rng = np.random.default_rng(31)
+        labels = ("c0/x", "c1/x", "c2/x") if batched else ("x",)
+        site = labels if batched else labels[0]
+        frozen = {label: rng.random((2, 4, 5)) < (0.4 if d_f else 0.0) for label in labels}
+        inputs = _score_inputs(rng, batched)
+        probe = rng.normal(size=(3, 2, 4, 5) if batched else (2, 4, 5))
+
+        def controller():
+            return MaskController(mode=mode, record=record, frozen=frozen)
+
+        fused, split = controller(), controller()
+        values, grads, ops = self._run(True, fused, inputs, d_f, site, probe)
+        want_values, want_grads, want_ops = self._run(False, split, inputs, d_f, site, probe)
+        assert values.tobytes() == want_values.tobytes()
+        for grad, want in zip(grads, want_grads):
+            assert grad.tobytes() == want.tobytes()
+        assert ops == 1
+        masked = mode != "off" and d_f > 0.0
+        assert want_ops == (2 if masked else 1)
+        assert (values == 0.0).any() == masked
+        assert len(fused.records) == (0 if mode == "off" else len(labels))
+        for k, (rec, want) in enumerate(zip(fused.records, split.records, strict=True)):
+            assert (rec.site, rec.d_f, rec.density, rec.shape) == (
+                want.site, want.d_f, want.density, want.shape)
+            if record == "summary":
+                assert rec.detail is None and want.detail is None
+                continue
+            for field in ("mask", "rho", "threshold"):
+                assert getattr(rec.detail, field).tobytes() == getattr(want.detail, field).tobytes()
+            assert rec.detail.d_f == want.detail.d_f
+            assert rec.pre_weights.tobytes() == want.pre_weights.tobytes()
+            assert rec.post_weights.tobytes() == want.post_weights.tobytes()
+            assert rec.post_weights.tobytes() == values[k if batched else ...].tobytes()
+            if mode == "replay":
+                assert rec.detail.mask.tobytes() == frozen[rec.site].tobytes()
+
+    def test_mask_shape_checked(self):
+        rng = np.random.default_rng(32)
+        inputs = _score_inputs(rng, False)
+        with pytest.raises(ShapeError):
+            T.head_softmax(*inputs, 2, 0.7, lambda w, rho: np.ones(w.shape[:-1] + (1,), bool))
+        short = MaskController(mode="replay", frozen={"x": np.ones((2, 4, 4), dtype=bool)})
+        with pytest.raises(ShapeError):
+            T.head_softmax(*inputs, 2, 0.7, short.site(0.5, "x"))
+        assert short.records == []
+
+    def test_model_masks_inside_the_score_op(self, monkeypatch):
+        """A forward never calls `apply`, `apply_mask` or `relevance_scores`:
+        no separate mask op and no second row-max pass at any site."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the model masks outside the score op")
+
+        for name in ("apply_mask", "relevance_scores", "identify_distractions"):
+            monkeypatch.setattr(D, name, refuse)
+        monkeypatch.setattr(D.MaskController, "apply", refuse)
+        config = DraxConfig(d=8, heads=2, layers=2, appearance_dim=6, motion_dim=5,
+                            text_dim=7, max_positions=20)
+        spec = SyntheticSpec(samples=1, frames=6, clips=3, question_len=3, answer_len=2,
+                             signal_dims=3, distractor_tokens=1, appearance_dim=6,
+                             motion_dim=5, text_dim=7)
+        masker = MaskController(record="full")
+        DraxModel(config).forward(generate_synthetic(spec)[0], masker)
+        # Per stage: 2 layers x 2 directions + 1 fusion site; stage 3 per candidate.
+        assert len(masker.records) == 2 * 5 + 4 * 5
+        assert any(rec.density > 0.0 for rec in masker.records)

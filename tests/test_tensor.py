@@ -484,6 +484,28 @@ class TestFusedOps:
         assert T.layer_norm(x, b, b)._parents == (x, b, b)
         assert T.affine(x, w, b)._parents == (x, w, b)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_softmax_normaliser_reciprocal_is_row_max(self, seed):
+        """The masker's relevance score `1 / sum` equals the largest softmax
+        weight bit for bit, for scores up to 1e3 in magnitude with ties."""
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-3, 3, size=(40, 1, 1))
+        scores = rng.normal(size=(40, 6, 9)) * scale
+        scores[:, :, 5:] = scores[:, :, :4]  # tied pairs, including tied maxima
+        scores[:5] = np.round(scores[:5])  # integer scores: many ties
+        scores[5] = 7.0  # whole rows tied
+        scores = np.clip(scores, -1e3, 1e3)
+        weights, sums = T._softmax_data(scores, -1)
+        assert ((1.0 / sums)[..., 0]).tobytes() == weights.max(axis=-1).tobytes()
+        seen = []
+        x_q = Tensor(rng.uniform(-20.0, 20.0, size=(2, 5, 4)))  # scores up to 800
+        x_k = Tensor(np.concatenate([x_q.data, x_q.data[:, :3]], axis=1))
+        eye = Tensor(np.eye(4))
+        T.head_softmax(x_q, eye, x_k, eye, 2, 1.0, lambda w, rho: seen.append((w, rho)))
+        (w, rho), = seen
+        assert rho.shape == (2, 2, 5)
+        assert rho.tobytes() == w.max(axis=-1).tobytes()
+
     def test_fused_op_shape_errors(self):
         with pytest.raises(ShapeError):
             T.affine(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
