@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import atomic_write
 from .model import DraxConfig, DraxModel
 
 
@@ -16,14 +17,17 @@ class CheckpointError(Exception):
 
 
 def save_checkpoint(model: DraxModel, path) -> None:
-    """Write config and every named parameter, in registration order."""
+    """Write config and every named parameter, in registration order.
+
+    The file is replaced whole: a write that fails keeps the previous one.
+    """
     arrays = model.param_arrays()
     entries = [{"name": name, "shape": list(array.shape)} for name, array in arrays.items()]
     header = json.dumps(
         {"config": model.config.to_dict(), "params": entries}, sort_keys=True
     ).encode("utf-8")
     # Write straight from the parameter buffers: no payload-sized intermediate copy.
-    with open(path, "wb") as out:
+    with atomic_write(path) as out:
         out.write(struct.pack("<I", len(header)) + header)
         for array in arrays.values():
             out.write(memoryview(np.ascontiguousarray(array, dtype="<f8")))

@@ -19,6 +19,7 @@ from .checkpoint import CheckpointError, load_model, save_checkpoint
 from .data import (
     DataError,
     SyntheticSpec,
+    atomic_write,
     generate_synthetic,
     load_dataset,
     read_features,
@@ -127,7 +128,7 @@ def build_spec(args) -> SyntheticSpec:
 
 
 def _write_jsonl(path: Path, records) -> None:
-    with open(path, "w") as handle:
+    with atomic_write(path, "w") as handle:
         for record in records:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
 
@@ -207,7 +208,7 @@ def cmd_inspect_attention(args) -> int:
                     "tau": detail.threshold[head].tolist(),
                     "mask": detail.mask[head].astype(int).tolist(),
                     "pre_weights": rec.pre_weights[head].tolist(),
-                    "post_weights": rec.post_weights[head].tolist(),
+                    "post_weights": (rec.pre_weights[head] * (1.0 - detail.mask[head])).tolist(),
                 }
             )
         records.append(

@@ -2,18 +2,24 @@
 
 A sample is four modalities plus a label. On disk each sample is a "DRXF"
 container: little-endian named float32 tensors followed by a CRC-32 over the
-payload bytes. The synthetic generator plants a shared signal vector into a
-minority of video tokens and into the correct answer, buries everything in
-noise, and scatters a few high-variance distractor tokens through the video
-sequences, giving a controllable benchmark for the masking machinery.
+payload bytes. In memory a bundle holds float32 arrays too, the values the
+file stores; the model widens them to float64 when it embeds them. Every
+output file is written whole or not at all (`atomic_write`).
+
+The synthetic generator plants a shared signal vector into a minority of
+video tokens and into the correct answer, buries everything in noise, and
+scatters a few high-variance distractor tokens through the video sequences,
+giving a controllable benchmark for the masking machinery.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -49,7 +55,14 @@ class TruncatedError(DataError):
 
 @dataclass
 class FeatureBundle:
-    """One question's worth of features: video streams, question, candidates."""
+    """One question's worth of features: video streams, question, candidates.
+
+    Every feature array is held as float32, the precision a DRXF file
+    stores, so a bundle in memory holds exactly what `write_features` writes
+    and `read_features` returns. Arrays already float32 are kept, not
+    copied. A value that is NaN, infinite or beyond float32's range raises
+    DataError.
+    """
 
     appearance: np.ndarray
     motion: np.ndarray
@@ -58,16 +71,21 @@ class FeatureBundle:
     label: int
 
     def __post_init__(self):
-        self.answers = tuple(np.asarray(a, dtype=np.float64) for a in self.answers)
+        # An out-of-range value casts to inf, which the finiteness check
+        # rejects; numpy's cast warning would only repeat that.
+        with np.errstate(over="ignore"):
+            self.answers = tuple(np.asarray(a, dtype=np.float32) for a in self.answers)
+            for name in ("appearance", "motion", "question"):
+                setattr(self, name, np.asarray(getattr(self, name), dtype=np.float32))
         if len(self.answers) != ANSWER_COUNT:
             raise DataError(f"expected {ANSWER_COUNT} answer candidates, got {len(self.answers)}")
         if not 0 <= self.label < ANSWER_COUNT:
             raise DataError(f"label {self.label} out of range [0, {ANSWER_COUNT})")
-        for name in ("appearance", "motion", "question"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         for name, array in _tensor_records(self):
             if not np.isfinite(array).all():
-                raise DataError(f"{name} features hold non-finite values")
+                raise DataError(
+                    f"{name} features hold non-finite values (NaN, inf, or beyond float32 range)"
+                )
 
 
 def _tensor_records(bundle: FeatureBundle) -> list[tuple[str, np.ndarray]]:
@@ -79,6 +97,26 @@ def _tensor_records(bundle: FeatureBundle) -> list[tuple[str, np.ndarray]]:
     records.extend((f"answer{i}", a) for i, a in enumerate(bundle.answers))
     records.append(("label", np.array([float(bundle.label)])))
     return records
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "wb"):
+    """Write `path` whole or not at all.
+
+    Yields a handle on a temporary file in the target's directory. On a
+    clean exit the temporary file replaces `path` in one `os.replace`; if
+    the body raises, it is removed and `path` keeps its previous bytes.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def write_features(bundle: FeatureBundle, path) -> None:
@@ -97,7 +135,8 @@ def write_features(bundle: FeatureBundle, path) -> None:
         blob += data
         payload_crc = zlib.crc32(data, payload_crc)
     blob += struct.pack("<I", payload_crc)
-    Path(path).write_bytes(bytes(blob))
+    with atomic_write(path) as out:
+        out.write(blob)
 
 
 class _Reader:
@@ -121,7 +160,11 @@ class _Reader:
 
 
 def read_features(path) -> FeatureBundle:
-    """Read a bundle back; promotes stored float32 payloads to float64."""
+    """Read a bundle back, checking magic, version, CRC, label and values.
+
+    Each feature array is a read-only float32 view of the file's bytes, not
+    a copy; the model widens it to float64 when it embeds it.
+    """
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -143,7 +186,7 @@ def read_features(path) -> FeatureBundle:
         shape = reader.unpack(f"<{rank}I") if rank else ()
         data = reader.take(math.prod(shape) * 4)
         payload_crc = zlib.crc32(data, payload_crc)
-        tensors[name] = np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float64)
+        tensors[name] = np.frombuffer(data, dtype="<f4").reshape(shape)
     (stored_crc,) = reader.unpack("<I")
     if stored_crc != payload_crc:
         raise ChecksumError(
@@ -221,7 +264,8 @@ def _video_sequence(rng, rows: int, dim: int, spec: SyntheticSpec,
                                  size=(spec.distractor_tokens, dim))
         total = rows + spec.distractor_tokens
         slots = rng.choice(total, size=spec.distractor_tokens, replace=False)
-        merged = np.zeros((total, dim))
+        # Rows land in float32 here, so the bundle keeps this array as is.
+        merged = np.zeros((total, dim), dtype=np.float32)
         keep = np.setdiff1d(np.arange(total), slots)
         merged[keep] = tokens
         merged[slots] = distractors
@@ -230,7 +274,11 @@ def _video_sequence(rng, rows: int, dim: int, spec: SyntheticSpec,
 
 
 def generate_synthetic(spec: SyntheticSpec) -> list[FeatureBundle]:
-    """Plant one signal per sample into the video streams and correct answer."""
+    """Plant one signal per sample into the video streams and correct answer.
+
+    Values are drawn in float64 and held as float32, so each bundle equals
+    what `save_dataset` writes and `load_dataset` reads back.
+    """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
     bundles = []
@@ -270,7 +318,8 @@ def save_dataset(bundles, directory, spec: SyntheticSpec | None = None) -> Path:
     if spec is not None:
         manifest["spec"] = dataclasses.asdict(spec)
     manifest_path = directory / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    with atomic_write(manifest_path, "w") as out:
+        out.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return manifest_path
 
 

@@ -131,7 +131,6 @@ class MaskRecord:
     shape: tuple[int, ...]
     detail: DistractionMask | None = None
     pre_weights: np.ndarray | None = None
-    post_weights: np.ndarray | None = None
 
 
 class MaskController:
@@ -148,7 +147,8 @@ class MaskController:
     weights and K labels, recorded in label order. A summary record holds
     the site, d_f, density and shape; record="full" adds the
     `DistractionMask` (a replayed one has zero `rho` and `threshold`) and
-    the pre- and post-mask weights, for inspection dumps.
+    the pre-mask weights, for inspection dumps; the post-mask weights are
+    `pre_weights * (1 - mask)`, as the no-renormalisation rule leaves them.
     """
 
     MODES = ("live", "off", "replay")
@@ -216,7 +216,6 @@ class MaskController:
                     rows = m.shape[:-1]
                     rec.detail = DistractionMask(m, np.zeros(rows), np.zeros(rows), d_f)
                 rec.pre_weights = weights[at].copy()
-                rec.post_weights = weights[at] * (1.0 - m)
             self.records.append(rec)
         return mask
 

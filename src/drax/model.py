@@ -334,6 +334,7 @@ class DraxModel:
 
     def embed_tokens(self, raw: np.ndarray, modality: str) -> ModalitySequence:
         w, b = self.embeddings[modality]
+        # Bundles hold float32 features; this is where they become float64.
         raw = np.asarray(raw, dtype=np.float64)
         # Only answers come as a candidate batch (K, n, raw_dim).
         ranks = (2, 3) if modality == "answer" else (2,)

@@ -487,7 +487,7 @@ def broadcast(a: Tensor, count: int) -> Tensor:
     This gives every candidate of a batch its own copy of a stream they all
     share; the gradient sums over the new axis.
     """
-    data = np.broadcast_to(a.data, (count,) + a.shape).copy()
+    data = np.repeat(a.data[None], count, axis=0)
 
     def vjp(g):
         return (g.sum(axis=0),)
@@ -547,8 +547,14 @@ def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
         ) from exc
 
     def vjp(g):
-        offsets = np.cumsum([p.shape[axis] for p in parts])[:-1]
-        return tuple(np.split(g, offsets, axis=axis))
+        # Basic slices: each part is a view of `g`, as np.split gives.
+        lead = (slice(None),) * (axis % g.ndim)
+        out, start = [], 0
+        for p in parts:
+            stop = start + p.shape[axis]
+            out.append(g[lead + (slice(start, stop),)])
+            start = stop
+        return tuple(out)
 
     return _from_op(data, parts, vjp)
 
@@ -560,9 +566,9 @@ def tensor_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Te
 
     def vjp(g):
         if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
+            return (np.full(a.shape, g),)
         g2 = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g2, a.shape).copy(),)
+        return (np.repeat(g2, a.shape[axis], axis=axis),)
 
     return _from_op(data, (a,), vjp)
 

@@ -1,17 +1,27 @@
 """End-to-end checks for the command-line entry points."""
 
+import dataclasses
 import json
 import shutil
 import struct
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import drax.data
 from drax.checkpoint import load_model, read_checkpoint, save_checkpoint
-from drax.cli import ABLATION_VARIANTS, build_parser, main, parse_config_file
-from drax.data import SyntheticSpec, generate_synthetic, read_features, save_dataset, write_features
-from drax.model import DraxConfig
+from drax.cli import ABLATION_VARIANTS, _write_jsonl, build_parser, main, parse_config_file
+from drax.data import (
+    SyntheticSpec,
+    generate_synthetic,
+    load_dataset,
+    read_features,
+    save_dataset,
+    write_features,
+)
+from drax.model import DraxConfig, DraxModel
 
 
 TINY_MODEL_SETS = [
@@ -321,6 +331,63 @@ class TestNonFiniteCheckpoint:
                      "--out", str(out)]) == 4
         assert f"parameter {name!r} holds NaN or infinite values" in capsys.readouterr().err
         assert not (out / "eval.jsonl").exists()
+
+
+class _HalfWrite:
+    """A file handle that keeps the first half of a write, then fails."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, chunk):
+        self.handle.write(chunk[:len(chunk) // 2])
+        raise OSError(28, "No space left on device")
+
+
+class TestAtomicWrites:
+    """A write that fails partway leaves the previous file byte-identical."""
+
+    @pytest.mark.parametrize("target", [
+        "model.ckpt", "metrics.jsonl", "sample_00001.drxf", "manifest.json",
+    ])
+    def test_failed_write_keeps_previous_file(self, dataset_dir, tmp_path, monkeypatch,
+                                              target):
+        bundles = load_dataset(dataset_dir)
+        config = DraxConfig(d=8, heads=2, layers=1, appearance_dim=12, motion_dim=16,
+                            text_dim=10, max_positions=14)
+
+        def write(version):
+            if target == "model.ckpt":
+                save_checkpoint(DraxModel(dataclasses.replace(config, seed=version)),
+                                tmp_path / target)
+            elif target == "metrics.jsonl":
+                _write_jsonl(tmp_path / target, [{"epoch": 1, "loss": 0.5 + version}])
+            else:
+                save_dataset(bundles[version:] + bundles[:version], tmp_path)
+
+        write(0)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        real_open = open
+
+        def failing_open(path, mode="r", *args, **kwargs):
+            handle = real_open(path, mode, *args, **kwargs)
+            return _HalfWrite(handle) if target in Path(path).name else handle
+
+        monkeypatch.setattr(drax.data, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            write(1)
+        after = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert after.keys() == before.keys()  # no temporary file left behind
+        assert after[target] == before[target]
+        monkeypatch.undo()
+        write(1)
+        assert (tmp_path / target).read_bytes() != before[target]
 
 
 class TestInspectAttention:

@@ -110,8 +110,11 @@ class TestFeatureFile:
                 answers=(rng.normal(size=(1, 3)),) * 4, label=9,
             )
 
+    # 1e39 is beyond float32's range: the bundle would hold inf, and a file
+    # written from it would be refused on read. No cast warning may escape.
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("field", ["appearance", "motion", "question", "answers"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e39, -1e39])
     def test_non_finite_bundle_rejected(self, field, bad):
         rng = np.random.default_rng(2)
         parts = dict(
@@ -125,6 +128,41 @@ class TestFeatureFile:
             parts[field][1, 2] = bad
         with pytest.raises(DataError, match="non-finite"):
             FeatureBundle(**parts)
+
+    def test_float32_extremes_round_trip(self, tmp_path):
+        top = np.finfo(np.float32).max
+        tiny = np.finfo(np.float32).smallest_subnormal
+        bundle = FeatureBundle(
+            appearance=np.full((2, 3), top, dtype=np.float64), motion=np.full((2, 3), -top),
+            question=np.full((2, 3), tiny), answers=random_bundle().answers, label=1,
+        )
+        write_features(bundle, tmp_path / "edge.drxf")
+        back = read_features(tmp_path / "edge.drxf")
+        for got, want in ((back.appearance, top), (back.motion, -top), (back.question, tiny)):
+            assert got.dtype == np.float32 and (got == want).all()
+
+    def test_bundles_hold_float32(self, tmp_path):
+        wide = random_bundle()
+        built = FeatureBundle(
+            appearance=wide.appearance.astype(np.float64), motion=wide.motion.tolist(),
+            question=wide.question, answers=wide.answers, label=wide.label,
+        )
+        # float32 input is kept as is, not copied.
+        assert built.question is wide.question
+        generated = generate_synthetic(TINY)
+        save_dataset(generated, tmp_path, TINY)
+        read = load_dataset(tmp_path)
+        for bundle in [built, *generated, *read]:
+            for array in (bundle.appearance, bundle.motion, bundle.question, *bundle.answers):
+                assert array.dtype == np.float32
+        for got, want in zip(read, generated, strict=True):
+            for name in ("appearance", "motion", "question"):
+                array = getattr(got, name)
+                assert not array.flags.writeable
+                assert array.tobytes() == getattr(want, name).tobytes()
+            for array, want_array in zip(got.answers, want.answers, strict=True):
+                assert not array.flags.writeable
+                assert array.tobytes() == want_array.tobytes()
 
     @pytest.mark.parametrize("label", [[], [np.nan], [np.inf], [2.6]],
                              ids=["empty", "nan", "inf", "fraction"])

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,13 @@ from drax.checkpoint import (
     save_checkpoint,
 )
 from drax.cli import coerce_fields
-from drax.data import FeatureBundle, SyntheticSpec, generate_synthetic
+from drax.data import (
+    FeatureBundle,
+    SyntheticSpec,
+    generate_synthetic,
+    load_dataset,
+    save_dataset,
+)
 from drax.distraction import MaskController
 from drax.model import (
     ConfigError,
@@ -912,6 +919,56 @@ class TestTraining:
         assert len(losses) == len(data)
         assert not any(loss.requires_grad for loss in losses)
         assert all(p.grad is None for p in model.parameters())
+
+
+class TestStoredPrecision:
+    """Bundles hold float32 features; `embed_tokens` is the one widening."""
+
+    @pytest.mark.parametrize("case", ["tiny", "default"])
+    def test_forward_matches_float64_widened_copy(self, case):
+        if case == "tiny":
+            model, bundle = DraxModel(tiny_config()), tiny_bundle(seed=3)
+        else:
+            model = DraxModel(DraxConfig(seed=1))
+            bundle = generate_synthetic(SyntheticSpec(samples=1, seed=4))[0]
+        # A FeatureBundle would narrow the arrays again: widen a plain copy.
+        wide = SimpleNamespace(
+            appearance=bundle.appearance.astype(np.float64),
+            motion=bundle.motion.astype(np.float64),
+            question=bundle.question.astype(np.float64),
+            answers=tuple(a.astype(np.float64) for a in bundle.answers), label=bundle.label,
+        )
+        assert bundle.appearance.dtype == np.float32
+        runs = [
+            forward_outputs(model, lambda m, b=b: model.forward(b, m), model.make_masker("full"))
+            for b in (bundle, wide)
+        ]
+        (reps, grads, records), (want_reps, want_grads, want_records) = runs
+        assert reps.tobytes() == want_reps.tobytes()
+        for name, grad in grads.items():
+            want = want_grads[name]
+            assert (grad is want is None) or grad.tobytes() == want.tobytes(), name
+        assert len(records) == len(want_records) > 0
+        for rec, want in zip(records, want_records):
+            assert (rec.site, rec.density) == (want.site, want.density)
+            assert rec.detail.mask.tobytes() == want.detail.mask.tobytes()
+
+    def test_fit_in_memory_equals_fit_on_saved_copy(self, tmp_path):
+        spec = SyntheticSpec(
+            samples=6, frames=5, clips=3, question_len=3, answer_len=2, signal_dims=3,
+            distractor_tokens=1, appearance_dim=6, motion_dim=10, text_dim=5, seed=2,
+        )
+        memory = generate_synthetic(spec)
+        save_dataset(memory, tmp_path, spec)
+        runs = []
+        for dataset in (memory, load_dataset(tmp_path)):
+            model = DraxModel(tiny_config())
+            losses = [m["loss"] for m in fit(model, dataset, epochs=3)]
+            runs.append((losses, model.param_arrays()))
+        (losses, params), (want_losses, want_params) = runs
+        assert len(losses) == 3 and losses == want_losses
+        for name, array in params.items():
+            assert array.tobytes() == want_params[name].tobytes(), name
 
 
 class TestCheckpoint:

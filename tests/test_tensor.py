@@ -704,6 +704,52 @@ class TestCandidateAxis:
             T.head_mix(Tensor(np.zeros((2, 2, 3, 5))), Tensor(np.zeros((5, 6))))
 
 
+class TestCopyKernels:
+    """concat's VJP slices `g` at running offsets; broadcast and tensor_sum's
+    VJP repeat with np.repeat / np.full. Each must give the bytes of the
+    np.split and np.broadcast_to(...).copy() expressions it replaced."""
+
+    @pytest.mark.parametrize("axis", [0, 1, 2, -1, -3])
+    @pytest.mark.parametrize("sizes", [(2, 1, 3), (4,)])
+    def test_concat_parts_match_split(self, axis, sizes):
+        rng = np.random.default_rng(40)
+        base = [3, 4, 5]
+        parts = []
+        for n in sizes:
+            base[axis] = n
+            parts.append(Tensor(rng.normal(size=base), requires_grad=True))
+        out = T.concat(parts, axis=axis)
+        g = rng.normal(size=out.shape)
+        want = np.split(g, np.cumsum([p.shape[axis] for p in parts])[:-1], axis=axis)
+        got = out._vjp(g)
+        for part, want_part in zip(got, want, strict=True):
+            assert part.shape == want_part.shape and part.tobytes() == want_part.tobytes()
+            # Views of `g`, as np.split gives: backward copies them for a leaf.
+            assert part.base is not None and np.shares_memory(part, g)
+
+    @pytest.mark.parametrize("shape", [(11, 64), (3,), ()])
+    def test_broadcast_matches_broadcast_to_copy(self, shape):
+        a = Tensor(np.random.default_rng(41).normal(size=shape))
+        got = T.broadcast(a, 4).data
+        want = np.broadcast_to(a.data, (4,) + a.shape).copy()
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got.base is None and not np.shares_memory(got, a.data)
+
+    @pytest.mark.parametrize("axis", [None, 0, 1, -1])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_sum_vjp_matches_broadcast_to_copy(self, axis, keepdims):
+        rng = np.random.default_rng(42)
+        a = Tensor(rng.normal(size=(4, 11, 6)), requires_grad=True)
+        out = T.tensor_sum(a, axis=axis, keepdims=keepdims)
+        g = np.asarray(rng.normal(size=out.shape))
+        (got,) = out._vjp(g)
+        g2 = g if axis is None or keepdims else np.expand_dims(g, axis)
+        want = np.broadcast_to(g2, a.shape).copy()
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # A fresh array: backward may hand it to a leaf without a copy.
+        assert got.base is None and not np.shares_memory(got, g)
+
+
 class TestParamStore:
     def test_same_seed_same_parameters(self):
         def build(seed):
