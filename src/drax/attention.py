@@ -147,8 +147,6 @@ class EncoderLayerParams:
 
 @dataclass
 class EncoderStack:
-    d: int
-    head_count: int
     layers: list[EncoderLayerParams]
 
     @classmethod
@@ -172,38 +170,29 @@ class EncoderStack:
             )
             for k in range(1, depth + 1)
         ]
-        return cls(d=d, head_count=head_count, layers=layers)
+        return cls(layers=layers)
 
 
-def _with_tokens(seq, tokens: Tensor):
-    # Built directly: `seq` is a model.ModalitySequence, and that module
-    # imports this one.
-    return type(seq)(tokens, seq.modality, seq.has_cls)
-
-
-def self_attention_encoder(seq, p: SelfAttentionParams):
+def self_attention_encoder(x: Tensor, p: SelfAttentionParams) -> Tensor:
     """MSA -> add & norm -> feed-forward -> add & norm, as two tape ops;
     shape-preserving."""
-    x = seq.tokens
     d = x.shape[-1]
     if d != p.w_q.shape[0]:
         raise ShapeError(f"token dim {d} does not match encoder dim {p.w_q.shape[0]}")
     x = T.self_attention_block(x, p.w_q, p.w_k, p.w_v, p.w_o, p.ln1_gain, p.ln1_bias,
                                p.head_count, _head_scale(d, p.head_count), p.eps)
-    x = T.feed_forward_block(x, p.ffn_w1, p.ffn_b1, p.ffn_w2, p.ffn_b2, p.ln2_gain,
-                             p.ln2_bias, p.eps)
-    return _with_tokens(seq, x)
+    return T.feed_forward_block(x, p.ffn_w1, p.ffn_b1, p.ffn_w2, p.ffn_b2, p.ln2_gain,
+                                p.ln2_bias, p.eps)
 
 
-def cross_encoder_layer(seq1, seq2, p: CrossLayerParams, d_f: float,
-                        masker: MaskController, site: str = "cross"):
+def cross_encoder_layer(x1: Tensor, x2: Tensor, p: CrossLayerParams, d_f: float,
+                        masker: MaskController, site: str = "cross") -> tuple[Tensor, Tensor]:
     """Bidirectional masked cross-attention with residual back-projection.
 
     Each stream is pre-normalized, projected, and updated from the other
     stream's values using masked attention weights; queries and keys share
     projections across streams while values are per-stream.
     """
-    x1, x2 = seq1.tokens, seq2.tokens
     n1 = T.affine(T.layer_norm(x1, p.ln1_gain, p.ln1_bias, p.eps), p.f1_w, p.f1_b)
     n2 = T.affine(T.layer_norm(x2, p.ln2_gain, p.ln2_bias, p.eps), p.f2_w, p.f2_b)
     a12 = scaled_scores(n1, n2, p.w_q, p.w_k, p.head_count,
@@ -212,25 +201,25 @@ def cross_encoder_layer(seq1, seq2, p: CrossLayerParams, d_f: float,
                         masker.site(d_f, sub_site(site, "into2")))
     y1 = T.attend(x1, a12.weights, n2, p.w_v2, p.g1_w, p.g1_b)
     y2 = T.attend(x2, a21.weights, n1, p.w_v1, p.g2_w, p.g2_b)
-    return _with_tokens(seq1, y1), _with_tokens(seq2, y2)
+    return y1, y2
 
 
-def run_encoder_stack(seq1, seq2, stack: EncoderStack, d_f_initial: float, delta: float,
-                      masker: MaskController, site: str = "stack"):
+def run_encoder_stack(x1: Tensor, x2: Tensor, stack: EncoderStack, d_f_initial: float,
+                      delta: float, masker: MaskController,
+                      site: str = "stack") -> tuple[Tensor, Tensor]:
     """Alternate per-stream self encoders with cross layers for every level.
 
     The distraction factor advances by `delta` per level, starting at
     `d_f_initial` for the first cross layer; the masker decides whether the
-    schedule may exceed 1. An (n, d) `seq1` beside a (K, n, d) candidate
+    schedule may exceed 1. An (n, d) `x1` beside a (K, n, d) candidate
     batch is self-encoded once, then broadcast to every candidate.
     """
     for k, layer in enumerate(stack.layers, start=1):
-        seq1 = self_attention_encoder(seq1, layer.self1)
-        seq2 = self_attention_encoder(seq2, layer.self2)
-        if seq1.tokens.ndim < seq2.tokens.ndim:
-            seq1 = _with_tokens(seq1, T.broadcast(seq1.tokens, seq2.tokens.shape[0]))
+        x1 = self_attention_encoder(x1, layer.self1)
+        x2 = self_attention_encoder(x2, layer.self2)
+        if x1.ndim < x2.ndim:
+            x1 = T.broadcast(x1, x2.shape[0])
         d_f = schedule_df(d_f_initial, delta, k, allow_above_one=masker.allow_above_one)
-        seq1, seq2 = cross_encoder_layer(
-            seq1, seq2, layer.cross, d_f, masker, sub_site(site, f"layer{k}")
-        )
-    return seq1, seq2
+        x1, x2 = cross_encoder_layer(x1, x2, layer.cross, d_f, masker,
+                                     sub_site(site, f"layer{k}"))
+    return x1, x2

@@ -21,6 +21,7 @@ from .data import (
     SyntheticSpec,
     atomic_write,
     generate_synthetic,
+    iter_dataset,
     load_dataset,
     read_features,
     save_dataset,
@@ -189,7 +190,7 @@ def cmd_inspect_attention(args) -> int:
     overrides = coerce_fields(DraxConfig, _parse_overrides(args.set))
     model = load_model(args.checkpoint, overrides)
     data = Path(args.data)
-    bundle = load_dataset(data)[0] if data.is_dir() else read_features(data)
+    bundle = next(iter_dataset(data)) if data.is_dir() else read_features(data)
     masker = model.make_masker(record="full")
     model.forward(bundle, masker)
     out = Path(args.out)
@@ -258,9 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if out_required is not None:
             sp.add_argument("--out", required=out_required, help="output directory")
-        sp.add_argument("--seed", type=int, help="override the seed")
         if checkpoint:
+            # The checkpoint's config carries the seed.
             sp.add_argument("--checkpoint", required=True, help="checkpoint path")
+        else:
+            sp.add_argument("--seed", type=int, help="override the seed")
         if data:
             sp.add_argument("--data", required=True, help="dataset directory")
 

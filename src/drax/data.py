@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import hashlib
 import json
 import math
 import os
 import struct
 import zlib
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -81,22 +81,24 @@ class FeatureBundle:
             raise DataError(f"expected {ANSWER_COUNT} answer candidates, got {len(self.answers)}")
         if not 0 <= self.label < ANSWER_COUNT:
             raise DataError(f"label {self.label} out of range [0, {ANSWER_COUNT})")
-        for name, array in _tensor_records(self):
+        for name, array in _feature_records(self):
             if not np.isfinite(array).all():
                 raise DataError(
                     f"{name} features hold non-finite values (NaN, inf, or beyond float32 range)"
                 )
 
 
-def _tensor_records(bundle: FeatureBundle) -> list[tuple[str, np.ndarray]]:
+def _feature_records(bundle: FeatureBundle) -> list[tuple[str, np.ndarray]]:
     records = [
         ("appearance", bundle.appearance),
         ("motion", bundle.motion),
         ("question", bundle.question),
     ]
-    records.extend((f"answer{i}", a) for i, a in enumerate(bundle.answers))
-    records.append(("label", np.array([float(bundle.label)])))
-    return records
+    return records + [(f"answer{i}", a) for i, a in enumerate(bundle.answers)]
+
+
+def _tensor_records(bundle: FeatureBundle) -> list[tuple[str, np.ndarray]]:
+    return _feature_records(bundle) + [("label", np.array([float(bundle.label)]))]
 
 
 @contextlib.contextmanager
@@ -120,8 +122,13 @@ def atomic_write(path, mode: str = "wb"):
 
 
 def write_features(bundle: FeatureBundle, path) -> None:
-    """Serialize a bundle as float32 tensors with a trailing payload CRC."""
-    records = _tensor_records(bundle)
+    """Serialize a bundle as float32 tensors with a trailing payload CRC.
+
+    The bundle is checked as at construction first, so a field reassigned
+    since then raises DataError instead of writing a file `read_features`
+    refuses.
+    """
+    records = _tensor_records(dataclasses.replace(bundle))
     payload_crc = 0
     blob = bytearray()
     blob += MAGIC
@@ -202,16 +209,6 @@ def read_features(path) -> FeatureBundle:
     if label.shape != (1,) or not float(label[0]).is_integer():
         raise DataError(f"label tensor must hold one integral value, got {label}")
     return FeatureBundle(*streams, answers=answers, label=int(label[0]))
-
-
-def pseudo_embed(token: str, dim: int) -> np.ndarray:
-    """Deterministic unit vector for a token; a stand-in for real embeddings."""
-    if not token:
-        raise ValueError("token must be nonempty")
-    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
-    rng = np.random.default_rng(int.from_bytes(digest, "little"))
-    vec = rng.normal(size=dim)
-    return vec / np.linalg.norm(vec)
 
 
 @dataclass(frozen=True)
@@ -323,7 +320,9 @@ def save_dataset(bundles, directory, spec: SyntheticSpec | None = None) -> Path:
     return manifest_path
 
 
-def load_dataset(directory) -> list[FeatureBundle]:
+def iter_dataset(directory) -> Iterator[FeatureBundle]:
+    """Yield a dataset's bundles in manifest order, each file read only when
+    its bundle is asked for and checked against the manifest's label."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.is_file():
@@ -332,15 +331,18 @@ def load_dataset(directory) -> list[FeatureBundle]:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"manifest is not valid JSON: {exc}") from None
-    bundles = []
-    for entry in manifest.get("samples", []):
+    entries = manifest.get("samples", [])
+    if not entries:
+        raise DataError(f"dataset under {directory} is empty")
+    for entry in entries:
         bundle = read_features(directory / entry["path"])
         if bundle.label != entry["label"]:
             raise DataError(
                 f"label mismatch for {entry['path']}: manifest says {entry['label']}, "
                 f"file says {bundle.label}"
             )
-        bundles.append(bundle)
-    if not bundles:
-        raise DataError(f"dataset under {directory} is empty")
-    return bundles
+        yield bundle
+
+
+def load_dataset(directory) -> list[FeatureBundle]:
+    return list(iter_dataset(directory))

@@ -62,19 +62,6 @@ def threshold(rho: np.ndarray, d_f: float, allow_above_one: bool = False) -> np.
     return np.asarray(rho) * d_f
 
 
-def distraction_mask(attn, tau: np.ndarray, d_f: float | None = None) -> DistractionMask:
-    """Mark weights strictly below their row threshold; equality survives."""
-    weights = attn.weights.data
-    tau = np.asarray(tau)
-    if tau.shape != weights.shape[:-1]:
-        raise ShapeError(
-            f"threshold shape {tau.shape} does not match weight rows {weights.shape[:-1]}"
-        )
-    mask = weights < tau[..., None]
-    rho = weights.max(axis=-1) if weights.shape[-1] else tau
-    return DistractionMask(mask=mask, threshold=tau, rho=rho, d_f=d_f)
-
-
 def identify_distractions(attn, d_f: float, allow_above_one: bool = False) -> DistractionMask:
     """Relevance scores, thresholds and mask in one step."""
     rho = relevance_scores(attn)

@@ -18,32 +18,6 @@ from .distraction import MaskController
 from .tensor import ParamStore, Parameter, ShapeError, Tensor
 
 
-@dataclass(frozen=True)
-class AnchorAssignment:
-    """Which stream anchors each fusion stage.
-
-    stage1 picks between the two video streams; stage2 between the running
-    fused sequence and the question; stage3 between the fused sequence and
-    the answer candidate. The fused output always has the anchor's rows.
-    """
-
-    stage1: str = "motion"
-    stage2: str = "fused"
-    stage3: str = "answer"
-
-    _CHOICES = {
-        "stage1": ("appearance", "motion"),
-        "stage2": ("fused", "question"),
-        "stage3": ("fused", "answer"),
-    }
-
-    def __post_init__(self):
-        for stage, choices in self._CHOICES.items():
-            value = getattr(self, stage)
-            if value not in choices:
-                raise ValueError(f"anchor for {stage} must be one of {choices}, got {value!r}")
-
-
 @dataclass
 class FusionParams:
     """Dedicated alignment projections plus the fusing affine map."""

@@ -24,13 +24,7 @@ import numpy as np
 from . import tensor as T
 from .attention import EncoderStack, run_encoder_stack
 from .distraction import MaskController, sub_site
-from .fusion import (
-    AnchorAssignment,
-    FusionParams,
-    cross_aligned_fuse,
-    simple_concat_fuse,
-    vector_space_transform,
-)
+from .fusion import FusionParams, cross_aligned_fuse, simple_concat_fuse, vector_space_transform
 from .tensor import ParamStore, Parameter, ShapeError, Tensor
 
 
@@ -41,6 +35,12 @@ class ConfigError(ValueError):
 MODALITIES = ("appearance", "motion", "question", "answer", "fused")
 LOSS_MODES = ("logit-hinge", "probability-hinge")
 FUSION_MODES = ("cross-aligned", "simple-concat")
+# Each stage's two streams; its configured anchor must be one of them.
+STAGES = (
+    ("stage1", "appearance", "motion"),
+    ("stage2", "fused", "question"),
+    ("stage3", "fused", "answer"),
+)
 _FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
@@ -62,10 +62,6 @@ class ModalitySequence:
             raise ShapeError(
                 f"sequence tokens must be (n, d) or (K, n, d), got {self.tokens.shape}"
             )
-
-    @property
-    def pos_kind(self) -> str:
-        return "sinusoidal" if self.modality in ("question", "answer") else "learned_1d"
 
 
 @dataclass
@@ -119,10 +115,12 @@ class DraxConfig:
             raise ConfigError(
                 f"fusion_mode must be one of {FUSION_MODES}, got {self.fusion_mode!r}"
             )
-        try:
-            self.anchors()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        for stage, *choices in STAGES:
+            value = getattr(self, f"anchor_{stage}")
+            if value not in choices:
+                raise ConfigError(
+                    f"anchor for {stage} must be one of {tuple(choices)}, got {value!r}"
+                )
         for key in ("ffn_width_multiple", "appearance_dim", "motion_dim", "text_dim",
                     "max_positions", "epochs"):
             if getattr(self, key) < 1:
@@ -133,9 +131,6 @@ class DraxConfig:
             raise ConfigError(f"learning_rate must be nonnegative, got {self.learning_rate}")
         if self.grad_clip < 0.0:
             raise ConfigError(f"grad_clip must be nonnegative, got {self.grad_clip}")
-
-    def anchors(self) -> AnchorAssignment:
-        return AnchorAssignment(self.anchor_stage1, self.anchor_stage2, self.anchor_stage3)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -169,18 +164,17 @@ def sinusoidal_encoding(length: int, dim: int) -> np.ndarray:
 
 def add_cls_and_pos(seq: ModalitySequence, cls_token: Parameter,
                     pos_table: Parameter | None) -> ModalitySequence:
-    """Prepend the stage's CLS token, then add positional encodings to all rows."""
+    """Prepend the stage's CLS token, then add the stage's learned positions,
+    or the sinusoidal table when it has none, to all rows."""
     if seq.has_cls:
         raise ValueError(f"{seq.modality} sequence already carries a CLS slot")
     tokens = seq.tokens
     cls = cls_token if tokens.ndim == 2 else T.broadcast(cls_token, tokens.shape[0])
     tokens = T.concat([cls, tokens], axis=-2)
     length, dim = tokens.shape[-2:]
-    if seq.pos_kind == "sinusoidal":
+    if pos_table is None:
         tokens = tokens + sinusoidal_encoding(length, dim)
     else:
-        if pos_table is None:
-            raise ValueError(f"{seq.modality} sequence needs a learned position table")
         if length > pos_table.shape[0]:
             raise ConfigError(
                 f"sequence length {length} exceeds max_positions {pos_table.shape[0]}"
@@ -260,12 +254,6 @@ def predict(probabilities) -> int:
 class DraxModel:
     """Parameters plus the full forward pass from raw features to candidate scores."""
 
-    STAGES = (
-        ("stage1", "appearance", "motion"),
-        ("stage2", "fused", "question"),
-        ("stage3", "fused", "answer"),
-    )
-
     def __init__(self, config: DraxConfig, draw: bool = True):
         """Build every parameter from `config.seed`; with `draw=False` the
         random ones start as zeros, for a model a checkpoint fills in."""
@@ -290,7 +278,7 @@ class DraxModel:
             )
 
         self.stages: list[StageParams] = []
-        for name, mod1, mod2 in self.STAGES:
+        for name, mod1, mod2 in STAGES:
             self.stages.append(
                 StageParams(
                     name=name,
@@ -360,35 +348,31 @@ class DraxModel:
                 f"got ({seq1.modality}, {seq2.modality})"
             )
         site = site or sp.name
-        x1 = add_cls_and_pos(seq1, sp.cls1, sp.pos1)
-        x2 = add_cls_and_pos(seq2, sp.cls2, sp.pos2)
         y1, y2 = run_encoder_stack(
-            x1, x2, sp.stack, cfg.d_f_initial, cfg.delta, masker, site=site
+            add_cls_and_pos(seq1, sp.cls1, sp.pos1).tokens,
+            add_cls_and_pos(seq2, sp.cls2, sp.pos2).tokens,
+            sp.stack, cfg.d_f_initial, cfg.delta, masker, site=site,
         )
-        anchor_name = (cfg.anchor_stage1, cfg.anchor_stage2, cfg.anchor_stage3)[index]
-        anchor, tail = (y1, y2) if anchor_name == y1.modality else (y2, y1)
+        anchor_first = getattr(cfg, f"anchor_{sp.name}") == sp.modality1
+        anchor, tail = (y1, y2) if anchor_first else (y2, y1)
 
         if cfg.fusion_mode == "cross-aligned":
             aligned = vector_space_transform(
-                anchor.tokens, tail.tokens, sp.fusion, cfg.d_f_fusion, masker,
-                site=sub_site(site, "fusion"),
+                anchor, tail, sp.fusion, cfg.d_f_fusion, masker, site=sub_site(site, "fusion"),
             )
-            fused = cross_aligned_fuse(anchor.tokens, aligned, sp.fusion)
+            fused = cross_aligned_fuse(anchor, aligned, sp.fusion)
             has_cls = True
         elif index == 0:
             # Ablation fusion, video stage: drop both CLS rows and reconcile the
             # tail by consecutive-group averaging before concat + projection.
-            fused = simple_concat_fuse(
-                anchor.tokens[..., 1:, :], tail.tokens[..., 1:, :], sp.fusion
-            )
+            fused = simple_concat_fuse(anchor[..., 1:, :], tail[..., 1:, :], sp.fusion)
             has_cls = False
         else:
             # Ablation fusion, language stages: the tail contributes only its
             # encoded CLS row, repeated across the anchor rows.
-            rows = anchor.tokens.shape[-2]
-            tail_cls = tail.tokens[..., 0:1, :]
+            rows = anchor.shape[-2]
             fused = simple_concat_fuse(
-                anchor.tokens, T.concat([tail_cls] * rows, axis=-2), sp.fusion
+                anchor, T.concat([tail[..., 0:1, :]] * rows, axis=-2), sp.fusion
             )
             has_cls = True
         if has_cls and not keep_cls:
@@ -411,22 +395,21 @@ class DraxModel:
         question = self.embed_tokens(bundle.question, "question")
         fused = self.run_stage(1, fused, question, masker)
         start = len(masker.records)
-        by_candidate: dict[int, list] = {}
         means, order = [], []
         for cands in _candidate_groups(bundle.answers):
             answers = self.embed_tokens(np.stack([bundle.answers[c] for c in cands]), "answer")
-            mark = len(masker.records)
             out = self.run_stage(
                 2, fused, answers, masker, keep_cls=True,
                 site=tuple(f"stage3/cand{c}" for c in cands),
             )
-            for k, cand in enumerate(cands):
-                by_candidate[cand] = masker.records[mark + k::len(cands)]
             means.append(T.tensor_mean(out.tokens, axis=-2))
             order += cands
-        # A batched site records its candidates side by side; list the records
-        # candidate by candidate, as one stage run per candidate would.
-        masker.records[start:] = [rec for c in sorted(by_candidate) for rec in by_candidate[c]]
+        # A batched site records its candidates side by side; a stable sort by
+        # candidate lists them as one stage run per candidate would.
+        masker.records[start:] = sorted(
+            masker.records[start:],
+            key=lambda rec: int(rec.site.split("/")[1].removeprefix("cand")),
+        )
         reps = means[0] if len(means) == 1 else T.concat(means, axis=0)
         if order != sorted(order):
             reps = reps[np.argsort(order)]

@@ -18,14 +18,13 @@ from drax.attention import (
     self_attention_encoder,
 )
 from drax.distraction import MaskController
-from drax.model import ModalitySequence
 from drax.tensor import ParamStore, ShapeError, Tensor
 
 from helpers import softmax_oracle
 
 
-def seq(tokens, modality="appearance") -> ModalitySequence:
-    return ModalitySequence(Tensor(np.asarray(tokens, dtype=np.float64)), modality)
+def tok(tokens) -> Tensor:
+    return Tensor(np.asarray(tokens, dtype=np.float64))
 
 
 def layer_norm_oracle(x, gain, bias, eps=1e-5):
@@ -117,9 +116,9 @@ class TestSelfEncoder:
     def test_shape_preserved(self, n, d):
         store = ParamStore(5)
         params = SelfAttentionParams.create(store, "enc", d, 2, 2 * d)
-        out = self_attention_encoder(seq(np.random.default_rng(0).normal(size=(n, d))), params)
-        assert out.tokens.shape == (n, d)
-        assert np.all(np.isfinite(out.tokens.data))
+        out = self_attention_encoder(tok(np.random.default_rng(0).normal(size=(n, d))), params)
+        assert out.shape == (n, d)
+        assert np.all(np.isfinite(out.data))
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(6)
@@ -127,8 +126,8 @@ class TestSelfEncoder:
         params = SelfAttentionParams.create(store, "enc", 8, 2, 16)
         x = rng.normal(size=(6, 8))
         perm = rng.permutation(6)
-        out = self_attention_encoder(seq(x), params).tokens.data
-        out_perm = self_attention_encoder(seq(x[perm]), params).tokens.data
+        out = self_attention_encoder(tok(x), params).data
+        out_perm = self_attention_encoder(tok(x[perm]), params).data
         np.testing.assert_allclose(out_perm, out[perm], atol=1e-10)
 
     def test_zero_ffn_leaves_attention_path(self):
@@ -138,7 +137,7 @@ class TestSelfEncoder:
         for dead in (p.ffn_w1, p.ffn_b1, p.ffn_w2, p.ffn_b2):
             dead.data[:] = 0.0
         x = rng.normal(size=(4, 8))
-        out = self_attention_encoder(seq(x), p).tokens.data
+        out = self_attention_encoder(tok(x), p).data
 
         attn = scaled_scores(Tensor(x), Tensor(x), p.w_q, p.w_k, 2)
         msa = T.matmul(attended_values(attn, T.matmul(Tensor(x), p.w_v)), p.w_o).data
@@ -150,7 +149,7 @@ class TestSelfEncoder:
         store = ParamStore(8)
         params = SelfAttentionParams.create(store, "enc", 8, 2, 16)
         with pytest.raises(ShapeError):
-            self_attention_encoder(seq(np.zeros((3, 6))), params)
+            self_attention_encoder(tok(np.zeros((3, 6))), params)
 
 
 def swapped_params(p: CrossLayerParams) -> CrossLayerParams:
@@ -172,14 +171,14 @@ class TestCrossEncoderLayer:
     def test_zero_factor_equals_unmasked(self):
         rng = np.random.default_rng(9)
         p = self.make(9)
-        s1, s2 = seq(rng.normal(size=(4, 8))), seq(rng.normal(size=(3, 8)), "motion")
+        s1, s2 = tok(rng.normal(size=(4, 8))), tok(rng.normal(size=(3, 8)))
         live = MaskController()
         masked1, masked2 = cross_encoder_layer(s1, s2, p, d_f=0.0, masker=live)
         assert [rec.density for rec in live.records] == [0.0, 0.0]
         off = MaskController(mode="off")
         plain1, plain2 = cross_encoder_layer(s1, s2, p, d_f=0.0, masker=off)
-        np.testing.assert_allclose(masked1.tokens.data, plain1.tokens.data, atol=1e-12)
-        np.testing.assert_allclose(masked2.tokens.data, plain2.tokens.data, atol=1e-12)
+        np.testing.assert_allclose(masked1.data, plain1.data, atol=1e-12)
+        np.testing.assert_allclose(masked2.data, plain2.data, atol=1e-12)
 
     def test_identical_streams_shared_params(self):
         rng = np.random.default_rng(10)
@@ -193,9 +192,9 @@ class TestCrossEncoderLayer:
         )
         x = rng.normal(size=(4, 8))
         y1, y2 = cross_encoder_layer(
-            seq(x), seq(x.copy(), "motion"), shared, d_f=0.4, masker=MaskController()
+            tok(x), tok(x.copy()), shared, d_f=0.4, masker=MaskController()
         )
-        np.testing.assert_allclose(y1.tokens.data, y2.tokens.data, atol=1e-12)
+        np.testing.assert_allclose(y1.data, y2.data, atol=1e-12)
 
     def test_residual_with_zero_backprojection(self):
         rng = np.random.default_rng(11)
@@ -204,25 +203,25 @@ class TestCrossEncoderLayer:
             dead.data[:] = 0.0
         x1, x2 = rng.normal(size=(3, 8)), rng.normal(size=(5, 8))
         y1, y2 = cross_encoder_layer(
-            seq(x1), seq(x2, "motion"), p, d_f=0.5, masker=MaskController()
+            tok(x1), tok(x2), p, d_f=0.5, masker=MaskController()
         )
-        np.testing.assert_array_equal(y1.tokens.data, x1)
-        np.testing.assert_array_equal(y2.tokens.data, x2)
+        np.testing.assert_array_equal(y1.data, x1)
+        np.testing.assert_array_equal(y2.data, x2)
 
     def test_bidirectional_swap(self):
         rng = np.random.default_rng(12)
         p = self.make(12)
-        s1, s2 = seq(rng.normal(size=(4, 8))), seq(rng.normal(size=(3, 8)), "motion")
+        s1, s2 = tok(rng.normal(size=(4, 8))), tok(rng.normal(size=(3, 8)))
         y1, y2 = cross_encoder_layer(s1, s2, p, d_f=0.6, masker=MaskController())
         z2, z1 = cross_encoder_layer(s2, s1, swapped_params(p), d_f=0.6, masker=MaskController())
-        np.testing.assert_array_equal(y1.tokens.data, z1.tokens.data)
-        np.testing.assert_array_equal(y2.tokens.data, z2.tokens.data)
+        np.testing.assert_array_equal(y1.data, z1.data)
+        np.testing.assert_array_equal(y2.data, z2.data)
 
     def test_invalid_factor(self):
         p = self.make(13)
         with pytest.raises(ValueError):
             cross_encoder_layer(
-                seq(np.zeros((2, 8))), seq(np.zeros((2, 8)), "motion"), p, d_f=1.5,
+                tok(np.zeros((2, 8))), tok(np.zeros((2, 8))), p, d_f=1.5,
                 masker=MaskController(),
             )
 
@@ -251,10 +250,10 @@ class TestCrossEncoderLayer:
         want2 = x2 + (a21 @ (n1 @ p.w_v1.data)) @ p.g2_w.data + p.g2_b.data
 
         y1, y2 = cross_encoder_layer(
-            seq(x1), seq(x2, "motion"), p, d_f=d_f, masker=MaskController()
+            tok(x1), tok(x2), p, d_f=d_f, masker=MaskController()
         )
-        np.testing.assert_allclose(y1.tokens.data, want1, atol=1e-10)
-        np.testing.assert_allclose(y2.tokens.data, want2, atol=1e-10)
+        np.testing.assert_allclose(y1.data, want1, atol=1e-10)
+        np.testing.assert_allclose(y2.data, want2, atol=1e-10)
 
 
 class TestEncoderStack:
@@ -265,33 +264,33 @@ class TestEncoderStack:
     def test_depth_one_equals_manual_composition(self):
         rng = np.random.default_rng(15)
         stack = self.build(15)
-        s1, s2 = seq(rng.normal(size=(4, 8))), seq(rng.normal(size=(3, 8)), "motion")
+        s1, s2 = tok(rng.normal(size=(4, 8))), tok(rng.normal(size=(3, 8)))
         got1, got2 = run_encoder_stack(s1, s2, stack, 0.3, 0.3, MaskController())
         layer = stack.layers[0]
         e1 = self_attention_encoder(s1, layer.self1)
         e2 = self_attention_encoder(s2, layer.self2)
         want1, want2 = cross_encoder_layer(e1, e2, layer.cross, 0.3, MaskController())
-        np.testing.assert_array_equal(got1.tokens.data, want1.tokens.data)
-        np.testing.assert_array_equal(got2.tokens.data, want2.tokens.data)
+        np.testing.assert_array_equal(got1.data, want1.data)
+        np.testing.assert_array_equal(got2.data, want2.data)
 
     def test_depth_two_equals_chained_layers(self):
         rng = np.random.default_rng(16)
         stack = self.build(16, depth=2)
-        s1, s2 = seq(rng.normal(size=(3, 8))), seq(rng.normal(size=(4, 8)), "motion")
+        s1, s2 = tok(rng.normal(size=(3, 8))), tok(rng.normal(size=(4, 8)))
         got1, got2 = run_encoder_stack(s1, s2, stack, 0.2, 0.1, MaskController())
         for k, layer in enumerate(stack.layers, start=1):
             s1 = self_attention_encoder(s1, layer.self1)
             s2 = self_attention_encoder(s2, layer.self2)
             s1, s2 = cross_encoder_layer(s1, s2, layer.cross, 0.2 + (k - 1) * 0.1, MaskController())
-        np.testing.assert_array_equal(got1.tokens.data, s1.tokens.data)
-        np.testing.assert_array_equal(got2.tokens.data, s2.tokens.data)
+        np.testing.assert_array_equal(got1.data, s1.data)
+        np.testing.assert_array_equal(got2.data, s2.data)
 
     def test_schedule_factors_reach_mask_sites(self):
         rng = np.random.default_rng(17)
         stack = self.build(17, depth=3)
         ctrl = MaskController(mode="live")
         run_encoder_stack(
-            seq(rng.normal(size=(3, 8))), seq(rng.normal(size=(3, 8)), "motion"),
+            tok(rng.normal(size=(3, 8))), tok(rng.normal(size=(3, 8))),
             stack, 0.3, 0.3, masker=ctrl,
         )
         factors = {rec.site: rec.d_f for rec in ctrl.records}
@@ -304,12 +303,12 @@ class TestEncoderStack:
             rng = np.random.default_rng(seed)
             stack = self.build(100 + seed)
             y1, y2 = run_encoder_stack(
-                seq(rng.normal(size=(3, 8)) * 2),
-                seq(rng.normal(size=(5, 8)) * 2, "motion"),
+                tok(rng.normal(size=(3, 8)) * 2),
+                tok(rng.normal(size=(5, 8)) * 2),
                 stack, 0.3, 0.3, MaskController(),
             )
-            assert np.all(np.isfinite(y1.tokens.data))
-            assert np.all(np.isfinite(y2.tokens.data))
+            assert np.all(np.isfinite(y1.data))
+            assert np.all(np.isfinite(y2.data))
 
     def test_depth_validation(self):
         with pytest.raises(ValueError):

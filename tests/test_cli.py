@@ -4,12 +4,14 @@ import dataclasses
 import json
 import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import drax.cli
 import drax.data
 from drax.checkpoint import load_model, read_checkpoint, save_checkpoint
 from drax.cli import ABLATION_VARIANTS, _write_jsonl, build_parser, main, parse_config_file
@@ -128,6 +130,15 @@ class TestConfigPlumbing:
         ])
         from drax.cli import build_config
         assert build_config(args).seed == 11
+
+    @pytest.mark.parametrize("command", ["eval", "inspect-attention"])
+    def test_seed_is_a_usage_error_with_a_checkpoint(self, command, capsys):
+        # The checkpoint's config carries the seed, so these commands take none.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--checkpoint", "c.ckpt", "--data", "d", "--out", "o",
+                  "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
 
 class TestGenData:
@@ -291,28 +302,34 @@ class TestCheckpointOverrides:
 
 
 class TestNonFiniteFeatures:
-    def test_nan_feature_file_is_exit_3(self, checkpoint, dataset_dir, tmp_path, capsys):
+    @staticmethod
+    def _poison(data, monkeypatch, name, value):
+        """Rewrite sample 0 with tensor `name` replaced by `value`.
+
+        write_features checks the bundle, then serializes `_tensor_records`;
+        swapping those records yields a well-formed file (valid CRC) that
+        holds what no valid bundle holds.
+        """
+        good = read_features(data / "sample_00000.drxf")
+        records = [(key, value if key == name else array)
+                   for key, array in drax.data._tensor_records(good)]
+        with monkeypatch.context() as patched:
+            patched.setattr(drax.data, "_tensor_records", lambda _: records)
+            write_features(good, data / "sample_00000.drxf")
+
+    def test_nan_feature_file_is_exit_3(self, checkpoint, dataset_dir, tmp_path, capsys,
+                                        monkeypatch):
         data = tmp_path / "data"
         shutil.copytree(dataset_dir, data)
-        good = read_features(data / "sample_00000.drxf")
-        # write_features only reads the bundle's fields, so a plain namespace
-        # yields a well-formed file (valid CRC) whose payload holds NaNs.
-        poisoned = SimpleNamespace(**{
-            name: getattr(good, name)
-            for name in ("appearance", "motion", "question", "answers", "label")
-        })
-        poisoned.appearance = np.full_like(good.appearance, np.nan)
-        write_features(poisoned, data / "sample_00000.drxf")
+        appearance = read_features(data / "sample_00000.drxf").appearance
+        self._poison(data, monkeypatch, "appearance", np.full_like(appearance, np.nan))
         assert main(["eval", "--checkpoint", str(checkpoint), "--data", str(data)]) == 3
         assert "non-finite" in capsys.readouterr().err
 
-    def test_nan_label_is_exit_3(self, checkpoint, dataset_dir, tmp_path, capsys):
+    def test_nan_label_is_exit_3(self, checkpoint, dataset_dir, tmp_path, capsys, monkeypatch):
         data = tmp_path / "data"
         shutil.copytree(dataset_dir, data)
-        good = read_features(data / "sample_00000.drxf")
-        poisoned = SimpleNamespace(**vars(good))
-        poisoned.label = np.nan
-        write_features(poisoned, data / "sample_00000.drxf")
+        self._poison(data, monkeypatch, "label", np.array([np.nan]))
         assert main(["eval", "--checkpoint", str(checkpoint), "--data", str(data)]) == 3
         err = capsys.readouterr().err
         assert "label" in err and "Traceback" not in err
@@ -470,6 +487,45 @@ class TestInspectAttention:
         ]) == 0
         assert (trace_dir / "trace.jsonl").exists()
 
+    def test_dataset_directory_reads_only_the_first_file(self, checkpoint, dataset_dir,
+                                                         tmp_path, monkeypatch, capsys):
+        read = []
+        real = drax.data.read_features
+
+        def counted(path):
+            read.append(Path(path).name)
+            return real(path)
+
+        monkeypatch.setattr(drax.data, "read_features", counted)
+        monkeypatch.setattr(drax.cli, "read_features", counted)
+        assert len(json.loads((dataset_dir / "manifest.json").read_text())["samples"]) == 4
+        assert main([
+            "inspect-attention", "--checkpoint", str(checkpoint),
+            "--data", str(dataset_dir), "--out", str(tmp_path / "dir"),
+        ]) == 0
+        assert read == ["sample_00000.drxf"]
+        monkeypatch.undo()
+        assert main([
+            "inspect-attention", "--checkpoint", str(checkpoint),
+            "--data", str(dataset_dir / "sample_00000.drxf"), "--out", str(tmp_path / "file"),
+        ]) == 0
+        traced = (tmp_path / "dir" / "trace.jsonl").read_bytes()
+        assert traced == (tmp_path / "file" / "trace.jsonl").read_bytes()
+
+    def test_first_entry_label_checked_against_manifest(self, checkpoint, dataset_dir,
+                                                        tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        first = manifest["samples"][0]
+        first["label"] = (first["label"] + 1) % 4
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        assert main([
+            "inspect-attention", "--checkpoint", str(checkpoint),
+            "--data", str(data), "--out", str(tmp_path / "trace"),
+        ]) == 3
+        assert "label mismatch" in capsys.readouterr().err
+
 
 class TestAblate:
     def test_emits_exactly_the_seven_variants(self, dataset_dir, tmp_path, capsys):
@@ -494,3 +550,28 @@ class TestAblate:
             names.add(name)
             dataclasses.replace(base, **overrides).validate()
         assert len(names) == 7
+
+
+class TestGoldenScript:
+    def test_names_the_file_whose_hash_differs(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        golden = json.loads((root / "GOLDEN.json").read_text())
+        assert sorted(golden) == sorted([
+            "run/metrics.jsonl", "run/model.ckpt", "eval/eval.jsonl", "trace/trace.jsonl",
+            "abl/ablation.jsonl",
+        ])
+        golden["run/model.ckpt"] = "0" * 64
+        expect = tmp_path / "GOLDEN.json"
+        expect.write_text(json.dumps(golden))
+        done = subprocess.run(
+            [sys.executable, str(root / "tools" / "golden.py"), "--expect", str(expect)],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 1, done.stderr
+        # Stored hashes are one host's; on another host more files may differ,
+        # but exactly the files whose printed hash differs are named.
+        printed = dict(line.split()[::-1] for line in done.stdout.splitlines())
+        named = [line.split(": ")[1] for line in done.stderr.splitlines()
+                 if line.startswith("hash differs: ")]
+        assert "run/model.ckpt" in named
+        assert named == sorted(name for name in golden if printed[name] != golden[name])

@@ -1,6 +1,7 @@
 """Feature-file round-trips, corruption detection, and generator statistics."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from drax.data import (
     VersionError,
     generate_synthetic,
     load_dataset,
-    pseudo_embed,
     read_features,
     save_dataset,
     write_features,
@@ -141,6 +141,17 @@ class TestFeatureFile:
         for got, want in ((back.appearance, top), (back.motion, -top), (back.question, tiny)):
             assert got.dtype == np.float32 and (got == want).all()
 
+    def test_write_checks_a_field_reassigned_after_construction(self, tmp_path):
+        good = tmp_path / "good.drxf"
+        write_features(random_bundle(), good)
+        bundle = read_features(good)
+        bundle.appearance = np.full(bundle.appearance.shape, 1e39)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="appearance"):
+                write_features(bundle, tmp_path / "bad.drxf")
+        assert list(tmp_path.iterdir()) == [good]
+
     def test_bundles_hold_float32(self, tmp_path):
         wide = random_bundle()
         built = FeatureBundle(
@@ -175,21 +186,6 @@ class TestFeatureFile:
         write_features(bundle, path)
         with pytest.raises(DataError, match="label"):
             read_features(path)
-
-
-class TestPseudoEmbed:
-    def test_deterministic(self):
-        np.testing.assert_array_equal(pseudo_embed("car", 32), pseudo_embed("car", 32))
-
-    def test_unit_norm(self):
-        assert np.linalg.norm(pseudo_embed("car", 300)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_distinct_tokens_differ(self):
-        assert not np.allclose(pseudo_embed("car", 300), pseudo_embed("cat", 300))
-
-    def test_empty_token_rejected(self):
-        with pytest.raises(ValueError):
-            pseudo_embed("", 8)
 
 
 def linear_oracle_accuracy(bundles, signal_dims) -> float:

@@ -11,7 +11,6 @@ from drax.distraction import (
     DistractionMask,
     MaskController,
     apply_mask,
-    distraction_mask,
     identify_distractions,
     relevance_scores,
     schedule_df,
@@ -69,12 +68,12 @@ class TestRelevanceAndThreshold:
 class TestDistractionMask:
     def test_below_threshold_masked(self):
         attn = make_attn([0.5, 0.3, 0.2])
-        dm = distraction_mask(attn, np.array([[0.25]]))
+        dm = identify_distractions(attn, 0.5)  # tau = 0.25
         np.testing.assert_array_equal(dm.mask, [[[False, False, True]]])
 
     def test_equality_survives(self):
         attn = make_attn([0.5, 0.3, 0.2])
-        dm = distraction_mask(attn, np.array([[0.5]]))
+        dm = identify_distractions(attn, 1.0)  # tau = 0.5
         np.testing.assert_array_equal(dm.mask, [[[False, True, True]]])
 
     def test_uniform_rows_never_masked(self):
@@ -82,10 +81,6 @@ class TestDistractionMask:
         for d_f in (0.0, 0.5, 1.0):
             dm = identify_distractions(attn, d_f)
             assert not dm.mask.any()
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            distraction_mask(make_attn([0.5, 0.5]), np.zeros((2, 3)))
 
     def test_identify_records_factor_and_rho(self):
         dm = identify_distractions(make_attn([0.5, 0.3, 0.2]), 0.5)

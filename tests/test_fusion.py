@@ -9,7 +9,6 @@ from drax import tensor as T
 from drax.attention import AttentionWeights, attended_values
 from drax.distraction import MaskController
 from drax.fusion import (
-    AnchorAssignment,
     FusionParams,
     cross_aligned_fuse,
     simple_concat_fuse,
@@ -194,26 +193,3 @@ class TestSimpleConcatFuse:
         with pytest.raises(ShapeError):
             simple_concat_fuse(Tensor(np.zeros((3, 4))), Tensor(np.zeros((7, 4))), params)
 
-
-class TestAnchorAssignment:
-    def test_default_is_best_reported_direction(self):
-        a = AnchorAssignment()
-        assert (a.stage1, a.stage2, a.stage3) == ("motion", "fused", "answer")
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"stage1": "question"},
-            {"stage2": "appearance"},
-            {"stage3": "question"},
-        ],
-    )
-    def test_invalid_choices(self, kwargs):
-        with pytest.raises(ValueError):
-            AnchorAssignment(**kwargs)
-
-    def test_all_variants_construct(self):
-        for s2 in ("fused", "question"):
-            for s3 in ("fused", "answer"):
-                AnchorAssignment("motion", s2, s3)
-        AnchorAssignment("appearance", "fused", "answer")

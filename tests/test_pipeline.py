@@ -87,6 +87,9 @@ class TestConfig:
             {"heads": "2"},
             {"masking_enabled": "no"},
             {"delta": True},
+            {"anchor_stage1": "question"},
+            {"anchor_stage2": "appearance"},
+            {"anchor_stage3": "question"},
         ],
     )
     def test_invalid_values(self, overrides):
@@ -132,13 +135,6 @@ class TestSequencesAndPositions:
             ModalitySequence(Tensor(np.zeros((2, 4))), "audio")
         with pytest.raises(ShapeError):
             ModalitySequence(Tensor(np.zeros(4)), "question")
-
-    def test_pos_kind_mapping(self):
-        x = Tensor(np.zeros((2, 4)))
-        assert ModalitySequence(x, "question").pos_kind == "sinusoidal"
-        assert ModalitySequence(x, "answer").pos_kind == "sinusoidal"
-        for m in ("appearance", "motion", "fused"):
-            assert ModalitySequence(x, m).pos_kind == "learned_1d"
 
     def test_sinusoidal_row_zero(self):
         table = sinusoidal_encoding(4, 6)
@@ -557,13 +553,12 @@ class TestBatchedStage3:
             masker = model.make_masker(record="full")
             tokens = T.broadcast(shared, 3) if first else shared
             y1, y2 = run_encoder_stack(
-                ModalitySequence(tokens, "fused", True), ModalitySequence(batch, "answer", True),
-                stack, cfg.d_f_initial, cfg.delta, masker, site=sites,
+                tokens, batch, stack, cfg.d_f_initial, cfg.delta, masker, site=sites
             )
-            T.backward(T.tensor_sum(y1.tokens * probes[0]) + T.tensor_sum(y2.tokens * probes[1]))
+            T.backward(T.tensor_sum(y1 * probes[0]) + T.tensor_sum(y2 * probes[1]))
             grads = {p.name: p.grad for p in model.parameters()}
             grads.update(shared=shared.grad, batch=batch.grad)
-            return y1.tokens.data, y2.tokens.data, grads, masker.records
+            return y1.data, y2.data, grads, masker.records
 
         y1, y2, grads, records = run(first=False)
         want_y1, want_y2, want_grads, want_records = run(first=True)
