@@ -34,10 +34,7 @@ def scaled_scores(x_q: Tensor, x_k: Tensor, w_q, w_k, head_count: int,
                   mask=None) -> AttentionWeights:
     """Project queries and keys, score per head, softmax over the context
     axis; `mask` (see `tensor.head_softmax`) zeroes weights in the same op."""
-    d = x_q.shape[-1]
-    if x_k.shape[-1] != d:
-        raise ShapeError(f"query dim {d} does not match key dim {x_k.shape[-1]}")
-    scale = _head_scale(d, head_count)
+    scale = _head_scale(x_q.shape[-1], head_count)
     weights = T.head_softmax(x_q, w_q, x_k, w_k, head_count, scale, mask)
     return AttentionWeights(weights=weights, head_count=head_count, scale=scale)
 
@@ -176,11 +173,8 @@ class EncoderStack:
 def self_attention_encoder(x: Tensor, p: SelfAttentionParams) -> Tensor:
     """MSA -> add & norm -> feed-forward -> add & norm, as two tape ops;
     shape-preserving."""
-    d = x.shape[-1]
-    if d != p.w_q.shape[0]:
-        raise ShapeError(f"token dim {d} does not match encoder dim {p.w_q.shape[0]}")
     x = T.self_attention_block(x, p.w_q, p.w_k, p.w_v, p.w_o, p.ln1_gain, p.ln1_bias,
-                               p.head_count, _head_scale(d, p.head_count), p.eps)
+                               p.head_count, _head_scale(x.shape[-1], p.head_count), p.eps)
     return T.feed_forward_block(x, p.ffn_w1, p.ffn_b1, p.ffn_w2, p.ffn_b2, p.ln2_gain,
                                 p.ln2_bias, p.eps)
 

@@ -140,13 +140,8 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model = DraxModel(config)
-    lines = []
-
-    def log(_epoch, metrics):
-        lines.append({key: metrics[key] for key in ("epoch", "loss", "accuracy", "mask_density")})
-
-    history = fit(model, dataset, on_epoch=log)
-    _write_jsonl(out / "metrics.jsonl", lines)
+    history = fit(model, dataset)
+    _write_jsonl(out / "metrics.jsonl", history)
     save_checkpoint(model, out / "model.ckpt")
     final = history[-1]
     print(
@@ -197,19 +192,18 @@ def cmd_inspect_attention(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     records = []
     for rec in masker.records:
-        detail = rec.detail
-        for head in range(detail.mask.shape[0]):
+        for head in range(rec.mask.shape[0]):
             records.append(
                 {
                     "record": "mask",
                     "site": rec.site,
                     "head": head,
                     "d_f": rec.d_f,
-                    "rho": detail.rho[head].tolist(),
-                    "tau": detail.threshold[head].tolist(),
-                    "mask": detail.mask[head].astype(int).tolist(),
+                    "rho": rec.rho[head].tolist(),
+                    "tau": rec.threshold[head].tolist(),
+                    "mask": rec.mask[head].astype(int).tolist(),
                     "pre_weights": rec.pre_weights[head].tolist(),
-                    "post_weights": (rec.pre_weights[head] * (1.0 - detail.mask[head])).tolist(),
+                    "post_weights": (rec.pre_weights[head] * (1.0 - rec.mask[head])).tolist(),
                 }
             )
         records.append(
@@ -227,9 +221,7 @@ def cmd_ablate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     records = []
     for name, overrides in ABLATION_VARIANTS:
-        config = dataclasses.replace(base, **overrides)
-        config.validate()
-        model = DraxModel(config)
+        model = DraxModel(dataclasses.replace(base, **overrides))
         history = fit(model, dataset)
         final = history[-1]
         record = {

@@ -331,10 +331,16 @@ def iter_dataset(directory) -> Iterator[FeatureBundle]:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"manifest is not valid JSON: {exc}") from None
-    entries = manifest.get("samples", [])
+    entries = manifest.get("samples", []) if isinstance(manifest, dict) else None
+    if not isinstance(entries, list):
+        raise DataError(f"manifest under {directory} must be an object with a samples list")
     if not entries:
         raise DataError(f"dataset under {directory} is empty")
     for entry in entries:
+        # bool is an int subclass, and a JSON true is no label.
+        if not (isinstance(entry, dict) and isinstance(entry.get("path"), str)
+                and type(entry.get("label")) is int):
+            raise DataError(f"manifest entry needs a string path and an integer label: {entry!r}")
         bundle = read_features(directory / entry["path"])
         if bundle.label != entry["label"]:
             raise DataError(

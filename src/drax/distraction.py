@@ -9,7 +9,9 @@ weights pass gradients through, zeroed positions pass nothing.
 `MaskController` has one mask-and-record body with two entry points: the
 model passes `site`'s callable to the score op, `tensor.head_softmax`,
 which masks within the same op and gets each row's relevance score free as
-its softmax normaliser's reciprocal; `apply` masks finished weights.
+its softmax normaliser's reciprocal; `apply` masks finished weights. Each
+site's event is one flat `MaskRecord` that holds views of the arrays the
+step built: the mask, and live, the row maxima and thresholds.
 """
 
 from __future__ import annotations
@@ -37,14 +39,6 @@ class DistractionMask:
     threshold: np.ndarray
     rho: np.ndarray
     d_f: float | None = None
-
-    def density(self) -> float:
-        """Fraction of weights masked, over all heads and rows."""
-        return _density(self.mask)
-
-
-def _density(mask: np.ndarray) -> float:
-    return np.count_nonzero(mask) / mask.size if mask.size else 0.0
 
 
 def relevance_scores(attn) -> np.ndarray:
@@ -110,13 +104,19 @@ def schedule_df(
 
 @dataclass
 class MaskRecord:
-    """One masking event at a named site within a forward pass."""
+    """One masking event at a named site within a forward pass.
+
+    `mask`, `rho` and `threshold` are views of the arrays the masking step
+    built, not copies; a replayed mask has no `rho` or `threshold`.
+    `pre_weights` is a copy of the pre-mask weights, kept with record="full".
+    """
 
     site: str
     d_f: float
     density: float
-    shape: tuple[int, ...]
-    detail: DistractionMask | None = None
+    mask: np.ndarray
+    rho: np.ndarray | None = None
+    threshold: np.ndarray | None = None
     pre_weights: np.ndarray | None = None
 
 
@@ -131,11 +131,11 @@ class MaskController:
     Every mode that masks takes one path, `_mask`: get the mask (the
     threshold on `rho` live, the frozen ones stacked), then append one
     record per site label. A candidate batch carries (K, heads, n, m)
-    weights and K labels, recorded in label order. A summary record holds
-    the site, d_f, density and shape; record="full" adds the
-    `DistractionMask` (a replayed one has zero `rho` and `threshold`) and
-    the pre-mask weights, for inspection dumps; the post-mask weights are
-    `pre_weights * (1 - mask)`, as the no-renormalisation rule leaves them.
+    weights and K labels, recorded in label order. Every record holds the
+    site, d_f, density and mask, plus `rho` and `threshold` when live;
+    record="full" adds only a copy of the pre-mask weights, for inspection
+    dumps; the post-mask weights are `pre_weights * (1 - mask)`, as the
+    no-renormalisation rule leaves them.
     """
 
     MODES = ("live", "off", "replay")
@@ -181,7 +181,8 @@ class MaskController:
         labels = tuple(site) if batched else (site,)
         if batched and len(labels) != weights.shape[0]:
             raise ShapeError(f"{len(labels)} site labels for {weights.shape[0]} candidates")
-        if self.mode == "live":
+        live = self.mode == "live"
+        if live:
             tau = threshold(rho, d_f, allow_above_one=self.allow_above_one)
             mask = weights < tau[..., None]
         else:
@@ -195,26 +196,20 @@ class MaskController:
         for k, label in enumerate(labels):
             at = k if batched else ...
             m = mask[at]
-            rec = MaskRecord(site=label, d_f=float(d_f), density=_density(m), shape=m.shape)
-            if self.record == "full":
-                if self.mode == "live":
-                    rec.detail = DistractionMask(m, tau[at], rho[at], d_f)
-                else:
-                    rows = m.shape[:-1]
-                    rec.detail = DistractionMask(m, np.zeros(rows), np.zeros(rows), d_f)
-                rec.pre_weights = weights[at].copy()
-            self.records.append(rec)
+            self.records.append(MaskRecord(
+                label, float(d_f), np.count_nonzero(m) / m.size if m.size else 0.0, m,
+                rho[at] if live else None, tau[at] if live else None,
+                weights[at].copy() if self.record == "full" else None,
+            ))
         return mask
 
     def frozen_masks(self) -> dict[str, np.ndarray]:
-        """Site-to-mask map from the last pass; requires record="full"."""
-        if self.record != "full":
-            raise ValueError("frozen_masks requires record='full'")
+        """Site-to-mask map from the last pass."""
         out: dict[str, np.ndarray] = {}
         for rec in self.records:
             if rec.site in out:
                 raise ValueError(f"duplicate mask site in one pass: {rec.site!r}")
-            out[rec.site] = rec.detail.mask
+            out[rec.site] = rec.mask
         return out
 
     def density_by_site(self) -> dict[str, float]:

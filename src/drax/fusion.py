@@ -47,10 +47,6 @@ def vector_space_transform(x_a: Tensor, x_t: Tensor, params: FusionParams,
     Output row i is a per-head-subspace linear combination of the tail rows
     with masked coefficients zeroed; row count equals the anchor's.
     """
-    if x_a.shape[-1] != x_t.shape[-1]:
-        raise ShapeError(
-            f"anchor dim {x_a.shape[-1]} does not match tail dim {x_t.shape[-1]}"
-        )
     attn = scaled_scores(x_a, x_t, params.w_q, params.w_k, params.head_count,
                          masker.site(d_f_fusion, site))
     return attended_values(attn, x_t)
@@ -58,10 +54,6 @@ def vector_space_transform(x_a: Tensor, x_t: Tensor, params: FusionParams,
 
 def cross_aligned_fuse(x_a: Tensor, x_t_align: Tensor, params: FusionParams) -> Tensor:
     """Concatenate anchor and aligned tail per row, then project back to d."""
-    if x_a.shape[:-1] != x_t_align.shape[:-1]:
-        raise ShapeError(
-            f"anchor rows {x_a.shape[:-1]} do not match aligned rows {x_t_align.shape[:-1]}"
-        )
     cat = T.concat([x_a, x_t_align], axis=-1)
     return T.affine(cat, params.w_f, params.b)
 

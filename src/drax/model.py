@@ -185,9 +185,8 @@ def add_cls_and_pos(seq: ModalitySequence, cls_token: Parameter,
 
 @dataclass
 class StageParams:
-    name: str
-    modality1: str
-    modality2: str
+    """One stage's parameters; its name and streams are its `STAGES` row."""
+
     cls1: Parameter
     cls2: Parameter
     pos1: Parameter | None
@@ -281,9 +280,6 @@ class DraxModel:
         for name, mod1, mod2 in STAGES:
             self.stages.append(
                 StageParams(
-                    name=name,
-                    modality1=mod1,
-                    modality2=mod2,
                     cls1=store.row(f"{name}.cls.{mod1}", d),
                     cls2=store.row(f"{name}.cls.{mod2}", d),
                     pos1=self._pos_table(store, name, mod1),
@@ -342,18 +338,18 @@ class DraxModel:
         """
         cfg = self.config
         sp = self.stages[index]
-        if (seq1.modality, seq2.modality) != (sp.modality1, sp.modality2):
+        name, mod1, mod2 = STAGES[index]
+        if (seq1.modality, seq2.modality) != (mod1, mod2):
             raise ValueError(
-                f"{sp.name} expects ({sp.modality1}, {sp.modality2}), "
-                f"got ({seq1.modality}, {seq2.modality})"
+                f"{name} expects ({mod1}, {mod2}), got ({seq1.modality}, {seq2.modality})"
             )
-        site = site or sp.name
+        site = site or name
         y1, y2 = run_encoder_stack(
             add_cls_and_pos(seq1, sp.cls1, sp.pos1).tokens,
             add_cls_and_pos(seq2, sp.cls2, sp.pos2).tokens,
             sp.stack, cfg.d_f_initial, cfg.delta, masker, site=site,
         )
-        anchor_first = getattr(cfg, f"anchor_{sp.name}") == sp.modality1
+        anchor_first = getattr(cfg, f"anchor_{name}") == mod1
         anchor, tail = (y1, y2) if anchor_first else (y2, y1)
 
         if cfg.fusion_mode == "cross-aligned":

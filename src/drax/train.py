@@ -66,7 +66,6 @@ def train_epoch(model: DraxModel, dataset, epoch: int) -> dict:
     loss_total = 0.0
     hits = 0
     density_totals: dict[str, float] = {}
-    density_counts: dict[str, int] = {}
     for idx in order:
         bundle = dataset[int(idx)]
         model.zero_grad()
@@ -79,15 +78,12 @@ def train_epoch(model: DraxModel, dataset, epoch: int) -> dict:
         hits += int(predict(probs) == bundle.label)
         for site, density in masker.density_by_site().items():
             density_totals[site] = density_totals.get(site, 0.0) + density
-            density_counts[site] = density_counts.get(site, 0) + 1
+    # Every pass records every site once, so each total is over `count` passes.
     count = len(dataset)
     return {
         "loss": loss_total / count,
         "accuracy": hits / count,
-        "mask_density": {
-            site: density_totals[site] / density_counts[site]
-            for site in sorted(density_totals)
-        },
+        "mask_density": {site: density_totals[site] / count for site in sorted(density_totals)},
     }
 
 
@@ -121,20 +117,16 @@ def evaluate(model: DraxModel, dataset) -> dict:
     }
 
 
-def fit(model: DraxModel, dataset, epochs: int | None = None, target_accuracy: float = 1.0,
-        on_epoch=None) -> list[dict]:
-    """Train for up to `epochs`, stopping early at `target_accuracy`.
-
-    `on_epoch` receives (epoch, metrics) after every epoch, for logging.
-    """
+def fit(model: DraxModel, dataset, epochs: int | None = None,
+        target_accuracy: float = 1.0) -> list[dict]:
+    """Train for up to `epochs`, stopping early at `target_accuracy`; one
+    metrics dict per epoch run, as `metrics.jsonl` logs them."""
     history = []
     total = model.config.epochs if epochs is None else epochs
     for epoch in range(1, total + 1):
         metrics = train_epoch(model, dataset, epoch)
         metrics["epoch"] = epoch
         history.append(metrics)
-        if on_epoch is not None:
-            on_epoch(epoch, metrics)
         if metrics["accuracy"] >= target_accuracy:
             break
     return history

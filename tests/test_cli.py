@@ -335,6 +335,30 @@ class TestNonFiniteFeatures:
         assert "label" in err and "Traceback" not in err
 
 
+class TestMalformedManifest:
+    """A manifest that is valid JSON but not shaped as `save_dataset` writes
+    it is a data error (exit 3) that names the entry, not a traceback."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda manifest: {"samples": [{"label": 0}]},
+        lambda manifest: [],
+        lambda manifest: {"samples": [{"path": 5, "label": 0}]},
+        lambda manifest: {"samples": [dict(entry, label=str(entry["label"]))
+                                      for entry in manifest["samples"]]},
+        lambda manifest: {"samples": [dict(entry, label=True) for entry in manifest["samples"]]},
+    ], ids=["no-path", "list", "non-string-path", "string-label", "bool-label"])
+    def test_train_exits_3(self, dataset_dir, tmp_path, capsys, edit):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        (data / "manifest.json").write_text(json.dumps(edit(manifest)))
+        assert main([
+            "train", "--data", str(data), "--out", str(tmp_path / "run"), *TINY_MODEL_SETS,
+        ]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: manifest") and "label mismatch" not in err
+
+
 class TestNonFiniteCheckpoint:
     @pytest.mark.parametrize("name, value", [("decoder.b_out", np.nan), ("decoder.w_a", np.inf)])
     def test_non_finite_parameter_is_exit_4(self, checkpoint, dataset_dir, tmp_path, capsys,

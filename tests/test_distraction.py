@@ -8,7 +8,6 @@ from drax import tensor as T
 from drax.attention import AttentionWeights
 from drax.data import SyntheticSpec, generate_synthetic
 from drax.distraction import (
-    DistractionMask,
     MaskController,
     apply_mask,
     identify_distractions,
@@ -211,7 +210,9 @@ class TestMaskController:
         rec = ctrl.records[0]
         assert rec.site == "a" and rec.d_f == 0.5
         assert rec.density == pytest.approx(1 / 3)
-        assert rec.detail is None
+        assert rec.mask.tolist() == [[[False, False, True]]]
+        assert (rec.rho.tolist(), rec.threshold.tolist()) == ([[0.5]], [[0.25]])
+        assert rec.pre_weights is None
 
     def test_full_record_and_replay_match_live(self):
         rng = np.random.default_rng(5)
@@ -243,15 +244,15 @@ class TestMaskController:
         assert [rec.site for rec in batched.records] == list(labels)
         for k, (one, rec) in enumerate(zip(single.records, batched.records)):
             np.testing.assert_array_equal(out.weights.data[k], outs[k].weights.data)
-            assert (rec.d_f, rec.density, rec.shape) == (one.d_f, one.density, one.shape)
+            assert (rec.d_f, rec.density, rec.mask.shape) == (
+                one.d_f, one.density, one.mask.shape)
             for field in ("mask", "threshold", "rho"):
-                np.testing.assert_array_equal(getattr(rec.detail, field),
-                                              getattr(one.detail, field))
+                np.testing.assert_array_equal(getattr(rec, field), getattr(one, field))
             np.testing.assert_array_equal(rec.pre_weights, one.pre_weights)
-            np.testing.assert_array_equal(rec.pre_weights * (1.0 - rec.detail.mask),
+            np.testing.assert_array_equal(rec.pre_weights * (1.0 - rec.mask),
                                           outs[k].weights.data)
             if mode == "replay":
-                np.testing.assert_array_equal(rec.detail.mask, frozen[labels[k]])
+                np.testing.assert_array_equal(rec.mask, frozen[labels[k]])
 
     @pytest.mark.parametrize("labels", [("x",), ("c0/x", "c1/x", "c2/x")])
     def test_summary_replay_matches_full_replay(self, labels):
@@ -269,10 +270,10 @@ class TestMaskController:
         out, want = summary.apply(attn, 0.8, site), full.apply(attn, 0.8, site)
         assert out.weights.data.tobytes() == want.weights.data.tobytes()
         assert (out.head_count, out.scale) == (want.head_count, want.scale)
-        assert [(r.site, r.d_f, r.density, r.shape) for r in summary.records] == [
-            (r.site, r.d_f, r.density, r.shape) for r in full.records
+        assert [(r.site, r.d_f, r.density, r.mask.shape) for r in summary.records] == [
+            (r.site, r.d_f, r.density, r.mask.shape) for r in full.records
         ]
-        assert all(r.detail is None and r.pre_weights is None for r in summary.records)
+        assert all(r.pre_weights is None for r in summary.records)
         if not batched:
             # An all-false mask leaves the weights object itself in place.
             assert out is attn and summary.records[0].density == 0.0
@@ -295,11 +296,11 @@ class TestMaskController:
         full = MaskController(mode="live", record="full")
         out, want = summary.apply(attn, 0.8, site), full.apply(attn, 0.8, site)
         assert out.weights.data.tobytes() == want.weights.data.tobytes()
-        assert [(r.site, r.d_f, r.density, r.shape) for r in summary.records] == [
-            (r.site, r.d_f, r.density, r.shape) for r in full.records
+        assert [(r.site, r.d_f, r.density, r.mask.shape) for r in summary.records] == [
+            (r.site, r.d_f, r.density, r.mask.shape) for r in full.records
         ]
-        assert all(r.detail is None for r in summary.records)
-        assert all(r.detail is not None and r.density > 0.0 for r in full.records)
+        assert all(r.pre_weights is None for r in summary.records)
+        assert all(r.pre_weights is not None and r.density > 0.0 for r in full.records)
 
     def test_candidate_batch_needs_one_label_per_candidate(self):
         batch = AttentionWeights(weights=Tensor(np.full((3, 2, 1, 2), 0.5)), head_count=2,
@@ -329,12 +330,9 @@ class TestMaskController:
         with pytest.raises(ValueError):
             MaskController(mode="replay")
 
-    def test_density_helper(self):
-        dm = DistractionMask(
-            mask=np.array([[[True, False]]]), threshold=np.zeros((1, 1)),
-            rho=np.zeros((1, 1)),
-        )
-        assert dm.density() == 0.5
+
+def _bytes(array):
+    return None if array is None else array.tobytes()
 
 
 def _score_inputs(rng, batched):
@@ -402,19 +400,17 @@ class TestMaskedScoreOp:
         assert (values == 0.0).any() == masked
         assert len(fused.records) == (0 if mode == "off" else len(labels))
         for k, (rec, want) in enumerate(zip(fused.records, split.records, strict=True)):
-            assert (rec.site, rec.d_f, rec.density, rec.shape) == (
-                want.site, want.d_f, want.density, want.shape)
+            assert (rec.site, rec.d_f, rec.density, rec.mask.shape) == (
+                want.site, want.d_f, want.density, want.mask.shape)
+            for field in ("mask", "rho", "threshold", "pre_weights"):
+                assert _bytes(getattr(rec, field)) == _bytes(getattr(want, field))
             if record == "summary":
-                assert rec.detail is None and want.detail is None
+                assert rec.pre_weights is None and want.pre_weights is None
                 continue
-            for field in ("mask", "rho", "threshold"):
-                assert getattr(rec.detail, field).tobytes() == getattr(want.detail, field).tobytes()
-            assert rec.detail.d_f == want.detail.d_f
-            assert rec.pre_weights.tobytes() == want.pre_weights.tobytes()
-            post = rec.pre_weights * (1.0 - rec.detail.mask)
+            post = rec.pre_weights * (1.0 - rec.mask)
             assert post.tobytes() == values[k if batched else ...].tobytes()
             if mode == "replay":
-                assert rec.detail.mask.tobytes() == frozen[rec.site].tobytes()
+                assert rec.mask.tobytes() == frozen[rec.site].tobytes()
 
     def test_mask_shape_checked(self):
         rng = np.random.default_rng(32)

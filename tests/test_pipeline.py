@@ -26,7 +26,7 @@ from drax.data import (
     load_dataset,
     save_dataset,
 )
-from drax.distraction import MaskController
+from drax.distraction import MaskController, MaskRecord
 from drax.model import (
     ConfigError,
     DecoderParams,
@@ -502,8 +502,9 @@ def assert_same_outputs(got, want):
             np.testing.assert_allclose(grad, want_grads[name], rtol=0, atol=1e-12, err_msg=name)
     assert [r.site for r in records] == [r.site for r in want_records]
     for rec, want_rec in zip(records, want_records):
-        assert (rec.d_f, rec.density, rec.shape) == (want_rec.d_f, want_rec.density, want_rec.shape)
-        np.testing.assert_array_equal(rec.detail.mask, want_rec.detail.mask)
+        assert (rec.d_f, rec.density, rec.mask.shape) == (
+            want_rec.d_f, want_rec.density, want_rec.mask.shape)
+        np.testing.assert_array_equal(rec.mask, want_rec.mask)
 
 
 class TestBatchedStage3:
@@ -563,8 +564,8 @@ class TestBatchedStage3:
         y1, y2, grads, records = run(first=False)
         want_y1, want_y2, want_grads, want_records = run(first=True)
         assert y1.tobytes() == want_y1.tobytes() and y2.tobytes() == want_y2.tobytes()
-        assert [(r.site, r.density, r.detail.mask.tobytes()) for r in records] == [
-            (r.site, r.density, r.detail.mask.tobytes()) for r in want_records
+        assert [(r.site, r.density, r.mask.tobytes()) for r in records] == [
+            (r.site, r.density, r.mask.tobytes()) for r in want_records
         ]
         assert any(r.density > 0.0 for r in records)
         for name, grad in grads.items():
@@ -590,7 +591,7 @@ class TestBatchedStage3:
                                replay())
         assert_same_outputs(got, want)
         for rec in got[2]:
-            np.testing.assert_array_equal(rec.detail.mask, frozen[rec.site])
+            np.testing.assert_array_equal(rec.mask, frozen[rec.site])
 
     def test_summary_replay_matches_full_replay(self):
         model = DraxModel(tiny_config(layers=2))
@@ -606,9 +607,51 @@ class TestBatchedStage3:
         for name, grad in got[1].items():
             assert (grad is None and want[1][name] is None
                     or grad.tobytes() == want[1][name].tobytes()), name
-        assert [(r.site, r.d_f, r.density, r.shape) for r in got[2]] == [
-            (r.site, r.d_f, r.density, r.shape) for r in want[2]
+        assert [(r.site, r.d_f, r.density, r.mask.shape) for r in got[2]] == [
+            (r.site, r.d_f, r.density, r.mask.shape) for r in want[2]
         ]
+
+    def test_summary_pass_freezes_the_masks_of_a_full_pass(self):
+        """`frozen_masks` after a summary-mode live pass holds the masks a
+        full pass records, and replaying them gives the live loss bit for bit."""
+        model = DraxModel(tiny_config(layers=2))
+        bundle = tiny_bundle(seed=8)
+        summary, full = model.make_masker(), model.make_masker(record="full")
+        with T.no_grad():
+            live_loss, live_probs = model.sample_loss(bundle, summary)
+            model.sample_loss(bundle, full)
+        frozen, want = summary.frozen_masks(), full.frozen_masks()
+        assert list(frozen) == list(want) and any(m.any() for m in frozen.values())
+        assert all(frozen[site].tobytes() == mask.tobytes() for site, mask in want.items())
+        with T.no_grad():
+            loss, probs = model.sample_loss(bundle, MaskController(mode="replay", frozen=frozen))
+        assert loss.data.tobytes() == live_loss.data.tobytes()
+        assert probs.tobytes() == live_probs.tobytes()
+
+    @pytest.mark.parametrize("mode", ["live", "replay"])
+    def test_summary_and_full_records_differ_only_in_pre_weights(self, mode):
+        model = DraxModel(tiny_config(layers=2))
+        live = model.make_masker(record="full")
+        model.forward(tiny_bundle(seed=8), live)
+        frozen = live.frozen_masks() if mode == "replay" else None
+        records = []
+        for record in ("summary", "full"):
+            masker = MaskController(mode=mode, record=record, frozen=frozen)
+            model.forward(tiny_bundle(seed=9), masker)
+            records.append(masker.records)
+        summary, full = records
+        assert len(summary) == len(full) > 0
+        for got, want in zip(summary, full):
+            assert got.pre_weights is None and want.pre_weights.shape == want.mask.shape
+            assert (got.rho is None) == (got.threshold is None) == (mode == "replay")
+            for field in dataclasses.fields(MaskRecord):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                if field.name == "pre_weights":
+                    continue
+                if isinstance(b, np.ndarray):
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+                else:
+                    assert a == b, field.name
 
     def test_rejects_answers_that_are_not_token_matrices(self):
         model = DraxModel(tiny_config())
@@ -946,7 +989,7 @@ class TestStoredPrecision:
         assert len(records) == len(want_records) > 0
         for rec, want in zip(records, want_records):
             assert (rec.site, rec.density) == (want.site, want.density)
-            assert rec.detail.mask.tobytes() == want.detail.mask.tobytes()
+            assert rec.mask.tobytes() == want.mask.tobytes()
 
     def test_fit_in_memory_equals_fit_on_saved_copy(self, tmp_path):
         spec = SyntheticSpec(
