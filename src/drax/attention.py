@@ -149,10 +149,6 @@ class EncoderStack:
     @classmethod
     def create(cls, store: ParamStore, prefix: str, d: int, head_count: int, depth: int,
                ffn_width: int, eps: float = 1e-5):
-        if d % head_count != 0:
-            raise ShapeError(f"hidden dim {d} not divisible by {head_count} heads")
-        if depth < 1:
-            raise ValueError(f"encoder depth must be >= 1: {depth}")
         layers = [
             EncoderLayerParams(
                 self1=SelfAttentionParams.create(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -52,13 +53,23 @@ def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         header = json.loads(raw[4:4 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"checkpoint header is not valid JSON: {exc}") from None
-    if "config" not in header or "params" not in header:
-        raise CheckpointError("checkpoint header missing config or params")
+    if not (isinstance(header, dict) and isinstance(header.get("config"), dict)
+            and isinstance(header.get("params"), list)):
+        raise CheckpointError("checkpoint header must be an object with a config object "
+                              "and a params list")
     arrays: dict[str, np.ndarray] = {}
     offset = 4 + header_len
     for entry in header["params"]:
-        shape = tuple(int(n) for n in entry["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        # bool is an int subclass, and a JSON true is no dimension.
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(type(n) is int and n >= 0 for n in entry["shape"])):
+            raise CheckpointError(
+                f"checkpoint params entry needs a string name and a shape of "
+                f"non-negative integers: {entry!r}"
+            )
+        shape = tuple(entry["shape"])
+        count = math.prod(shape)
         end = offset + count * 8
         if end > len(raw):
             raise CheckpointError(f"checkpoint payload truncated at {entry['name']!r}")

@@ -52,8 +52,8 @@ ABLATION_VARIANTS = [
 def parse_config_file(path) -> dict[str, str]:
     """Flat key=value lines; blank lines and # comments are ignored."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     values: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):

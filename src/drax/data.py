@@ -186,7 +186,10 @@ def read_features(path) -> FeatureBundle:
     payload_crc = 0
     for _ in range(count):
         (name_len,) = reader.unpack("<H")
-        name = str(reader.take(name_len), "utf-8")
+        try:
+            name = str(reader.take(name_len), "utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"tensor name is not UTF-8 in {path}") from None
         dtype_code, rank = reader.unpack("<BB")
         if dtype_code != 0:
             raise DataError(f"unknown dtype code {dtype_code} for tensor {name!r}")
@@ -195,6 +198,8 @@ def read_features(path) -> FeatureBundle:
         payload_crc = zlib.crc32(data, payload_crc)
         tensors[name] = np.frombuffer(data, dtype="<f4").reshape(shape)
     (stored_crc,) = reader.unpack("<I")
+    if reader.offset != len(raw):
+        raise DataError(f"{len(raw) - reader.offset} trailing bytes after the payload CRC")
     if stored_crc != payload_crc:
         raise ChecksumError(
             f"payload CRC mismatch: stored {stored_crc:#010x}, computed {payload_crc:#010x}"
@@ -235,8 +240,8 @@ class SyntheticSpec:
                 raise DataError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.distractor_tokens < 0:
             raise DataError(f"distractor_tokens must be >= 0, got {self.distractor_tokens}")
-        if self.noise_sigma < 0:
-            raise DataError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise DataError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         smallest = min(self.appearance_dim, self.motion_dim, self.text_dim)
         if self.signal_dims >= smallest:
             raise DataError(
@@ -328,8 +333,8 @@ def iter_dataset(directory) -> Iterator[FeatureBundle]:
     if not manifest_path.is_file():
         raise DataError(f"no manifest.json under {directory}")
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError for non-UTF-8 bytes
         raise DataError(f"manifest is not valid JSON: {exc}") from None
     entries = manifest.get("samples", []) if isinstance(manifest, dict) else None
     if not isinstance(entries, list):

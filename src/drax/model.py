@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -32,7 +33,6 @@ class ConfigError(ValueError):
     """A configuration value or key is invalid."""
 
 
-MODALITIES = ("appearance", "motion", "question", "answer", "fused")
 LOSS_MODES = ("logit-hinge", "probability-hinge")
 FUSION_MODES = ("cross-aligned", "simple-concat")
 # Each stage's two streams; its configured anchor must be one of them.
@@ -46,22 +46,11 @@ _FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 @dataclass
 class ModalitySequence:
-    """Token matrix tagged with its modality; row 0 is CLS when has_cls.
-
-    Tokens are (n, d), or (K, n, d) for a batch of K answer candidates.
-    """
+    """Token matrix tagged with its modality: (n, d), or (K, n, d) for a
+    batch of K answer candidates."""
 
     tokens: Tensor
     modality: str
-    has_cls: bool = False
-
-    def __post_init__(self):
-        if self.modality not in MODALITIES:
-            raise ValueError(f"unknown modality: {self.modality!r}")
-        if self.tokens.ndim not in (2, 3):
-            raise ShapeError(
-                f"sequence tokens must be (n, d) or (K, n, d), got {self.tokens.shape}"
-            )
 
 
 @dataclass
@@ -99,6 +88,8 @@ class DraxConfig:
             wrong_bool = isinstance(value, bool) != (f.type == "bool")
             if wrong_bool or not isinstance(value, _FIELD_TYPES[f.type]):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+            if f.type == "float" and not -math.inf < value < math.inf:
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.d < 1 or self.heads < 1 or self.d % self.heads != 0:
             raise ConfigError(f"d={self.d} must be a positive multiple of heads={self.heads}")
         if self.layers < 1:
@@ -162,25 +153,20 @@ def sinusoidal_encoding(length: int, dim: int) -> np.ndarray:
     return table
 
 
-def add_cls_and_pos(seq: ModalitySequence, cls_token: Parameter,
-                    pos_table: Parameter | None) -> ModalitySequence:
+def add_cls_and_pos(tokens: Tensor, cls_token: Parameter,
+                    pos_table: Parameter | None) -> Tensor:
     """Prepend the stage's CLS token, then add the stage's learned positions,
     or the sinusoidal table when it has none, to all rows."""
-    if seq.has_cls:
-        raise ValueError(f"{seq.modality} sequence already carries a CLS slot")
-    tokens = seq.tokens
     cls = cls_token if tokens.ndim == 2 else T.broadcast(cls_token, tokens.shape[0])
     tokens = T.concat([cls, tokens], axis=-2)
     length, dim = tokens.shape[-2:]
     if pos_table is None:
-        tokens = tokens + sinusoidal_encoding(length, dim)
-    else:
-        if length > pos_table.shape[0]:
-            raise ConfigError(
-                f"sequence length {length} exceeds max_positions {pos_table.shape[0]}"
-            )
-        tokens = tokens + pos_table[:length]
-    return ModalitySequence(tokens, seq.modality, has_cls=True)
+        return tokens + sinusoidal_encoding(length, dim)
+    if length > pos_table.shape[0]:
+        raise ConfigError(
+            f"sequence length {length} exceeds max_positions {pos_table.shape[0]}"
+        )
+    return tokens + pos_table[:length]
 
 
 @dataclass
@@ -334,7 +320,9 @@ class DraxModel:
         """One stage on (n, d) streams, or on a candidate batch.
 
         For a batch, `seq2` is (K, n, d), `seq1` is the (n, d) stream every
-        candidate shares, and `site` holds one label per candidate.
+        candidate shares, and `site` holds one label per candidate. The
+        fused output keeps its CLS row exactly when `keep_cls`, except in
+        the video stage's simple-concat ablation, which has none.
         """
         cfg = self.config
         sp = self.stages[index]
@@ -345,8 +333,8 @@ class DraxModel:
             )
         site = site or name
         y1, y2 = run_encoder_stack(
-            add_cls_and_pos(seq1, sp.cls1, sp.pos1).tokens,
-            add_cls_and_pos(seq2, sp.cls2, sp.pos2).tokens,
+            add_cls_and_pos(seq1.tokens, sp.cls1, sp.pos1),
+            add_cls_and_pos(seq2.tokens, sp.cls2, sp.pos2),
             sp.stack, cfg.d_f_initial, cfg.delta, masker, site=site,
         )
         anchor_first = getattr(cfg, f"anchor_{name}") == mod1
@@ -357,12 +345,11 @@ class DraxModel:
                 anchor, tail, sp.fusion, cfg.d_f_fusion, masker, site=sub_site(site, "fusion"),
             )
             fused = cross_aligned_fuse(anchor, aligned, sp.fusion)
-            has_cls = True
         elif index == 0:
             # Ablation fusion, video stage: drop both CLS rows and reconcile the
             # tail by consecutive-group averaging before concat + projection.
             fused = simple_concat_fuse(anchor[..., 1:, :], tail[..., 1:, :], sp.fusion)
-            has_cls = False
+            return ModalitySequence(fused, "fused")
         else:
             # Ablation fusion, language stages: the tail contributes only its
             # encoded CLS row, repeated across the anchor rows.
@@ -370,11 +357,7 @@ class DraxModel:
             fused = simple_concat_fuse(
                 anchor, T.concat([tail[..., 0:1, :]] * rows, axis=-2), sp.fusion
             )
-            has_cls = True
-        if has_cls and not keep_cls:
-            fused = fused[..., 1:, :]
-            has_cls = False
-        return ModalitySequence(fused, "fused", has_cls=has_cls)
+        return ModalitySequence(fused if keep_cls else fused[..., 1:, :], "fused")
 
     def forward(self, bundle, masker: MaskController | None = None) -> Tensor:
         """Per-candidate representations, one row per answer candidate.

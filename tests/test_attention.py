@@ -309,9 +309,3 @@ class TestEncoderStack:
             )
             assert np.all(np.isfinite(y1.data))
             assert np.all(np.isfinite(y2.data))
-
-    def test_depth_validation(self):
-        with pytest.raises(ValueError):
-            self.build(18, depth=0)
-        with pytest.raises(ShapeError):
-            EncoderStack.create(ParamStore(0), "stack", 9, 2, 1, 18)

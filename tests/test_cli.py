@@ -1,6 +1,7 @@
 """End-to-end checks for the command-line entry points."""
 
 import dataclasses
+import importlib.util
 import json
 import shutil
 import struct
@@ -84,12 +85,16 @@ class TestConfigPlumbing:
             parse_config_file(path)
 
     def test_unknown_key_is_exit_2(self, dataset_dir, tmp_path, capsys):
-        code = main([
-            "train", "--data", str(dataset_dir), "--out", str(tmp_path / "o"),
-            "--set", "bogus=1",
-        ])
-        assert code == 2
-        assert "bogus" in capsys.readouterr().err
+        # A non-finite float is refused the same way, before any training.
+        for item in ("bogus=1", "learning_rate=nan", "learning_rate=inf",
+                     "layer_norm_eps=nan", "delta=nan", "grad_clip=nan"):
+            code = main([
+                "train", "--data", str(dataset_dir), "--out", str(tmp_path / "o"),
+                "--set", item,
+            ])
+            assert code == 2, item
+            assert item.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "o" / "model.ckpt").exists()
 
     def test_missing_config_file_is_exit_2(self, dataset_dir, tmp_path):
         code = main([
@@ -97,6 +102,16 @@ class TestConfigPlumbing:
             "--config", str(tmp_path / "absent.cfg"),
         ])
         assert code == 2
+
+    def test_non_utf8_config_file_is_exit_2(self, dataset_dir, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"d=8\n# caf\xe9\n")
+        code = main([
+            "train", "--data", str(dataset_dir), "--out", str(tmp_path / "o"),
+            "--config", str(path),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: cannot read config file")
 
     def test_missing_dataset_is_exit_3(self, tmp_path):
         code = main([
@@ -162,8 +177,10 @@ class TestGenData:
         assert code == 2
 
     def test_invalid_spec_is_exit_2(self, tmp_path):
-        code = main(["gen-data", "--out", str(tmp_path / "g"), "--set", "samples=0"])
-        assert code == 2
+        for item in ("samples=0", "noise_sigma=nan", "noise_sigma=inf"):
+            code = main(["gen-data", "--out", str(tmp_path / "g"), "--set", item])
+            assert code == 2, item
+        assert not (tmp_path / "g").exists()
 
     def test_same_seed_same_bytes(self, tmp_path):
         args = ["--set", "samples=2", "--set", "frames=4", "--set", "clips=3",
@@ -265,8 +282,9 @@ class TestCheckpointOverrides:
     @pytest.mark.parametrize("command", ["eval", "inspect-attention"])
     @pytest.mark.parametrize(
         "override, code",
-        [("d=16", 4), ("d_f_fusion=2", 2), ("bogus=1", 2)],
-        ids=["shape-mismatch", "invalid-value", "unknown-key"],
+        [("d=16", 4), ("d_f_fusion=2", 2), ("bogus=1", 2), ("delta=nan", 2),
+         ("learning_rate=inf", 2)],
+        ids=["shape-mismatch", "invalid-value", "unknown-key", "nan-value", "inf-value"],
     )
     def test_bad_override_exit_code(self, checkpoint, dataset_dir, tmp_path, capsys,
                                     command, override, code):
@@ -282,8 +300,8 @@ class TestCheckpointOverrides:
     @pytest.mark.parametrize(
         "key, value",
         [("d_f_fusion", 2.0), ("d", "8"), ("d", 8.0), ("heads", None),
-         ("masking_enabled", "no")],
-        ids=["out-of-range", "str-int", "float-int", "null", "str-bool"],
+         ("masking_enabled", "no"), ("learning_rate", float("nan")), ("delta", float("inf"))],
+        ids=["out-of-range", "str-int", "float-int", "null", "str-bool", "nan", "inf"],
     )
     def test_invalid_stored_config_is_exit_4(self, checkpoint, dataset_dir, tmp_path, capsys,
                                              key, value, extra):
@@ -357,6 +375,68 @@ class TestMalformedManifest:
         ]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: manifest") and "label mismatch" not in err
+
+    def test_non_utf8_manifest_exits_3(self, dataset_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        (data / "manifest.json").write_bytes(b"\xff" + (data / "manifest.json").read_bytes())
+        assert main([
+            "train", "--data", str(data), "--out", str(tmp_path / "run"), *TINY_MODEL_SETS,
+        ]) == 3
+        assert capsys.readouterr().err.startswith("data error: manifest is not valid JSON")
+
+
+class TestMalformedFeatureFile:
+    """Bytes the payload CRC does not cover are checked too (exit 3)."""
+
+    def _eval(self, checkpoint, data):
+        return main(["eval", "--checkpoint", str(checkpoint), "--data", str(data)])
+
+    def test_non_utf8_tensor_name_is_exit_3(self, checkpoint, dataset_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        path = data / "sample_00000.drxf"
+        raw = bytearray(path.read_bytes())
+        # Magic (4), version (2), count (4), then the first name's length (2).
+        assert raw[12:22] == b"appearance"
+        raw[12] = 0xFF
+        path.write_bytes(bytes(raw))
+        assert self._eval(checkpoint, data) == 3
+        assert "tensor name is not UTF-8" in capsys.readouterr().err
+
+    def test_trailing_bytes_are_exit_3(self, checkpoint, dataset_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        path = data / "sample_00000.drxf"
+        path.write_bytes(path.read_bytes() + bytes(3))
+        assert self._eval(checkpoint, data) == 3
+        assert "3 trailing bytes after the payload CRC" in capsys.readouterr().err
+
+
+class TestMalformedCheckpointHeader:
+    """A header that is valid JSON but not shaped as `save_checkpoint` writes
+    it is a checkpoint error (exit 4) that names what is wrong."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda header: 5, "header must be an object"),
+        (lambda header: dict(header, config=[1, 2]), "header must be an object"),
+        (lambda header: dict(header, params=5), "header must be an object"),
+        (lambda header: dict(header, params=[["decoder.w_a", [8, 8]]]), "params entry"),
+        (lambda header: dict(header, params=[{"name": "decoder.w_a"}]), "params entry"),
+        (lambda header: dict(header, params=[{"name": "decoder.w_a", "shape": [-1]}]),
+         "params entry"),
+        (lambda header: dict(header, params=[{"name": 3, "shape": [1]}]), "params entry"),
+    ], ids=["number", "config-list", "params-number", "entry-list", "no-shape",
+            "negative-dim", "non-string-name"])
+    def test_eval_exits_4(self, checkpoint, dataset_dir, tmp_path, capsys, edit, message):
+        raw = checkpoint.read_bytes()
+        (length,) = struct.unpack("<I", raw[:4])
+        blob = json.dumps(edit(json.loads(raw[4:4 + length]))).encode("utf-8")
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(struct.pack("<I", len(blob)) + blob + raw[4 + length:])
+        assert main(["eval", "--checkpoint", str(bad), "--data", str(dataset_dir)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint error: checkpoint") and message in err
 
 
 class TestNonFiniteCheckpoint:
@@ -599,3 +679,57 @@ class TestGoldenScript:
                  if line.startswith("hash differs: ")]
         assert "run/model.ckpt" in named
         assert named == sorted(name for name in golden if printed[name] != golden[name])
+
+
+class TestPairsScript:
+    """`tools/pairs.py` summarised on canned results, without running the benchmark."""
+
+    @staticmethod
+    def _pairs_module():
+        path = Path(__file__).resolve().parents[1] / "tools" / "pairs.py"
+        spec = importlib.util.spec_from_file_location("tools_pairs", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    @staticmethod
+    def _run(**values):
+        return {"failed": 0, "attempted": 10,
+                "metrics": {name: {"value": v, "unit": "u"} for name, v in values.items()}}
+
+    def test_summary_counts_wins_by_direction(self):
+        pairs = self._pairs_module()
+        end_to_end = [{"name": "cost", "unit": "ratio", "better": "lower"},
+                      {"name": "rate", "unit": "1/s", "better": "higher"}]
+        runs = [((1.0, 5.0), (0.9, 5.0)), ((1.2, 4.0), (1.2, 4.5)),
+                ((1.1, 6.0), (1.3, 5.5)), ((1.0, 5.0), (0.8, 6.0))]
+        canned = [(self._run(cost=p[0], rate=p[1]), self._run(cost=c[0], rate=c[1]))
+                  for p, c in runs]
+        cost, rate = pairs.compare(end_to_end, canned)
+        assert (cost["wins"], cost["ties"], cost["pairs"]) == (2, 1, 4)
+        assert (rate["wins"], rate["ties"]) == (2, 1)
+        assert cost["parent"] == pytest.approx((1.0, 1.05, 1.125))
+        assert cost["change"] == pytest.approx((0.875, 1.05, 1.225))
+        line = pairs.format_rows([cost])[0]
+        assert line.startswith("cost (ratio, lower is better): parent median 1.05 ")
+        assert line.endswith("change won 2 of 4 pairs (1 tied)")
+        assert pairs.parse_run(0, "# env\n" + json.dumps(canned[0][0]), "p") == canned[0][0]
+
+    @pytest.mark.parametrize("code, stdout, message", [
+        (1, '{"failed": 0, "metrics": {}}\n', "exited with code 1"),
+        (0, "# no summary\n", "no JSON summary"),
+        (0, "", "no JSON summary"),
+        (0, '{"failed": 2, "attempted": 9, "metrics": {}}\n', "2 of 9 ops failed"),
+    ], ids=["exit-code", "no-json", "no-output", "failed-ops"])
+    def test_bad_run_names_pair_and_side(self, code, stdout, message):
+        pairs = self._pairs_module()
+        with pytest.raises(pairs.RunError, match=f"^pair 3 change: .*{message}"):
+            pairs.parse_run(code, stdout, "pair 3 change")
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_pairs_below_one_is_usage_error(self, count, tmp_path, capsys):
+        pairs = self._pairs_module()
+        with pytest.raises(SystemExit) as exc:
+            pairs.main([str(tmp_path), str(tmp_path), "--workload", "w", "--pairs", count])
+        assert exc.value.code == 2
+        assert "--pairs must be at least 1" in capsys.readouterr().err

@@ -32,7 +32,6 @@ from drax.model import (
     DecoderParams,
     DraxConfig,
     DraxModel,
-    ModalitySequence,
     add_cls_and_pos,
     answer_decoder,
     hinge_loss,
@@ -90,6 +89,13 @@ class TestConfig:
             {"anchor_stage1": "question"},
             {"anchor_stage2": "appearance"},
             {"anchor_stage3": "question"},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+            {"layer_norm_eps": float("nan")},
+            {"delta": float("nan")},
+            {"delta": float("inf")},
+            {"grad_clip": float("nan")},
+            {"grad_clip": float("inf")},
         ],
     )
     def test_invalid_values(self, overrides):
@@ -130,12 +136,6 @@ class TestConfig:
 
 
 class TestSequencesAndPositions:
-    def test_modality_checked(self):
-        with pytest.raises(ValueError):
-            ModalitySequence(Tensor(np.zeros((2, 4))), "audio")
-        with pytest.raises(ShapeError):
-            ModalitySequence(Tensor(np.zeros(4)), "question")
-
     def test_sinusoidal_row_zero(self):
         table = sinusoidal_encoding(4, 6)
         np.testing.assert_array_equal(table[0, 0::2], np.zeros(3))
@@ -156,35 +156,25 @@ class TestSequencesAndPositions:
     def test_cls_prepended_and_pos_added(self):
         store = ParamStore(0)
         cls_token = store.row("cls", 6)
-        seq = ModalitySequence(Tensor(np.zeros((3, 6))), "question")
-        out = add_cls_and_pos(seq, cls_token, None)
-        assert out.has_cls and out.tokens.shape == (4, 6)
+        out = add_cls_and_pos(Tensor(np.zeros((3, 6))), cls_token, None)
+        assert out.shape == (4, 6)
         expected = np.vstack([cls_token.data, np.zeros((3, 6))]) + sinusoidal_encoding(4, 6)
-        np.testing.assert_allclose(out.tokens.data, expected, atol=1e-12)
+        np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_learned_positions_added(self):
         store = ParamStore(1)
         cls_token = store.row("cls", 4)
         table = store.uniform("pos", (8, 4), 8, 4)
-        seq = ModalitySequence(Tensor(np.ones((2, 4))), "motion")
-        out = add_cls_and_pos(seq, cls_token, table)
+        out = add_cls_and_pos(Tensor(np.ones((2, 4))), cls_token, table)
         expected = np.vstack([cls_token.data, np.ones((2, 4))]) + table.data[:3]
-        np.testing.assert_allclose(out.tokens.data, expected, atol=1e-12)
-
-    def test_double_cls_rejected(self):
-        store = ParamStore(2)
-        cls_token = store.row("cls", 4)
-        seq = ModalitySequence(Tensor(np.zeros((2, 4))), "question", has_cls=True)
-        with pytest.raises(ValueError, match="already carries"):
-            add_cls_and_pos(seq, cls_token, None)
+        np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_length_over_table_rejected(self):
         store = ParamStore(3)
         cls_token = store.row("cls", 4)
         table = store.uniform("pos", (3, 4), 3, 4)
-        seq = ModalitySequence(Tensor(np.zeros((5, 4))), "motion")
         with pytest.raises(ConfigError, match="max_positions"):
-            add_cls_and_pos(seq, cls_token, table)
+            add_cls_and_pos(Tensor(np.zeros((5, 4))), cls_token, table)
 
     def test_same_seed_same_learned_tables(self):
         m1, m2 = DraxModel(tiny_config()), DraxModel(tiny_config())
@@ -336,16 +326,16 @@ class TestForward:
         motion = model.embed_tokens(bundle.motion, "motion")
         fused1 = model.run_stage(0, appearance, motion, masker)
         # Anchor is motion (3 rows): CLS was added and stripped again.
-        assert not fused1.has_cls
         assert fused1.tokens.shape == (3, model.config.d)
         question = model.embed_tokens(bundle.question, "question")
         fused2 = model.run_stage(1, fused1, question, masker)
-        assert not fused2.has_cls
+        # Streams in the wrong order fail the stage's stream-pair check.
+        with pytest.raises(ValueError, match=r"stage2 expects \(fused, question\)"):
+            model.run_stage(1, question, fused1, masker)
         assert fused2.tokens.shape == (3, model.config.d)
         answer = model.embed_tokens(bundle.answers[0], "answer")
         final = model.run_stage(2, fused2, answer, masker, keep_cls=True)
         # Anchor is the answer (2 rows + CLS) and the CLS row is retained.
-        assert final.has_cls
         assert final.tokens.shape == (3, model.config.d)
 
     def test_anchor_contract_row_counts(self):
