@@ -185,12 +185,13 @@ def cross_encoder_layer(x1: Tensor, x2: Tensor, p: CrossLayerParams, d_f: float,
     """
     n1 = T.affine(T.layer_norm(x1, p.ln1_gain, p.ln1_bias, p.eps), p.f1_w, p.f1_b)
     n2 = T.affine(T.layer_norm(x2, p.ln2_gain, p.ln2_bias, p.eps), p.f2_w, p.f2_b)
-    a12 = scaled_scores(n1, n2, p.w_q, p.w_k, p.head_count,
-                        masker.site(d_f, sub_site(site, "into1")))
-    a21 = scaled_scores(n2, n1, p.w_q, p.w_k, p.head_count,
-                        masker.site(d_f, sub_site(site, "into2")))
-    y1 = T.attend(x1, a12.weights, n2, p.w_v2, p.g1_w, p.g1_b)
-    y2 = T.attend(x2, a21.weights, n1, p.w_v1, p.g2_w, p.g2_b)
+    heads, scale = p.head_count, _head_scale(n1.shape[-1], p.head_count)
+    w12 = T.head_softmax(n1, p.w_q, n2, p.w_k, heads, scale,
+                         masker.site(d_f, sub_site(site, "into1")))
+    w21 = T.head_softmax(n2, p.w_q, n1, p.w_k, heads, scale,
+                         masker.site(d_f, sub_site(site, "into2")))
+    y1 = T.attend(x1, w12, n2, p.w_v2, p.g1_w, p.g1_b)
+    y2 = T.attend(x2, w21, n1, p.w_v1, p.g2_w, p.g2_b)
     return y1, y2
 
 

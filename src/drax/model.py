@@ -230,6 +230,18 @@ def _candidate_groups(answers) -> list[list[int]]:
     return list(groups.values())
 
 
+@functools.lru_cache(maxsize=1024)
+def _candidate_sites(cands: tuple[int, ...]) -> tuple[str, ...]:
+    """Stage 3's site labels for a group of candidates, built once per group."""
+    return tuple(f"stage3/cand{c}" for c in cands)
+
+
+@functools.lru_cache(maxsize=1024)
+def _candidate_index(site: str) -> int:
+    """The candidate a stage-3 site label names: 2 for `stage3/cand2/...`."""
+    return int(site.split("/")[1].removeprefix("cand"))
+
+
 def predict(probabilities) -> int:
     """Most probable candidate; ties go to the lowest index."""
     values = probabilities.data if isinstance(probabilities, Tensor) else probabilities
@@ -378,16 +390,14 @@ class DraxModel:
         for cands in _candidate_groups(bundle.answers):
             answers = self.embed_tokens(np.stack([bundle.answers[c] for c in cands]), "answer")
             out = self.run_stage(
-                2, fused, answers, masker, keep_cls=True,
-                site=tuple(f"stage3/cand{c}" for c in cands),
+                2, fused, answers, masker, keep_cls=True, site=_candidate_sites(tuple(cands)),
             )
             means.append(T.tensor_mean(out.tokens, axis=-2))
             order += cands
         # A batched site records its candidates side by side; a stable sort by
         # candidate lists them as one stage run per candidate would.
         masker.records[start:] = sorted(
-            masker.records[start:],
-            key=lambda rec: int(rec.site.split("/")[1].removeprefix("cand")),
+            masker.records[start:], key=lambda rec: _candidate_index(rec.site)
         )
         reps = means[0] if len(means) == 1 else T.concat(means, axis=0)
         if order != sorted(order):

@@ -404,6 +404,18 @@ class TestMalformedFeatureFile:
         assert self._eval(checkpoint, data) == 3
         assert "tensor name is not UTF-8" in capsys.readouterr().err
 
+    def test_repeated_tensor_name_is_exit_3(self, checkpoint, dataset_dir, tmp_path, capsys,
+                                            monkeypatch):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        path = data / "sample_00000.drxf"
+        good = read_features(path)
+        records = [("appearance", np.ones((2, 6)))] + drax.data._tensor_records(good)
+        monkeypatch.setattr(drax.data, "_tensor_records", lambda _: records)
+        write_features(good, path)
+        assert self._eval(checkpoint, data) == 3
+        assert "'appearance' appears more than once" in capsys.readouterr().err
+
     def test_trailing_bytes_are_exit_3(self, checkpoint, dataset_dir, tmp_path, capsys):
         data = tmp_path / "data"
         shutil.copytree(dataset_dir, data)
@@ -714,6 +726,30 @@ class TestPairsScript:
         assert line.startswith("cost (ratio, lower is better): parent median 1.05 ")
         assert line.endswith("change won 2 of 4 pairs (1 tied)")
         assert pairs.parse_run(0, "# env\n" + json.dumps(canned[0][0]), "p") == canned[0][0]
+
+    @pytest.mark.parametrize("parent, change, expect", [
+        # Won 9 of 10, and the median gap 0.07 exceeds the parent's quartile
+        # distance 0.04.
+        ([1.0, 1.04] * 5, [0.95] * 9 + [1.2], "gain (change won 9 of 10 pairs; median gap"),
+        # Won 8 of 10: no gain, and no rise beyond the 25% bound.
+        ([1.0, 1.04] * 5, [0.95] * 8 + [1.2] * 2, "within bound (change won 8 of 10 pairs; "
+                                                  "change median -6.9% against the parent's"),
+        ([1.0] * 10, [1.3] * 10, "regression (change median worse by 0.3, 30.0% of"),
+        ([1.0, 1.6] * 5, [1.0] * 10, "unresolved (parent quartile distance 0.6, 46.2% of"),
+        # As wide a parent spread, but every change run beats every parent run.
+        ([1.0, 1.6] * 5, [0.9] * 8 + [0.95] * 2, "within bound (change won 10 of 10"),
+    ], ids=["gain", "within-bound", "regression", "unresolved", "separated"])
+    def test_verdict_per_metric(self, parent, change, expect):
+        pairs = self._pairs_module()
+        metric = {"name": "cost", "unit": "ratio", "better": "lower", "bound": 0.25}
+        canned = [(self._run(cost=p), self._run(cost=c)) for p, c in zip(parent, change)]
+        (row,) = pairs.compare([metric], canned)
+        assert pairs.verdict(row).startswith(f"cost: {expect}")
+        # The same runs with the direction flipped and values negated agree.
+        flipped = dict(metric, better="higher")
+        negated = [(self._run(cost=-p), self._run(cost=-c)) for p, c in zip(parent, change)]
+        (row,) = pairs.compare([flipped], negated)
+        assert pairs.verdict(row).split(" (")[0] == f"cost: {expect}".split(" (")[0]
 
     @pytest.mark.parametrize("code, stdout, message", [
         (1, '{"failed": 0, "metrics": {}}\n', "exited with code 1"),

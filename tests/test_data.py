@@ -187,6 +187,27 @@ class TestFeatureFile:
         with pytest.raises(DataError, match="label"):
             read_features(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        # A later tensor of a name used to replace an earlier one silently,
+        # and an unknown name used to be ignored.
+        (lambda records: [("appearance", np.ones((2, 6)))] + records + [
+            ("mystery", np.ones(3))], "appears more than once"),
+        (lambda records: records + [("motion", records[1][1])], "appears more than once"),
+        (lambda records: records + [("mystery", np.ones(3))], "unknown tensor 'mystery'"),
+        (lambda records: [r for r in records if r[0] != "answer2"], "missing tensor 'answer2'"),
+    ], ids=["leading-repeat-and-unknown", "repeat", "unknown", "missing"])
+    def test_tensor_names_must_be_the_nine_written_once_each(self, tmp_path, monkeypatch,
+                                                              edit, message):
+        # A well-formed file (valid CRC) whose tensor names are not the nine
+        # `write_features` writes, each once.
+        bundle = random_bundle()
+        records = edit(data._tensor_records(bundle))
+        monkeypatch.setattr(data, "_tensor_records", lambda _: records)
+        path = tmp_path / "names.drxf"
+        write_features(bundle, path)
+        with pytest.raises(DataError, match=message):
+            read_features(path)
+
 
 def linear_oracle_accuracy(bundles, signal_dims) -> float:
     """Dot the mean video signal-band against each answer's mean signal-band."""

@@ -412,6 +412,23 @@ class TestMaskedScoreOp:
             if mode == "replay":
                 assert rec.mask.tobytes() == frozen[rec.site].tobytes()
 
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_all_false_mask_is_the_unmasked_op(self, batched):
+        """The op multiplies by `1 - mask` without testing the mask for any
+        True entry; for an all-false mask that is a bit-for-bit identity."""
+        rng = np.random.default_rng(33)
+        inputs = _score_inputs(rng, batched)
+        probe = rng.normal(size=(3, 2, 4, 5) if batched else (2, 4, 5))
+
+        def run(mask):
+            for t in inputs:
+                t.zero_grad()
+            weights = T.head_softmax(*inputs, 2, 0.7, mask)
+            T.tensor_sum(weights * probe).backward()
+            return weights.data.tobytes(), [t.grad.tobytes() for t in inputs]
+
+        assert run(lambda w, rho: np.zeros(w.shape, dtype=bool)) == run(None)
+
     def test_mask_shape_checked(self):
         rng = np.random.default_rng(32)
         inputs = _score_inputs(rng, False)

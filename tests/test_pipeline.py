@@ -651,6 +651,63 @@ class TestBatchedStage3:
             model.forward(flat)
 
 
+class TestFrozenMaskReplay:
+    """Replay reads its masks through one read-only `FrozenMasks`, which
+    stacks each candidate batch and counts its densities once."""
+
+    @staticmethod
+    def _pass(model, bundle, masker):
+        model.zero_grad()
+        loss, probs = model.sample_loss(bundle, masker)
+        T.backward(loss)
+        grads = [None if p.grad is None else p.grad.tobytes() for p in model.parameters()]
+        records = [(r.site, r.d_f, r.density, r.mask.tobytes(),
+                    None if r.pre_weights is None else r.pre_weights.tobytes())
+                   for r in masker.records]
+        return loss.data.tobytes(), probs.tobytes(), grads, records
+
+    @pytest.mark.parametrize("record", ["summary", "full"])
+    @pytest.mark.parametrize("lengths", [(2, 2, 2, 2), (2, 3, 2, 1)])
+    def test_frozen_mapping_plain_dict_and_live_agree(self, record, lengths):
+        """Loss, probabilities, every gradient and every record (site, d_f,
+        density, mask bytes, pre-mask weights) bit-identical, over repeated
+        replays that reuse the cached batches."""
+        model = DraxModel(tiny_config(layers=2))
+        rng = np.random.default_rng(12)
+        bundle = dataclasses.replace(
+            tiny_bundle(seed=8), answers=tuple(rng.normal(size=(n, 5)) for n in lengths)
+        )
+        live = MaskController(record=record)
+        want = self._pass(model, bundle, live)
+        frozen = live.frozen_masks()
+        plain = {site: np.array(mask) for site, mask in frozen.items()}
+        assert any(r[2] > 0.0 for r in want[3])
+        for masks in (frozen, frozen, plain):
+            replay = MaskController(mode="replay", record=record, frozen=masks)
+            assert (replay.frozen is frozen) == (masks is frozen)
+            for _ in range(2):
+                assert self._pass(model, bundle, replay) == want
+
+    def test_frozen_masks_are_read_only(self):
+        model = DraxModel(tiny_config())
+        live = model.make_masker()
+        model.forward(tiny_bundle(seed=8), live)
+        frozen = live.frozen_masks()
+        site = next(iter(frozen))
+        with pytest.raises(TypeError):
+            frozen[site] = np.zeros_like(frozen[site])
+        with pytest.raises(ValueError):
+            frozen[site][...] = True
+        mask, _ = frozen.batch(tuple(s for s in frozen if s.endswith("/layer1/into1")
+                                     and s.startswith("stage3/")))
+        assert mask.shape[0] == 4 and not mask.flags.writeable
+        # A plain dict is copied in: writing to it afterwards changes no replay.
+        plain = {s: np.array(m) for s, m in frozen.items()}
+        replay = MaskController(mode="replay", frozen=plain)
+        plain[site][...] = ~plain[site]
+        assert replay.frozen[site].tobytes() == frozen[site].tobytes()
+
+
 def positive_loss(model, bundle):
     loss, _ = model.sample_loss(bundle, model.make_masker())
     assert loss.item() > 0.0

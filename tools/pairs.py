@@ -12,7 +12,17 @@ JSON object on the last line of its standard output.
 For every end-to-end metric that CHANGE_DIR's `BENCHMARK.json` declares, the
 summary gives each side's median and quartiles, and the number of pairs the
 change won by the metric's `better` direction; a tie counts for neither
-side. The exit status is 1, naming the pair and side, when a run exits
+side. Below those rows, one verdict line per metric reads, first match wins:
+
+- `gain`: the change won at least nine tenths of the pairs, and its median
+  is better than the parent's by more than the parent's quartile distance;
+- `regression`: the change's median is worse than the parent's by more than
+  the metric's `bound`, a fraction of the parent's median;
+- `unresolved`: the parent's quartile distance is wider than the bound, and
+  not every change run is better than every parent run;
+- `within bound`: none of these.
+
+The exit status is 1, naming the pair and side, when a run exits
 non-zero, prints no JSON last line, or reports failed ops. Each run writes
 its result files under `bench/out/` in its own checkout, as `bench/run.py`
 always does.
@@ -61,7 +71,8 @@ def run_once(checkout: Path, bench: dict, args, label: str) -> dict:
 
 
 def compare(end_to_end: list[dict], pairs: list[tuple[dict, dict]]) -> list[dict]:
-    """Per metric: each side's (q1, median, q3), and the change's wins and ties."""
+    """Per metric: each side's (q1, median, q3), the change's wins and ties,
+    the metric's bound, and whether every change run beat every parent run."""
     rows = []
     for metric in end_to_end:
         name = metric["name"]
@@ -73,13 +84,36 @@ def compare(end_to_end: list[dict], pairs: list[tuple[dict, dict]]) -> list[dict
             "name": name,
             "unit": metric["unit"],
             "better": metric["better"],
+            "bound": metric.get("bound"),
             **{side: tuple(float(q) for q in np.percentile(values[side], (25, 50, 75)))
                for side in SIDES},
             "wins": sum(m > 0 for m in margins),
             "ties": sum(m == 0 for m in margins),
             "pairs": len(pairs),
+            # Every change run better than every parent run.
+            "separated": min(sign * (p - c) for p in values["parent"]
+                             for c in values["change"]) > 0,
         })
     return rows
+
+
+def verdict(row: dict) -> str:
+    """One line: the metric's verdict (see the module docstring) and why."""
+    sign = 1.0 if row["better"] == "lower" else -1.0
+    (p_q1, p_med, p_q3), c_med = row["parent"], row["change"][1]
+    gap, spread, bound = sign * (p_med - c_med), p_q3 - p_q1, row["bound"]
+    won = f"change won {row['wins']} of {row['pairs']} pairs"
+    if 10 * row["wins"] >= 9 * row["pairs"] and gap > spread:
+        return (f"{row['name']}: gain ({won}; median gap {gap:.6g} > "
+                f"parent quartile distance {spread:.6g})")
+    if -gap > bound * abs(p_med):
+        return (f"{row['name']}: regression (change median worse by {-gap:.6g}, "
+                f"{-gap / abs(p_med):.1%} of the parent median > bound {bound:.0%})")
+    if spread > bound * abs(p_med) and not row["separated"]:
+        return (f"{row['name']}: unresolved (parent quartile distance {spread:.6g}, "
+                f"{spread / abs(p_med):.1%} of its median > bound {bound:.0%})")
+    return (f"{row['name']}: within bound ({won}; change median "
+            f"{(c_med - p_med) / abs(p_med):+.1%} against the parent's, bound {bound:.0%})")
 
 
 def format_rows(rows: list[dict]) -> list[str]:
@@ -126,8 +160,11 @@ def main(argv=None) -> int:
         return 1
     print(f"{args.workload}, {len(pairs)} alternating pairs, seed {args.seed}, "
           f"{bench['run_seconds']:g} s per run:")
-    for line in format_rows(compare(bench["end_to_end"], pairs)):
+    rows = compare(bench["end_to_end"], pairs)
+    for line in format_rows(rows):
         print(line)
+    for row in rows:
+        print(f"verdict {verdict(row)}")
     return 0
 
 
