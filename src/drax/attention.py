@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from . import tensor as T
-from .distraction import MaskController, schedule_df, sub_site
+from .distraction import MaskController, sub_site
 from .tensor import ParamStore, Parameter, ShapeError, Tensor
 
 
@@ -175,7 +175,7 @@ def self_attention_encoder(x: Tensor, p: SelfAttentionParams) -> Tensor:
                                 p.ln2_bias, p.eps)
 
 
-def cross_encoder_layer(x1: Tensor, x2: Tensor, p: CrossLayerParams, d_f: float,
+def cross_encoder_layer(x1: Tensor, x2: Tensor, p: CrossLayerParams, d_f: float | None,
                         masker: MaskController, site: str = "cross") -> tuple[Tensor, Tensor]:
     """Bidirectional masked cross-attention with residual back-projection.
 
@@ -195,22 +195,21 @@ def cross_encoder_layer(x1: Tensor, x2: Tensor, p: CrossLayerParams, d_f: float,
     return y1, y2
 
 
-def run_encoder_stack(x1: Tensor, x2: Tensor, stack: EncoderStack, d_f_initial: float,
-                      delta: float, masker: MaskController,
+def run_encoder_stack(x1: Tensor, x2: Tensor, stack: EncoderStack,
+                      factors: tuple[float, ...] | None, masker: MaskController,
                       site: str = "stack") -> tuple[Tensor, Tensor]:
     """Alternate per-stream self encoders with cross layers for every level.
 
-    The distraction factor advances by `delta` per level, starting at
-    `d_f_initial` for the first cross layer; the masker decides whether the
-    schedule may exceed 1. An (n, d) `x1` beside a (K, n, d) candidate
-    batch is self-encoded once, then broadcast to every candidate.
+    Level k's cross layer masks with `factors[k-1]`, the model's schedule;
+    with `factors` None no site masks. An (n, d) `x1` beside a (K, n, d)
+    candidate batch is self-encoded once, then broadcast to every candidate.
     """
-    for k, layer in enumerate(stack.layers, start=1):
+    levels = zip(stack.layers, factors or (None,) * len(stack.layers), strict=True)
+    for k, (layer, d_f) in enumerate(levels, start=1):
         x1 = self_attention_encoder(x1, layer.self1)
         x2 = self_attention_encoder(x2, layer.self2)
         if x1.ndim < x2.ndim:
             x1 = T.broadcast(x1, x2.shape[0])
-        d_f = schedule_df(d_f_initial, delta, k, allow_above_one=masker.allow_above_one)
         x1, x2 = cross_encoder_layer(x1, x2, layer.cross, d_f, masker,
                                      sub_site(site, f"layer{k}"))
     return x1, x2

@@ -249,8 +249,9 @@ class SyntheticSpec:
                     "signal_dims", "appearance_dim", "motion_dim", "text_dim"):
             if getattr(self, key) < 1:
                 raise DataError(f"{key} must be >= 1, got {getattr(self, key)}")
-        if self.distractor_tokens < 0:
-            raise DataError(f"distractor_tokens must be >= 0, got {self.distractor_tokens}")
+        for key in ("distractor_tokens", "seed"):
+            if getattr(self, key) < 0:
+                raise DataError(f"{key} must be >= 0, got {getattr(self, key)}")
         if not 0 <= self.noise_sigma < math.inf:
             raise DataError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         smallest = min(self.appearance_dim, self.motion_dim, self.text_dim)

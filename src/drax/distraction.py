@@ -6,7 +6,10 @@ distraction and is multiplied away. The comparison happens on raw weight
 values, so the mask acts as a constant during differentiation: surviving
 weights pass gradients through, zeroed positions pass nothing.
 
-`MaskController` has one mask-and-record body with two entry points: the
+The model owns the schedule: when it is built it fixes one factor per
+encoder level (`schedule_df`) and one for fusion, all None with masking
+off, and hands each site its own. `MaskController` only masks, live or
+replayed, through one mask-and-record body with two entry points: the
 model passes `site`'s callable to the score op, `tensor.head_softmax`,
 which masks within the same op and gets each row's relevance score free as
 its softmax normaliser's reciprocal; `apply` masks finished weights. Each
@@ -176,32 +179,32 @@ class FrozenMasks(Mapping):
 
 
 class MaskController:
-    """Runs the identify/apply step at every masking site of a forward pass.
+    """Masks and records every masking site of a forward pass.
 
-    Modes: "live" computes masks from the current weights; "off" passes
-    weights through untouched (the masking-disabled build); "replay" reuses
+    Modes: "live" computes masks from the current weights; "replay" reuses
     masks captured by an earlier live pass, keyed by site label, so repeated
     forward evaluations see a frozen mask. Replay reads its masks through a
-    `FrozenMasks`; a plain dict is wrapped in one at construction.
+    `FrozenMasks`; a plain dict is wrapped in one at construction. A site
+    whose factor is None (masking off) passes its weights through.
 
-    Every mode that masks takes one path, `_mask`: get the mask (the
-    threshold on `rho` live, the frozen ones stacked), then append one
-    record per site label. A candidate batch carries (K, heads, n, m)
-    weights and K labels, recorded in label order. Every record holds the
-    site, d_f, density and mask, plus `rho` and `threshold` when live;
-    record="full" adds only a copy of the pre-mask weights, for inspection
-    dumps; the post-mask weights are `pre_weights * (1 - mask)`, as the
-    no-renormalisation rule leaves them.
+    Both modes take one path, `_mask`: get the mask (live, weights below
+    `rho * d_f`, the factor range-checked when the schedule was built; in
+    replay, the frozen ones stacked), then append one record per site
+    label. A candidate batch carries (K, heads, n, m) weights and K labels,
+    recorded in label order. Every record holds the site, d_f, density and
+    mask, plus `rho` and `threshold` when live; record="full" adds only a
+    copy of the pre-mask weights, for inspection dumps; the post-mask
+    weights are `pre_weights * (1 - mask)`, as the no-renormalisation rule
+    leaves them.
     """
 
-    MODES = ("live", "off", "replay")
+    MODES = ("live", "replay")
 
     def __init__(
         self,
         mode: str = "live",
         record: str = "summary",
         frozen: Mapping[str, np.ndarray] | None = None,
-        allow_above_one: bool = False,
     ):
         if mode not in self.MODES:
             raise ValueError(f"unknown mask mode: {mode!r}")
@@ -214,20 +217,19 @@ class MaskController:
         if frozen is not None and not isinstance(frozen, FrozenMasks):
             frozen = FrozenMasks(frozen)
         self.frozen = frozen
-        self.allow_above_one = allow_above_one
         self.records: list[MaskRecord] = []
 
     def begin_pass(self) -> None:
         self.records.clear()
 
-    def site(self, d_f: float, site):
+    def site(self, d_f: float | None, site):
         """`_mask` for one site (or candidate batch) as `head_softmax`'s `mask`."""
-        if self.mode == "off":
+        if d_f is None:
             return None
         return lambda weights, rho: self._mask(weights, rho, d_f, site)
 
-    def apply(self, attn, d_f: float, site) -> "AttentionWeights":
-        if self.mode == "off":
+    def apply(self, attn, d_f: float | None, site) -> "AttentionWeights":
+        if d_f is None:
             return attn
         rho = relevance_scores(attn) if self.mode == "live" else None
         return apply_mask(attn, self._mask(attn.weights.data, rho, d_f, site))
@@ -241,7 +243,7 @@ class MaskController:
             raise ShapeError(f"{len(labels)} site labels for {weights.shape[0]} candidates")
         live = self.mode == "live"
         if live:
-            tau = threshold(rho, d_f, allow_above_one=self.allow_above_one)
+            tau = rho * d_f
             mask, densities = weights < tau[..., None], None
         else:
             mask, densities = self.frozen.batch(site)

@@ -43,7 +43,7 @@ class FusionParams:
 
 
 def vector_space_transform(x_a: Tensor, x_t: Tensor, params: FusionParams,
-                           d_f_fusion: float, masker: MaskController,
+                           d_f_fusion: float | None, masker: MaskController,
                            site: str = "fusion") -> Tensor:
     """Rewrite the tail in anchor rows via masked attention over raw tail rows.
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import EncoderStack, run_encoder_stack
-from .distraction import MaskController, sub_site
+from .distraction import MaskController, schedule_df, sub_site
 from .fusion import FusionParams, cross_aligned_fuse, simple_concat_fuse, vector_space_transform
 from .tensor import ParamStore, Parameter, ShapeError, Tensor
 
@@ -122,6 +122,8 @@ class DraxConfig:
             raise ConfigError(f"learning_rate must be nonnegative, got {self.learning_rate}")
         if self.grad_clip < 0.0:
             raise ConfigError(f"grad_clip must be nonnegative, got {self.grad_clip}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -249,7 +251,7 @@ def predict(probabilities) -> int:
 
 
 class DraxModel:
-    """Parameters plus the full forward pass from raw features to candidate scores."""
+    """Parameters, the masking schedule and the forward pass to candidate scores."""
 
     def __init__(self, config: DraxConfig, draw: bool = True):
         """Build every parameter from `config.seed`; with `draw=False` the
@@ -290,6 +292,11 @@ class DraxModel:
                 )
             )
         self.decoder = DecoderParams.create(store, "decoder", d)
+        masking = config.masking_enabled  # the schedule is fixed here, None with masking off
+        self.layer_factors = tuple(
+            schedule_df(config.d_f_initial, config.delta, k, config.allow_df_above_one)
+            for k in range(1, config.layers + 1)) if masking else None
+        self.fusion_factor = config.d_f_fusion if masking else None
 
     def _pos_table(self, store: ParamStore, stage: str, modality: str) -> Parameter | None:
         if modality in ("question", "answer"):
@@ -309,10 +316,7 @@ class DraxModel:
             p.zero_grad()
 
     def make_masker(self, record: str = "summary") -> MaskController:
-        mode = "live" if self.config.masking_enabled else "off"
-        return MaskController(
-            mode=mode, record=record, allow_above_one=self.config.allow_df_above_one
-        )
+        return MaskController(record=record)
 
     def embed_tokens(self, raw: np.ndarray, modality: str) -> ModalitySequence:
         w, b = self.embeddings[modality]
@@ -347,14 +351,14 @@ class DraxModel:
         y1, y2 = run_encoder_stack(
             add_cls_and_pos(seq1.tokens, sp.cls1, sp.pos1),
             add_cls_and_pos(seq2.tokens, sp.cls2, sp.pos2),
-            sp.stack, cfg.d_f_initial, cfg.delta, masker, site=site,
+            sp.stack, self.layer_factors, masker, site=site,
         )
         anchor_first = getattr(cfg, f"anchor_{name}") == mod1
         anchor, tail = (y1, y2) if anchor_first else (y2, y1)
 
         if cfg.fusion_mode == "cross-aligned":
             aligned = vector_space_transform(
-                anchor, tail, sp.fusion, cfg.d_f_fusion, masker, site=sub_site(site, "fusion"),
+                anchor, tail, sp.fusion, self.fusion_factor, masker, sub_site(site, "fusion"),
             )
             fused = cross_aligned_fuse(anchor, aligned, sp.fusion)
         elif index == 0:

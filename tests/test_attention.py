@@ -175,8 +175,9 @@ class TestCrossEncoderLayer:
         live = MaskController()
         masked1, masked2 = cross_encoder_layer(s1, s2, p, d_f=0.0, masker=live)
         assert [rec.density for rec in live.records] == [0.0, 0.0]
-        off = MaskController(mode="off")
-        plain1, plain2 = cross_encoder_layer(s1, s2, p, d_f=0.0, masker=off)
+        off = MaskController()
+        plain1, plain2 = cross_encoder_layer(s1, s2, p, d_f=None, masker=off)
+        assert off.records == []
         np.testing.assert_allclose(masked1.data, plain1.data, atol=1e-12)
         np.testing.assert_allclose(masked2.data, plain2.data, atol=1e-12)
 
@@ -216,14 +217,6 @@ class TestCrossEncoderLayer:
         z2, z1 = cross_encoder_layer(s2, s1, swapped_params(p), d_f=0.6, masker=MaskController())
         np.testing.assert_array_equal(y1.data, z1.data)
         np.testing.assert_array_equal(y2.data, z2.data)
-
-    def test_invalid_factor(self):
-        p = self.make(13)
-        with pytest.raises(ValueError):
-            cross_encoder_layer(
-                tok(np.zeros((2, 8))), tok(np.zeros((2, 8))), p, d_f=1.5,
-                masker=MaskController(),
-            )
 
     def test_hand_stepped_single_head_oracle(self):
         # 2 query tokens, 2 context tokens, 1 head: every intermediate value
@@ -265,7 +258,7 @@ class TestEncoderStack:
         rng = np.random.default_rng(15)
         stack = self.build(15)
         s1, s2 = tok(rng.normal(size=(4, 8))), tok(rng.normal(size=(3, 8)))
-        got1, got2 = run_encoder_stack(s1, s2, stack, 0.3, 0.3, MaskController())
+        got1, got2 = run_encoder_stack(s1, s2, stack, (0.3,), MaskController())
         layer = stack.layers[0]
         e1 = self_attention_encoder(s1, layer.self1)
         e2 = self_attention_encoder(s2, layer.self2)
@@ -277,11 +270,12 @@ class TestEncoderStack:
         rng = np.random.default_rng(16)
         stack = self.build(16, depth=2)
         s1, s2 = tok(rng.normal(size=(3, 8))), tok(rng.normal(size=(4, 8)))
-        got1, got2 = run_encoder_stack(s1, s2, stack, 0.2, 0.1, MaskController())
-        for k, layer in enumerate(stack.layers, start=1):
+        factors = (0.2, 0.3)
+        got1, got2 = run_encoder_stack(s1, s2, stack, factors, MaskController())
+        for layer, d_f in zip(stack.layers, factors):
             s1 = self_attention_encoder(s1, layer.self1)
             s2 = self_attention_encoder(s2, layer.self2)
-            s1, s2 = cross_encoder_layer(s1, s2, layer.cross, 0.2 + (k - 1) * 0.1, MaskController())
+            s1, s2 = cross_encoder_layer(s1, s2, layer.cross, d_f, MaskController())
         np.testing.assert_array_equal(got1.data, s1.data)
         np.testing.assert_array_equal(got2.data, s2.data)
 
@@ -291,12 +285,21 @@ class TestEncoderStack:
         ctrl = MaskController(mode="live")
         run_encoder_stack(
             tok(rng.normal(size=(3, 8))), tok(rng.normal(size=(3, 8))),
-            stack, 0.3, 0.3, masker=ctrl,
+            stack, (0.3, 0.6, 0.9), masker=ctrl,
         )
         factors = {rec.site: rec.d_f for rec in ctrl.records}
         for k, expected in ((1, 0.3), (2, 0.6), (3, 0.9)):
             assert factors[f"stack/layer{k}/into1"] == pytest.approx(expected, abs=1e-12)
             assert factors[f"stack/layer{k}/into2"] == pytest.approx(expected, abs=1e-12)
+
+    def test_one_factor_per_level(self):
+        stack = self.build(18, depth=2)
+        x = tok(np.zeros((3, 8)))
+        with pytest.raises(ValueError):
+            run_encoder_stack(x, x, stack, (0.3,), MaskController())
+        ctrl = MaskController()
+        run_encoder_stack(x, x, stack, None, ctrl)
+        assert ctrl.records == []
 
     def test_outputs_finite_across_seeds(self):
         for seed in range(20):
@@ -305,7 +308,7 @@ class TestEncoderStack:
             y1, y2 = run_encoder_stack(
                 tok(rng.normal(size=(3, 8)) * 2),
                 tok(rng.normal(size=(5, 8)) * 2),
-                stack, 0.3, 0.3, MaskController(),
+                stack, (0.3,), MaskController(),
             )
             assert np.all(np.isfinite(y1.data))
             assert np.all(np.isfinite(y2.data))

@@ -87,7 +87,7 @@ class TestConfigPlumbing:
     def test_unknown_key_is_exit_2(self, dataset_dir, tmp_path, capsys):
         # A non-finite float is refused the same way, before any training.
         for item in ("bogus=1", "learning_rate=nan", "learning_rate=inf",
-                     "layer_norm_eps=nan", "delta=nan", "grad_clip=nan"):
+                     "layer_norm_eps=nan", "delta=nan", "grad_clip=nan", "seed=-3"):
             code = main([
                 "train", "--data", str(dataset_dir), "--out", str(tmp_path / "o"),
                 "--set", item,
@@ -146,6 +146,14 @@ class TestConfigPlumbing:
         from drax.cli import build_config
         assert build_config(args).seed == 11
 
+    @pytest.mark.parametrize("command", ["gen-data", "train", "ablate"])
+    def test_negative_seed_flag_is_exit_2(self, dataset_dir, tmp_path, capsys, command):
+        args = [] if command == "gen-data" else ["--data", str(dataset_dir)]
+        out = tmp_path / "o"
+        assert main([command, "--out", str(out), "--seed", "-1", *args]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["eval", "inspect-attention"])
     def test_seed_is_a_usage_error_with_a_checkpoint(self, command, capsys):
         # The checkpoint's config carries the seed, so these commands take none.
@@ -177,7 +185,7 @@ class TestGenData:
         assert code == 2
 
     def test_invalid_spec_is_exit_2(self, tmp_path):
-        for item in ("samples=0", "noise_sigma=nan", "noise_sigma=inf"):
+        for item in ("samples=0", "noise_sigma=nan", "noise_sigma=inf", "seed=-1"):
             code = main(["gen-data", "--out", str(tmp_path / "g"), "--set", item])
             assert code == 2, item
         assert not (tmp_path / "g").exists()
@@ -283,8 +291,9 @@ class TestCheckpointOverrides:
     @pytest.mark.parametrize(
         "override, code",
         [("d=16", 4), ("d_f_fusion=2", 2), ("bogus=1", 2), ("delta=nan", 2),
-         ("learning_rate=inf", 2)],
-        ids=["shape-mismatch", "invalid-value", "unknown-key", "nan-value", "inf-value"],
+         ("learning_rate=inf", 2), ("seed=-3", 2)],
+        ids=["shape-mismatch", "invalid-value", "unknown-key", "nan-value", "inf-value",
+             "negative-seed"],
     )
     def test_bad_override_exit_code(self, checkpoint, dataset_dir, tmp_path, capsys,
                                     command, override, code):
@@ -300,8 +309,10 @@ class TestCheckpointOverrides:
     @pytest.mark.parametrize(
         "key, value",
         [("d_f_fusion", 2.0), ("d", "8"), ("d", 8.0), ("heads", None),
-         ("masking_enabled", "no"), ("learning_rate", float("nan")), ("delta", float("inf"))],
-        ids=["out-of-range", "str-int", "float-int", "null", "str-bool", "nan", "inf"],
+         ("masking_enabled", "no"), ("learning_rate", float("nan")), ("delta", float("inf")),
+         ("seed", -5)],
+        ids=["out-of-range", "str-int", "float-int", "null", "str-bool", "nan", "inf",
+             "negative-seed"],
     )
     def test_invalid_stored_config_is_exit_4(self, checkpoint, dataset_dir, tmp_path, capsys,
                                              key, value, extra):
@@ -769,3 +780,20 @@ class TestPairsScript:
             pairs.main([str(tmp_path), str(tmp_path), "--workload", "w", "--pairs", count])
         assert exc.value.code == 2
         assert "--pairs must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workload", ["all", "nope"])
+    def test_unknown_workload_is_usage_error(self, workload, tmp_path, capsys, monkeypatch):
+        """A name `bench/run.py` accepts but the benchmark does not declare
+        (`all` prints a table, not a JSON summary) fails before any run."""
+        pairs = self._pairs_module()
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+            {"workloads": [{"name": "w"}], "run_seconds": 1, "end_to_end": []}))
+
+        def refuse(*args):
+            raise AssertionError("a benchmark run started")
+
+        monkeypatch.setattr(pairs, "run_once", refuse)
+        with pytest.raises(SystemExit) as exc:
+            pairs.main([str(tmp_path), str(tmp_path), "--workload", workload])
+        assert exc.value.code == 2
+        assert f"--workload must be one of w, got {workload!r}" in capsys.readouterr().err

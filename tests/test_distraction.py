@@ -197,10 +197,12 @@ class TestMaskProperties:
 
 class TestMaskController:
     def test_off_mode_passes_through(self):
-        ctrl = MaskController(mode="off")
+        """Masking off is a factor of None: neither mode masks or records."""
         attn = make_attn([0.6, 0.4])
-        assert ctrl.apply(attn, 0.9, "site") is attn
-        assert ctrl.records == []
+        for ctrl in (MaskController(), MaskController(mode="replay", frozen={})):
+            assert ctrl.apply(attn, None, "site") is attn
+            assert ctrl.site(None, "site") is None
+            assert ctrl.records == []
 
     def test_live_mode_records_density(self):
         ctrl = MaskController(mode="live")
@@ -323,8 +325,9 @@ class TestMaskController:
         assert ctrl.density_by_site() == {"a": pytest.approx(1 / 3), "b": 0.0}
 
     def test_invalid_modes(self):
-        with pytest.raises(ValueError):
-            MaskController(mode="sometimes")
+        for mode in ("sometimes", "off"):
+            with pytest.raises(ValueError):
+                MaskController(mode=mode)
         with pytest.raises(ValueError):
             MaskController(record="everything")
         with pytest.raises(ValueError):
@@ -377,7 +380,8 @@ class TestMaskedScoreOp:
     @pytest.mark.parametrize("mode", ["live", "replay", "off"])
     def test_matches_apply(self, mode, record, batched, d_f):
         """In replay, d_f = 0 pairs with all-false frozen masks, so both
-        modes cover the path where nothing is masked."""
+        modes cover the path where nothing is masked; "off" is a live
+        controller given the factor None, as a masking-off model gives."""
         rng = np.random.default_rng(31)
         labels = ("c0/x", "c1/x", "c2/x") if batched else ("x",)
         site = labels if batched else labels[0]
@@ -386,9 +390,11 @@ class TestMaskedScoreOp:
         probe = rng.normal(size=(3, 2, 4, 5) if batched else (2, 4, 5))
 
         def controller():
-            return MaskController(mode=mode, record=record, frozen=frozen)
+            return MaskController(mode="live" if mode == "off" else mode, record=record,
+                                  frozen=frozen)
 
         fused, split = controller(), controller()
+        d_f = None if mode == "off" else d_f
         values, grads, ops = self._run(True, fused, inputs, d_f, site, probe)
         want_values, want_grads, want_ops = self._run(False, split, inputs, d_f, site, probe)
         assert values.tobytes() == want_values.tobytes()

@@ -71,13 +71,6 @@ class TestVectorSpaceTransform:
                 Tensor(np.zeros((2, 8))), Tensor(np.zeros((3, 6))), params, 0.0, MaskController()
             )
 
-    def test_invalid_factor(self):
-        params = make_params(2, 8)
-        with pytest.raises(ValueError):
-            vector_space_transform(
-                Tensor(np.zeros((2, 8))), Tensor(np.zeros((3, 8))), params, 1.3, MaskController()
-            )
-
     def test_aligned_rows_stay_in_tail_convex_hull(self):
         # Single head, no masking: each output row is a positive, sum-one
         # combination of tail rows. Recover the coefficients by least squares

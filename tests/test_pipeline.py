@@ -26,7 +26,7 @@ from drax.data import (
     load_dataset,
     save_dataset,
 )
-from drax.distraction import MaskController, MaskRecord
+from drax.distraction import MaskController, MaskRecord, schedule_df
 from drax.model import (
     ConfigError,
     DecoderParams,
@@ -96,6 +96,7 @@ class TestConfig:
             {"delta": float("inf")},
             {"grad_clip": float("nan")},
             {"grad_clip": float("inf")},
+            {"seed": -3},
         ],
     )
     def test_invalid_values(self, overrides):
@@ -544,7 +545,7 @@ class TestBatchedStage3:
             masker = model.make_masker(record="full")
             tokens = T.broadcast(shared, 3) if first else shared
             y1, y2 = run_encoder_stack(
-                tokens, batch, stack, cfg.d_f_initial, cfg.delta, masker, site=sites
+                tokens, batch, stack, model.layer_factors, masker, site=sites
             )
             T.backward(T.tensor_sum(y1 * probes[0]) + T.tensor_sum(y2 * probes[1]))
             grads = {p.name: p.grad for p in model.parameters()}
@@ -706,6 +707,66 @@ class TestFrozenMaskReplay:
         replay = MaskController(mode="replay", frozen=plain)
         plain[site][...] = ~plain[site]
         assert replay.frozen[site].tobytes() == frozen[site].tobytes()
+
+
+class TestMaskingSchedule:
+    """The model fixes its factors when it is built; a masker passed to
+    `forward` chooses only live or replay and the record level."""
+
+    def test_layer_factors_follow_schedule_df(self):
+        for allow in (False, True):
+            for d_f_initial, delta, layers in ((0.3, 0.3, 4), (0.9, 0.3, 2), (0.4, 0.0, 3)):
+                cfg = tiny_config(d_f_initial=d_f_initial, delta=delta, layers=layers,
+                                  allow_df_above_one=allow)
+                model = DraxModel(cfg, draw=False)
+                assert model.layer_factors == tuple(
+                    schedule_df(d_f_initial, delta, k, allow) for k in range(1, layers + 1)
+                )
+                assert model.fusion_factor == cfg.d_f_fusion
+        off = DraxModel(tiny_config(masking_enabled=False), draw=False)
+        assert off.layer_factors is None and off.fusion_factor is None
+
+    def test_masking_off_replays_under_a_caller_built_masker(self):
+        """Criterion 5's pattern on a masking-off model: a full live pass,
+        then a replay of its (empty) frozen masks."""
+        model = DraxModel(tiny_config(layers=2, masking_enabled=False))
+        bundle = tiny_bundle(seed=3)
+        live = model.make_masker(record="full")
+        want = TestFrozenMaskReplay._pass(model, bundle, live)
+        assert want[3] == []
+        replay = MaskController(mode="replay", frozen=live.frozen_masks())
+        assert TestFrozenMaskReplay._pass(model, bundle, replay) == want
+
+    def test_masking_off_ignores_a_caller_built_masker(self):
+        model = DraxModel(tiny_config(layers=2, masking_enabled=False))
+        bundle = tiny_bundle(seed=3)
+        masker = MaskController()
+        got = model.forward(bundle, masker).data
+        assert masker.records == []
+        assert got.tobytes() == model.forward(bundle).data.tobytes()
+
+    def test_factors_above_one_reach_every_masker(self):
+        """Levels 1-4 mask at 0.3, 0.6, 0.9 and 1.2, whichever masker runs
+        them, and a replay records the factors its live pass used."""
+        model = DraxModel(tiny_config(layers=4, allow_df_above_one=True))
+        bundle = tiny_bundle(seed=4)
+
+        def forward(masker):
+            return model.forward(bundle, masker)
+
+        want = forward_outputs(model, forward, model.make_masker())
+        assert_same_outputs(forward_outputs(model, forward, MaskController()), want)
+        live = MaskController(record="full")
+        forward(live)
+        replay = MaskController(mode="replay", frozen=live.frozen_masks())
+        assert_same_outputs(forward_outputs(model, forward, replay), want)
+        assert model.layer_factors[3] == pytest.approx(1.2)
+        for rec in replay.records:
+            if rec.site.endswith("/fusion"):
+                assert rec.d_f == model.fusion_factor
+            else:
+                level = int(rec.site.split("/layer")[1].split("/")[0])
+                assert rec.d_f == model.layer_factors[level - 1], rec.site
 
 
 def positive_loss(model, bundle):

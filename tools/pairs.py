@@ -5,9 +5,10 @@
 Each pair runs `python3 bench/run.py --workload W --seed K --seconds S
 --trace 0` once in each checkout, one run after the other, where S is the
 `run_seconds` of CHANGE_DIR's `BENCHMARK.json`, so both sides run for the
-benchmark's own length. Which side runs first alternates from pair to pair,
-so a drift in the host's speed favours neither side. A run's result is the
-JSON object on the last line of its standard output.
+benchmark's own length; W must be one of that file's `workloads`. Which
+side runs first alternates from pair to pair, so a drift in the host's
+speed favours neither side. A run's result is the JSON object on the last
+line of its standard output.
 
 For every end-to-end metric that CHANGE_DIR's `BENCHMARK.json` declares, the
 summary gives each side's median and quartiles, and the number of pairs the
@@ -141,6 +142,9 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error(f"--pairs must be at least 1, got {args.pairs}")
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in bench["workloads"]]
+    if args.workload not in names:
+        parser.error(f"--workload must be one of {', '.join(names)}, got {args.workload!r}")
     checkouts = {"parent": args.parent, "change": args.change}
     pairs = []
     try:
