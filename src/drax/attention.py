@@ -137,33 +137,22 @@ class CrossLayerParams:
 
 @dataclass
 class EncoderLayerParams:
+    """One encoder level: a self encoder per stream, then the cross layer."""
+
     self1: SelfAttentionParams
     self2: SelfAttentionParams
     cross: CrossLayerParams
 
-
-@dataclass
-class EncoderStack:
-    layers: list[EncoderLayerParams]
-
     @classmethod
-    def create(cls, store: ParamStore, prefix: str, d: int, head_count: int, depth: int,
-               ffn_width: int, eps: float = 1e-5):
-        layers = [
-            EncoderLayerParams(
-                self1=SelfAttentionParams.create(
-                    store, f"{prefix}.layer{k}.self1", d, head_count, ffn_width, eps
-                ),
-                self2=SelfAttentionParams.create(
-                    store, f"{prefix}.layer{k}.self2", d, head_count, ffn_width, eps
-                ),
-                cross=CrossLayerParams.create(
-                    store, f"{prefix}.layer{k}.cross", d, head_count, eps
-                ),
-            )
-            for k in range(1, depth + 1)
-        ]
-        return cls(layers=layers)
+    def create(cls, store: ParamStore, prefix: str, d: int, head_count: int, ffn_width: int,
+               eps: float = 1e-5):
+        return cls(
+            self1=SelfAttentionParams.create(store, f"{prefix}.self1", d, head_count,
+                                             ffn_width, eps),
+            self2=SelfAttentionParams.create(store, f"{prefix}.self2", d, head_count,
+                                             ffn_width, eps),
+            cross=CrossLayerParams.create(store, f"{prefix}.cross", d, head_count, eps),
+        )
 
 
 def self_attention_encoder(x: Tensor, p: SelfAttentionParams) -> Tensor:
@@ -195,7 +184,7 @@ def cross_encoder_layer(x1: Tensor, x2: Tensor, p: CrossLayerParams, d_f: float 
     return y1, y2
 
 
-def run_encoder_stack(x1: Tensor, x2: Tensor, stack: EncoderStack,
+def run_encoder_stack(x1: Tensor, x2: Tensor, levels: list[EncoderLayerParams],
                       factors: tuple[float, ...] | None, masker: MaskController,
                       site: str = "stack") -> tuple[Tensor, Tensor]:
     """Alternate per-stream self encoders with cross layers for every level.
@@ -204,8 +193,8 @@ def run_encoder_stack(x1: Tensor, x2: Tensor, stack: EncoderStack,
     with `factors` None no site masks. An (n, d) `x1` beside a (K, n, d)
     candidate batch is self-encoded once, then broadcast to every candidate.
     """
-    levels = zip(stack.layers, factors or (None,) * len(stack.layers), strict=True)
-    for k, (layer, d_f) in enumerate(levels, start=1):
+    factors = factors or (None,) * len(levels)
+    for k, (layer, d_f) in enumerate(zip(levels, factors, strict=True), start=1):
         x1 = self_attention_encoder(x1, layer.self1)
         x2 = self_attention_encoder(x2, layer.self2)
         if x1.ndim < x2.ndim:

@@ -279,8 +279,9 @@ def _video_sequence(rng, rows: int, dim: int, spec: SyntheticSpec,
         total = rows + spec.distractor_tokens
         slots = rng.choice(total, size=spec.distractor_tokens, replace=False)
         # Rows land in float32 here, so the bundle keeps this array as is.
-        merged = np.zeros((total, dim), dtype=np.float32)
-        keep = np.setdiff1d(np.arange(total), slots)
+        merged = np.empty((total, dim), dtype=np.float32)
+        keep = np.ones(total, dtype=bool)
+        keep[slots] = False
         merged[keep] = tokens
         merged[slots] = distractors
         tokens = merged

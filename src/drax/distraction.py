@@ -48,7 +48,6 @@ class DistractionMask:
     mask: np.ndarray
     threshold: np.ndarray
     rho: np.ndarray
-    d_f: float | None = None
 
 
 def relevance_scores(attn) -> np.ndarray:
@@ -59,18 +58,18 @@ def relevance_scores(attn) -> np.ndarray:
     return weights.max(axis=-1)
 
 
-def threshold(rho: np.ndarray, d_f: float, allow_above_one: bool = False) -> np.ndarray:
+def threshold(rho: np.ndarray, d_f: float) -> np.ndarray:
     """Per-row cutoff: the relevance score scaled by the distraction factor."""
-    if d_f < 0.0 or (d_f > 1.0 and not allow_above_one):
+    if d_f < 0.0 or d_f > 1.0:
         raise ValueError(f"distraction factor out of range [0, 1]: {d_f}")
     return np.asarray(rho) * d_f
 
 
-def identify_distractions(attn, d_f: float, allow_above_one: bool = False) -> DistractionMask:
+def identify_distractions(attn, d_f: float) -> DistractionMask:
     """Relevance scores, thresholds and mask in one step."""
     rho = relevance_scores(attn)
-    tau = threshold(rho, d_f, allow_above_one=allow_above_one)
-    return DistractionMask(attn.weights.data < tau[..., None], tau, rho, d_f)
+    tau = threshold(rho, d_f)
+    return DistractionMask(attn.weights.data < tau[..., None], tau, rho)
 
 
 def apply_mask(attn, mask) -> "AttentionWeights":

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tensor as T
-from .attention import EncoderStack, run_encoder_stack
+from .attention import EncoderLayerParams, run_encoder_stack
 from .distraction import MaskController, schedule_df, sub_site
 from .fusion import FusionParams, cross_aligned_fuse, simple_concat_fuse, vector_space_transform
 from .tensor import ParamStore, Parameter, ShapeError, Tensor
@@ -179,7 +179,7 @@ class StageParams:
     cls2: Parameter
     pos1: Parameter | None
     pos2: Parameter | None
-    stack: EncoderStack
+    levels: list[EncoderLayerParams]
     fusion: FusionParams
 
 
@@ -284,10 +284,11 @@ class DraxModel:
                     cls2=store.row(f"{name}.cls.{mod2}", d),
                     pos1=self._pos_table(store, name, mod1),
                     pos2=self._pos_table(store, name, mod2),
-                    stack=EncoderStack.create(
-                        store, f"{name}.stack", d, config.heads, config.layers,
-                        ffn_width, eps,
-                    ),
+                    levels=[
+                        EncoderLayerParams.create(store, f"{name}.stack.layer{k}", d,
+                                                  config.heads, ffn_width, eps)
+                        for k in range(1, config.layers + 1)
+                    ],
                     fusion=FusionParams.create(store, f"{name}.fusion", d, config.heads),
                 )
             )
@@ -351,7 +352,7 @@ class DraxModel:
         y1, y2 = run_encoder_stack(
             add_cls_and_pos(seq1.tokens, sp.cls1, sp.pos1),
             add_cls_and_pos(seq2.tokens, sp.cls2, sp.pos2),
-            sp.stack, self.layer_factors, masker, site=site,
+            sp.levels, self.layer_factors, masker, site=site,
         )
         anchor_first = getattr(cfg, f"anchor_{name}") == mod1
         anchor, tail = (y1, y2) if anchor_first else (y2, y1)

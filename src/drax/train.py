@@ -68,8 +68,9 @@ def train_epoch(model: DraxModel, dataset, epoch: int) -> dict:
     density_totals: dict[str, float] = {}
     for idx in order:
         bundle = dataset[int(idx)]
-        model.zero_grad()
         loss, probs = model.sample_loss(bundle, masker)
+        # Freed after the forward, the old gradients' pages get reused by backward.
+        model.zero_grad()
         value = loss.item()
         if value != 0.0 and math.isfinite(value):
             loss.backward()

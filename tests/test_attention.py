@@ -9,7 +9,7 @@ import pytest
 from drax import tensor as T
 from drax.attention import (
     CrossLayerParams,
-    EncoderStack,
+    EncoderLayerParams,
     SelfAttentionParams,
     attended_values,
     cross_encoder_layer,
@@ -252,14 +252,15 @@ class TestCrossEncoderLayer:
 class TestEncoderStack:
     def build(self, seed, d=8, h=2, depth=1):
         store = ParamStore(seed)
-        return EncoderStack.create(store, "stack", d, h, depth, 2 * d)
+        return [EncoderLayerParams.create(store, f"stack.layer{k}", d, h, 2 * d)
+                for k in range(1, depth + 1)]
 
     def test_depth_one_equals_manual_composition(self):
         rng = np.random.default_rng(15)
-        stack = self.build(15)
+        levels = self.build(15)
         s1, s2 = tok(rng.normal(size=(4, 8))), tok(rng.normal(size=(3, 8)))
-        got1, got2 = run_encoder_stack(s1, s2, stack, (0.3,), MaskController())
-        layer = stack.layers[0]
+        got1, got2 = run_encoder_stack(s1, s2, levels, (0.3,), MaskController())
+        layer = levels[0]
         e1 = self_attention_encoder(s1, layer.self1)
         e2 = self_attention_encoder(s2, layer.self2)
         want1, want2 = cross_encoder_layer(e1, e2, layer.cross, 0.3, MaskController())
@@ -268,11 +269,11 @@ class TestEncoderStack:
 
     def test_depth_two_equals_chained_layers(self):
         rng = np.random.default_rng(16)
-        stack = self.build(16, depth=2)
+        levels = self.build(16, depth=2)
         s1, s2 = tok(rng.normal(size=(3, 8))), tok(rng.normal(size=(4, 8)))
         factors = (0.2, 0.3)
-        got1, got2 = run_encoder_stack(s1, s2, stack, factors, MaskController())
-        for layer, d_f in zip(stack.layers, factors):
+        got1, got2 = run_encoder_stack(s1, s2, levels, factors, MaskController())
+        for layer, d_f in zip(levels, factors):
             s1 = self_attention_encoder(s1, layer.self1)
             s2 = self_attention_encoder(s2, layer.self2)
             s1, s2 = cross_encoder_layer(s1, s2, layer.cross, d_f, MaskController())
@@ -281,11 +282,11 @@ class TestEncoderStack:
 
     def test_schedule_factors_reach_mask_sites(self):
         rng = np.random.default_rng(17)
-        stack = self.build(17, depth=3)
+        levels = self.build(17, depth=3)
         ctrl = MaskController(mode="live")
         run_encoder_stack(
             tok(rng.normal(size=(3, 8))), tok(rng.normal(size=(3, 8))),
-            stack, (0.3, 0.6, 0.9), masker=ctrl,
+            levels, (0.3, 0.6, 0.9), masker=ctrl,
         )
         factors = {rec.site: rec.d_f for rec in ctrl.records}
         for k, expected in ((1, 0.3), (2, 0.6), (3, 0.9)):
@@ -293,22 +294,22 @@ class TestEncoderStack:
             assert factors[f"stack/layer{k}/into2"] == pytest.approx(expected, abs=1e-12)
 
     def test_one_factor_per_level(self):
-        stack = self.build(18, depth=2)
+        levels = self.build(18, depth=2)
         x = tok(np.zeros((3, 8)))
         with pytest.raises(ValueError):
-            run_encoder_stack(x, x, stack, (0.3,), MaskController())
+            run_encoder_stack(x, x, levels, (0.3,), MaskController())
         ctrl = MaskController()
-        run_encoder_stack(x, x, stack, None, ctrl)
+        run_encoder_stack(x, x, levels, None, ctrl)
         assert ctrl.records == []
 
     def test_outputs_finite_across_seeds(self):
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            stack = self.build(100 + seed)
+            levels = self.build(100 + seed)
             y1, y2 = run_encoder_stack(
                 tok(rng.normal(size=(3, 8)) * 2),
                 tok(rng.normal(size=(5, 8)) * 2),
-                stack, (0.3,), MaskController(),
+                levels, (0.3,), MaskController(),
             )
             assert np.all(np.isfinite(y1.data))
             assert np.all(np.isfinite(y2.data))

@@ -58,11 +58,6 @@ class TestRelevanceAndThreshold:
         with pytest.raises(ValueError):
             threshold(np.array([[0.5]]), bad)
 
-    def test_threshold_above_one_opt_in(self):
-        np.testing.assert_allclose(
-            threshold(np.array([[0.5]]), 1.2, allow_above_one=True), [[0.6]]
-        )
-
 
 class TestDistractionMask:
     def test_below_threshold_masked(self):
@@ -83,7 +78,6 @@ class TestDistractionMask:
 
     def test_identify_records_factor_and_rho(self):
         dm = identify_distractions(make_attn([0.5, 0.3, 0.2]), 0.5)
-        assert dm.d_f == 0.5
         np.testing.assert_allclose(dm.rho, [[0.5]])
         np.testing.assert_allclose(dm.threshold, dm.rho * 0.5)
 

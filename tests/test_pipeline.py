@@ -536,7 +536,7 @@ class TestBatchedStage3:
         batch = Tensor(rng.normal(size=(3, 3, cfg.d)), requires_grad=True)
         probes = rng.normal(size=(3, 4, cfg.d)), rng.normal(size=(3, 3, cfg.d))
         sites = ("c0", "c1", "c2")
-        stack = model.stages[2].stack
+        levels = model.stages[2].levels
 
         def run(first):
             model.zero_grad()
@@ -545,7 +545,7 @@ class TestBatchedStage3:
             masker = model.make_masker(record="full")
             tokens = T.broadcast(shared, 3) if first else shared
             y1, y2 = run_encoder_stack(
-                tokens, batch, stack, model.layer_factors, masker, site=sites
+                tokens, batch, levels, model.layer_factors, masker, site=sites
             )
             T.backward(T.tensor_sum(y1 * probes[0]) + T.tensor_sum(y2 * probes[1]))
             grads = {p.name: p.grad for p in model.parameters()}
@@ -1029,6 +1029,31 @@ class TestTraining:
         norm = sgd_step(params, 0.1, grad_clip=1.0)
         assert not math.isfinite(norm)
         assert [p.data.tobytes() for p in params] == before
+
+    def test_forward_sees_the_last_steps_gradients(self):
+        """A step clears the last step's gradients after its forward, which
+        never reads `.grad`: each later forward still sees them, and
+        clearing them before the forward gives the same losses and
+        parameters."""
+        data = self.make_dataset(3)
+
+        def run(clear_first):
+            model = DraxModel(tiny_config())
+            forward, seen = model.sample_loss, []
+
+            def spy(bundle, masker=None):
+                if clear_first:
+                    model.zero_grad()
+                seen.append(any(p.grad is not None for p in model.parameters()))
+                return forward(bundle, masker)
+
+            model.sample_loss = spy
+            metrics = train_epoch(model, data, epoch=1)
+            return seen, metrics, {n: a.tobytes() for n, a in model.param_arrays().items()}
+
+        seen, metrics, params = run(clear_first=False)
+        assert seen == [False, True, True]
+        assert run(clear_first=True) == ([False, False, False], metrics, params)
 
     def test_empty_dataset_rejected(self):
         model = DraxModel(tiny_config())

@@ -1,8 +1,10 @@
 """Check the CLI contract: byte-identical outputs for a fixed seed.
 
 Runs `gen-data`, `train`, `eval`, `inspect-attention` and `ablate` on a
-tiny configuration in a temporary directory and prints the sha256 of each
-of their five output files, one `<sha256>  <file>` line per file:
+tiny configuration in a temporary directory, plus `gen-data` at the default
+feature dimensions, and prints the sha256 of each output file (the five CLI
+outputs, then the default dataset's manifest and feature files), one
+`<sha256>  <file>` line per file:
 
     python tools/golden.py                        # print the hashes
     python tools/golden.py --expect GOLDEN.json   # also compare them
@@ -41,14 +43,17 @@ MODEL = [
     "--set", "d=8", "--set", "heads=2", "--set", "layers=1", *SHAPES,
     "--set", "max_positions=14", "--set", "learning_rate=0.01",
 ]
+# The generator's bytes at the default feature dimensions.
+DEFAULT_SAMPLES = 8
 OUTPUTS = (
     "run/metrics.jsonl", "run/model.ckpt", "eval/eval.jsonl", "trace/trace.jsonl",
-    "abl/ablation.jsonl",
+    "abl/ablation.jsonl", "default/manifest.json",
+    *(f"default/sample_{i:05d}.drxf" for i in range(DEFAULT_SAMPLES)),
 )
 
 
 def sequence(work: Path) -> list[list[str]]:
-    """The five commands, each writing under `work`."""
+    """The six commands, each writing under `work`."""
     ckpt, data = str(work / "run" / "model.ckpt"), str(work / "data")
     return [
         ["gen-data", "--out", data, "--seed", "5", *DATA],
@@ -59,6 +64,8 @@ def sequence(work: Path) -> list[list[str]]:
          "--data", str(work / "data" / "sample_00000.drxf"), "--out", str(work / "trace")],
         ["ablate", "--data", data, "--out", str(work / "abl"), "--seed", "0", *MODEL,
          "--set", "epochs=1"],
+        ["gen-data", "--out", str(work / "default"), "--seed", "3",
+         "--set", f"samples={DEFAULT_SAMPLES}"],
     ]
 
 
