@@ -2,9 +2,10 @@
 
 Sequences flow through per-stream self-attention encoders, then a
 cross-attention layer in which each stream queries the other. The cross
-weights pass through the distraction step inside the score op, before they
-touch any values, so low-relevance context positions contribute nothing to
-the update.
+weights pass through a mask callable inside the score op, before they touch
+any values, so low-relevance context positions contribute nothing to the
+update. The model builds those callables, one per site; nothing here knows
+factors or site labels.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 from . import tensor as T
-from .distraction import MaskController, sub_site
 from .tensor import ParamStore, Parameter, ShapeError, Tensor
 
 
@@ -164,41 +164,38 @@ def self_attention_encoder(x: Tensor, p: SelfAttentionParams) -> Tensor:
                                 p.ln2_bias, p.eps)
 
 
-def cross_encoder_layer(x1: Tensor, x2: Tensor, p: CrossLayerParams, d_f: float | None,
-                        masker: MaskController, site: str = "cross") -> tuple[Tensor, Tensor]:
+def cross_encoder_layer(x1: Tensor, x2: Tensor, p: CrossLayerParams,
+                        mask12=None, mask21=None) -> tuple[Tensor, Tensor]:
     """Bidirectional masked cross-attention with residual back-projection.
 
     Each stream is pre-normalized, projected, and updated from the other
     stream's values using masked attention weights; queries and keys share
-    projections across streams while values are per-stream.
+    projections across streams while values are per-stream. `mask12` masks
+    stream 1's weights over stream 2, `mask21` the reverse (see
+    `tensor.head_softmax`); None leaves a direction unmasked.
     """
     n1 = T.affine(T.layer_norm(x1, p.ln1_gain, p.ln1_bias, p.eps), p.f1_w, p.f1_b)
     n2 = T.affine(T.layer_norm(x2, p.ln2_gain, p.ln2_bias, p.eps), p.f2_w, p.f2_b)
     heads, scale = p.head_count, _head_scale(n1.shape[-1], p.head_count)
-    w12 = T.head_softmax(n1, p.w_q, n2, p.w_k, heads, scale,
-                         masker.site(d_f, sub_site(site, "into1")))
-    w21 = T.head_softmax(n2, p.w_q, n1, p.w_k, heads, scale,
-                         masker.site(d_f, sub_site(site, "into2")))
+    w12 = T.head_softmax(n1, p.w_q, n2, p.w_k, heads, scale, mask12)
+    w21 = T.head_softmax(n2, p.w_q, n1, p.w_k, heads, scale, mask21)
     y1 = T.attend(x1, w12, n2, p.w_v2, p.g1_w, p.g1_b)
     y2 = T.attend(x2, w21, n1, p.w_v1, p.g2_w, p.g2_b)
     return y1, y2
 
 
 def run_encoder_stack(x1: Tensor, x2: Tensor, levels: list[EncoderLayerParams],
-                      factors: tuple[float, ...] | None, masker: MaskController,
-                      site: str = "stack") -> tuple[Tensor, Tensor]:
+                      masks) -> tuple[Tensor, Tensor]:
     """Alternate per-stream self encoders with cross layers for every level.
 
-    Level k's cross layer masks with `factors[k-1]`, the model's schedule;
-    with `factors` None no site masks. An (n, d) `x1` beside a (K, n, d)
-    candidate batch is self-encoded once, then broadcast to every candidate.
+    `masks` holds one `(mask12, mask21)` pair per level for that level's
+    cross layer. An (n, d) `x1` beside a (K, n, d) candidate batch is
+    self-encoded once, then broadcast to every candidate.
     """
-    factors = factors or (None,) * len(levels)
-    for k, (layer, d_f) in enumerate(zip(levels, factors, strict=True), start=1):
+    for layer, (mask12, mask21) in zip(levels, masks, strict=True):
         x1 = self_attention_encoder(x1, layer.self1)
         x2 = self_attention_encoder(x2, layer.self2)
         if x1.ndim < x2.ndim:
             x1 = T.broadcast(x1, x2.shape[0])
-        x1, x2 = cross_encoder_layer(x1, x2, layer.cross, d_f, masker,
-                                     sub_site(site, f"layer{k}"))
+        x1, x2 = cross_encoder_layer(x1, x2, layer.cross, mask12, mask21)
     return x1, x2

@@ -68,6 +68,8 @@ def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
                 f"checkpoint params entry needs a string name and a shape of "
                 f"non-negative integers: {entry!r}"
             )
+        if entry["name"] in arrays:
+            raise CheckpointError(f"checkpoint names parameter {entry['name']!r} more than once")
         shape = tuple(entry["shape"])
         count = math.prod(shape)
         end = offset + count * 8

@@ -200,7 +200,7 @@ def cmd_inspect_attention(args) -> int:
                     "head": head,
                     "d_f": rec.d_f,
                     "rho": rec.rho[head].tolist(),
-                    "tau": rec.threshold[head].tolist(),
+                    "tau": (rec.rho[head] * rec.d_f).tolist(),
                     "mask": rec.mask[head].astype(int).tolist(),
                     "pre_weights": rec.pre_weights[head].tolist(),
                     "post_weights": (rec.pre_weights[head] * (1.0 - rec.mask[head])).tolist(),

@@ -18,6 +18,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import numbers
 import os
 import struct
 import zlib
@@ -61,7 +62,7 @@ class FeatureBundle:
     stores, so a bundle in memory holds exactly what `write_features` writes
     and `read_features` returns. Arrays already float32 are kept, not
     copied. A value that is NaN, infinite or beyond float32's range raises
-    DataError.
+    DataError, and so does a label that is not an integer (a bool is not).
     """
 
     appearance: np.ndarray
@@ -79,6 +80,9 @@ class FeatureBundle:
                 setattr(self, name, np.asarray(getattr(self, name), dtype=np.float32))
         if len(self.answers) != ANSWER_COUNT:
             raise DataError(f"expected {ANSWER_COUNT} answer candidates, got {len(self.answers)}")
+        if isinstance(self.label, bool) or not isinstance(self.label, numbers.Integral):
+            raise DataError(f"label must be an integer, got {self.label!r}")
+        self.label = int(self.label)
         if not 0 <= self.label < ANSWER_COUNT:
             raise DataError(f"label {self.label} out of range [0, {ANSWER_COUNT})")
         for name, array in _feature_records(self):

@@ -6,15 +6,15 @@ distraction and is multiplied away. The comparison happens on raw weight
 values, so the mask acts as a constant during differentiation: surviving
 weights pass gradients through, zeroed positions pass nothing.
 
-The model owns the schedule: when it is built it fixes one factor per
-encoder level (`schedule_df`) and one for fusion, all None with masking
-off, and hands each site its own. `MaskController` only masks, live or
-replayed, through one mask-and-record body with two entry points: the
-model passes `site`'s callable to the score op, `tensor.head_softmax`,
-which masks within the same op and gets each row's relevance score free as
-its softmax normaliser's reciprocal; `apply` masks finished weights. Each
-site's event is one flat `MaskRecord` that holds views of the arrays the
-step built: the mask, and live, the row maxima and thresholds.
+The model owns the schedule and the site labels: it fixes one factor per
+encoder level (`schedule_df`) and one for fusion when it is built, all None
+with masking off, and gets each site's mask callable from `site(factor,
+label)`; the score op, `tensor.head_softmax`, calls it and gets each row's
+relevance score free as its softmax normaliser's reciprocal.
+`MaskController` only masks, live or replayed, through one mask-and-record
+body with two entry points, `site`'s callable and `apply` for finished
+weights. Each site's event is one flat `MaskRecord` holding views of the
+arrays the step built: the mask, and live, the row maxima.
 
 A masked site costs its comparison (live) and the score op's multiply by
 the kept entries. Replay reads a `FrozenMasks`, which stacks a candidate
@@ -24,7 +24,6 @@ so a replayed site costs a dictionary lookup and that multiply.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -60,7 +59,7 @@ def relevance_scores(attn) -> np.ndarray:
 
 def threshold(rho: np.ndarray, d_f: float) -> np.ndarray:
     """Per-row cutoff: the relevance score scaled by the distraction factor."""
-    if d_f < 0.0 or d_f > 1.0:
+    if not 0.0 <= d_f <= 1.0:
         raise ValueError(f"distraction factor out of range [0, 1]: {d_f}")
     return np.asarray(rho) * d_f
 
@@ -90,24 +89,13 @@ def apply_mask(attn, mask) -> "AttentionWeights":
     return type(attn)(attn.weights * keep, attn.head_count, attn.scale)
 
 
-@functools.lru_cache(maxsize=1024)
-def sub_site(site, name: str):
-    """The label `site/name`; for a tuple of candidate labels, one per label.
-
-    Cached: a forward asks for the same few labels every time.
-    """
-    if isinstance(site, str):
-        return f"{site}/{name}"
-    return tuple(f"{label}/{name}" for label in site)
-
-
 def schedule_df(
     d_f_initial: float, delta: float, layer_index: int, allow_above_one: bool = False
 ) -> float:
     """Distraction factor for 1-based layer k: d_f + (k-1) * delta, capped at 1."""
     if not 0.0 <= d_f_initial <= 1.0:
         raise ValueError(f"d_f_initial out of range [0, 1]: {d_f_initial}")
-    if delta < 0.0:
+    if not delta >= 0.0:
         raise ValueError(f"delta must be nonnegative: {delta}")
     if layer_index < 1:
         raise ValueError(f"layer index must be >= 1: {layer_index}")
@@ -119,9 +107,9 @@ def schedule_df(
 class MaskRecord:
     """One masking event at a named site within a forward pass.
 
-    `mask`, `rho` and `threshold` are views of the arrays the masking step
-    built, not copies; a replayed mask has no `rho` or `threshold`.
-    `pre_weights` is a copy of the pre-mask weights, kept with record="full".
+    `mask` and `rho` (live only; the thresholds are `rho * d_f`) are views
+    of the arrays the masking step built, not copies. `pre_weights` is a
+    copy of the pre-mask weights, kept with record="full".
     """
 
     site: str
@@ -129,7 +117,6 @@ class MaskRecord:
     density: float
     mask: np.ndarray
     rho: np.ndarray | None = None
-    threshold: np.ndarray | None = None
     pre_weights: np.ndarray | None = None
 
 
@@ -191,7 +178,7 @@ class MaskController:
     replay, the frozen ones stacked), then append one record per site
     label. A candidate batch carries (K, heads, n, m) weights and K labels,
     recorded in label order. Every record holds the site, d_f, density and
-    mask, plus `rho` and `threshold` when live; record="full" adds only a
+    mask, plus `rho` when live; record="full" adds only a
     copy of the pre-mask weights, for inspection dumps; the post-mask
     weights are `pre_weights * (1 - mask)`, as the no-renormalisation rule
     leaves them.
@@ -242,8 +229,7 @@ class MaskController:
             raise ShapeError(f"{len(labels)} site labels for {weights.shape[0]} candidates")
         live = self.mode == "live"
         if live:
-            tau = rho * d_f
-            mask, densities = weights < tau[..., None], None
+            mask, densities = weights < (rho * d_f)[..., None], None
         else:
             mask, densities = self.frozen.batch(site)
             if mask.shape != weights.shape:
@@ -254,8 +240,7 @@ class MaskController:
             m = mask[at]
             self.records.append(MaskRecord(
                 label, float(d_f), _density(m) if live else densities[k], m,
-                rho[at] if live else None, tau[at] if live else None,
-                weights[at].copy() if full else None,
+                rho[at] if live else None, weights[at].copy() if full else None,
             ))
         return mask
 

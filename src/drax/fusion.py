@@ -1,10 +1,10 @@
 """Cross-aligned fusion of an anchor sequence with a tailing sequence.
 
 The tailing sequence is rewritten in the anchor's row space: each anchor row
-queries the tail, the resulting per-head weights pass through distraction
-masking, and the surviving weights form linear combinations of raw tail
-rows. Anchor and aligned tail are then concatenated feature-wise and fused
-by one affine map. A plain concat-and-project variant without alignment or
+queries the tail, the resulting per-head weights pass through the mask
+callable the model gives, and the surviving weights form linear
+combinations of raw tail rows. Anchor and aligned tail are then
+concatenated feature-wise and fused by one affine map. A plain concat-and-project variant without alignment or
 masking is provided for ablation runs.
 """
 
@@ -17,7 +17,6 @@ from . import tensor as T
 # `vector_space_transform` calls as one score op and one mix op. They stay
 # importable here because the benchmark's tracer patches them by this name.
 from .attention import _head_scale, attended_values, scaled_scores  # noqa: F401
-from .distraction import MaskController
 from .tensor import ParamStore, Parameter, ShapeError, Tensor
 
 
@@ -43,16 +42,16 @@ class FusionParams:
 
 
 def vector_space_transform(x_a: Tensor, x_t: Tensor, params: FusionParams,
-                           d_f_fusion: float | None, masker: MaskController,
-                           site: str = "fusion") -> Tensor:
+                           mask=None) -> Tensor:
     """Rewrite the tail in anchor rows via masked attention over raw tail rows.
 
     Output row i is a per-head-subspace linear combination of the tail rows
-    with masked coefficients zeroed; row count equals the anchor's.
+    with the coefficients `mask` marks (see `tensor.head_softmax`) zeroed;
+    row count equals the anchor's.
     """
     heads = params.head_count
     weights = T.head_softmax(x_a, params.w_q, x_t, params.w_k, heads,
-                             _head_scale(x_a.shape[-1], heads), masker.site(d_f_fusion, site))
+                             _head_scale(x_a.shape[-1], heads), mask)
     return T.head_mix(weights, x_t)
 
 

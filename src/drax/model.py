@@ -24,7 +24,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import EncoderLayerParams, run_encoder_stack
-from .distraction import MaskController, schedule_df, sub_site
+from .distraction import MaskController, schedule_df
 from .fusion import FusionParams, cross_aligned_fuse, simple_concat_fuse, vector_space_transform
 from .tensor import ParamStore, Parameter, ShapeError, Tensor
 
@@ -233,9 +233,14 @@ def _candidate_groups(answers) -> list[list[int]]:
 
 
 @functools.lru_cache(maxsize=1024)
-def _candidate_sites(cands: tuple[int, ...]) -> tuple[str, ...]:
-    """Stage 3's site labels for a group of candidates, built once per group."""
-    return tuple(f"stage3/cand{c}" for c in cands)
+def _stage_sites(site, layers: int):
+    """Each level's `(into1, into2)` masking-site labels and the fusion label
+    under `site`; for a tuple of candidate labels, a tuple of each. Cached:
+    a forward asks for the same few every time."""
+    def under(name):
+        return f"{site}/{name}" if isinstance(site, str) else tuple(f"{s}/{name}" for s in site)
+    return tuple((under(f"layer{k}/into1"), under(f"layer{k}/into2"))
+                 for k in range(1, layers + 1)), under("fusion")
 
 
 @functools.lru_cache(maxsize=1024)
@@ -340,6 +345,8 @@ class DraxModel:
         candidate shares, and `site` holds one label per candidate. The
         fused output keeps its CLS row exactly when `keep_cls`, except in
         the video stage's simple-concat ablation, which has none.
+        Its masking sites are labelled `_stage_sites(site)`, `site` being
+        the stage name by default; no encoder or fusion function sees a label.
         """
         cfg = self.config
         sp = self.stages[index]
@@ -348,18 +355,20 @@ class DraxModel:
             raise ValueError(
                 f"{name} expects ({mod1}, {mod2}), got ({seq1.modality}, {seq2.modality})"
             )
-        site = site or name
+        level_sites, fusion_site = _stage_sites(site or name, cfg.layers)
+        factors = self.layer_factors or (None,) * cfg.layers
         y1, y2 = run_encoder_stack(
             add_cls_and_pos(seq1.tokens, sp.cls1, sp.pos1),
             add_cls_and_pos(seq2.tokens, sp.cls2, sp.pos2),
-            sp.levels, self.layer_factors, masker, site=site,
+            sp.levels, [(masker.site(d_f, into1), masker.site(d_f, into2))
+                        for d_f, (into1, into2) in zip(factors, level_sites)],
         )
         anchor_first = getattr(cfg, f"anchor_{name}") == mod1
         anchor, tail = (y1, y2) if anchor_first else (y2, y1)
 
         if cfg.fusion_mode == "cross-aligned":
             aligned = vector_space_transform(
-                anchor, tail, sp.fusion, self.fusion_factor, masker, sub_site(site, "fusion"),
+                anchor, tail, sp.fusion, masker.site(self.fusion_factor, fusion_site)
             )
             fused = cross_aligned_fuse(anchor, aligned, sp.fusion)
         elif index == 0:
@@ -395,7 +404,8 @@ class DraxModel:
         for cands in _candidate_groups(bundle.answers):
             answers = self.embed_tokens(np.stack([bundle.answers[c] for c in cands]), "answer")
             out = self.run_stage(
-                2, fused, answers, masker, keep_cls=True, site=_candidate_sites(tuple(cands)),
+                2, fused, answers, masker, keep_cls=True,
+                site=tuple(f"stage3/cand{c}" for c in cands),
             )
             means.append(T.tensor_mean(out.tokens, axis=-2))
             order += cands

@@ -27,6 +27,16 @@ def tok(tokens) -> Tensor:
     return Tensor(np.asarray(tokens, dtype=np.float64))
 
 
+def cross_masks(masker, d_f, site="cross"):
+    """One cross layer's (mask12, mask21) callables at factor `d_f`."""
+    return masker.site(d_f, f"{site}/into1"), masker.site(d_f, f"{site}/into2")
+
+
+def stack_masks(masker, factors):
+    """One mask pair per level, labelled `stack/layer{k}/...`."""
+    return [cross_masks(masker, d_f, f"stack/layer{k}") for k, d_f in enumerate(factors, 1)]
+
+
 def layer_norm_oracle(x, gain, bias, eps=1e-5):
     mean = x.mean(axis=-1, keepdims=True)
     var = ((x - mean) ** 2).mean(axis=-1, keepdims=True)
@@ -173,11 +183,9 @@ class TestCrossEncoderLayer:
         p = self.make(9)
         s1, s2 = tok(rng.normal(size=(4, 8))), tok(rng.normal(size=(3, 8)))
         live = MaskController()
-        masked1, masked2 = cross_encoder_layer(s1, s2, p, d_f=0.0, masker=live)
+        masked1, masked2 = cross_encoder_layer(s1, s2, p, *cross_masks(live, 0.0))
         assert [rec.density for rec in live.records] == [0.0, 0.0]
-        off = MaskController()
-        plain1, plain2 = cross_encoder_layer(s1, s2, p, d_f=None, masker=off)
-        assert off.records == []
+        plain1, plain2 = cross_encoder_layer(s1, s2, p)
         np.testing.assert_allclose(masked1.data, plain1.data, atol=1e-12)
         np.testing.assert_allclose(masked2.data, plain2.data, atol=1e-12)
 
@@ -193,7 +201,7 @@ class TestCrossEncoderLayer:
         )
         x = rng.normal(size=(4, 8))
         y1, y2 = cross_encoder_layer(
-            tok(x), tok(x.copy()), shared, d_f=0.4, masker=MaskController()
+            tok(x), tok(x.copy()), shared, *cross_masks(MaskController(), 0.4)
         )
         np.testing.assert_allclose(y1.data, y2.data, atol=1e-12)
 
@@ -203,9 +211,7 @@ class TestCrossEncoderLayer:
         for dead in (p.g1_w, p.g1_b, p.g2_w, p.g2_b):
             dead.data[:] = 0.0
         x1, x2 = rng.normal(size=(3, 8)), rng.normal(size=(5, 8))
-        y1, y2 = cross_encoder_layer(
-            tok(x1), tok(x2), p, d_f=0.5, masker=MaskController()
-        )
+        y1, y2 = cross_encoder_layer(tok(x1), tok(x2), p, *cross_masks(MaskController(), 0.5))
         np.testing.assert_array_equal(y1.data, x1)
         np.testing.assert_array_equal(y2.data, x2)
 
@@ -213,8 +219,9 @@ class TestCrossEncoderLayer:
         rng = np.random.default_rng(12)
         p = self.make(12)
         s1, s2 = tok(rng.normal(size=(4, 8))), tok(rng.normal(size=(3, 8)))
-        y1, y2 = cross_encoder_layer(s1, s2, p, d_f=0.6, masker=MaskController())
-        z2, z1 = cross_encoder_layer(s2, s1, swapped_params(p), d_f=0.6, masker=MaskController())
+        y1, y2 = cross_encoder_layer(s1, s2, p, *cross_masks(MaskController(), 0.6))
+        z2, z1 = cross_encoder_layer(s2, s1, swapped_params(p),
+                                     *cross_masks(MaskController(), 0.6))
         np.testing.assert_array_equal(y1.data, z1.data)
         np.testing.assert_array_equal(y2.data, z2.data)
 
@@ -242,9 +249,7 @@ class TestCrossEncoderLayer:
         want1 = x1 + (a12 @ (n2 @ p.w_v2.data)) @ p.g1_w.data + p.g1_b.data
         want2 = x2 + (a21 @ (n1 @ p.w_v1.data)) @ p.g2_w.data + p.g2_b.data
 
-        y1, y2 = cross_encoder_layer(
-            tok(x1), tok(x2), p, d_f=d_f, masker=MaskController()
-        )
+        y1, y2 = cross_encoder_layer(tok(x1), tok(x2), p, *cross_masks(MaskController(), d_f))
         np.testing.assert_allclose(y1.data, want1, atol=1e-10)
         np.testing.assert_allclose(y2.data, want2, atol=1e-10)
 
@@ -259,11 +264,12 @@ class TestEncoderStack:
         rng = np.random.default_rng(15)
         levels = self.build(15)
         s1, s2 = tok(rng.normal(size=(4, 8))), tok(rng.normal(size=(3, 8)))
-        got1, got2 = run_encoder_stack(s1, s2, levels, (0.3,), MaskController())
+        got1, got2 = run_encoder_stack(s1, s2, levels, stack_masks(MaskController(), (0.3,)))
         layer = levels[0]
         e1 = self_attention_encoder(s1, layer.self1)
         e2 = self_attention_encoder(s2, layer.self2)
-        want1, want2 = cross_encoder_layer(e1, e2, layer.cross, 0.3, MaskController())
+        want1, want2 = cross_encoder_layer(e1, e2, layer.cross,
+                                           *cross_masks(MaskController(), 0.3))
         np.testing.assert_array_equal(got1.data, want1.data)
         np.testing.assert_array_equal(got2.data, want2.data)
 
@@ -272,34 +278,38 @@ class TestEncoderStack:
         levels = self.build(16, depth=2)
         s1, s2 = tok(rng.normal(size=(3, 8))), tok(rng.normal(size=(4, 8)))
         factors = (0.2, 0.3)
-        got1, got2 = run_encoder_stack(s1, s2, levels, factors, MaskController())
+        got1, got2 = run_encoder_stack(s1, s2, levels, stack_masks(MaskController(), factors))
         for layer, d_f in zip(levels, factors):
             s1 = self_attention_encoder(s1, layer.self1)
             s2 = self_attention_encoder(s2, layer.self2)
-            s1, s2 = cross_encoder_layer(s1, s2, layer.cross, d_f, MaskController())
+            s1, s2 = cross_encoder_layer(s1, s2, layer.cross,
+                                         *cross_masks(MaskController(), d_f))
         np.testing.assert_array_equal(got1.data, s1.data)
         np.testing.assert_array_equal(got2.data, s2.data)
 
     def test_schedule_factors_reach_mask_sites(self):
+        # Level k's pair masks level k's cross layer, into1 before into2;
+        # the model's labels are checked in test_pipeline.
         rng = np.random.default_rng(17)
         levels = self.build(17, depth=3)
         ctrl = MaskController(mode="live")
         run_encoder_stack(
             tok(rng.normal(size=(3, 8))), tok(rng.normal(size=(3, 8))),
-            levels, (0.3, 0.6, 0.9), masker=ctrl,
+            levels, stack_masks(ctrl, (0.3, 0.6, 0.9)),
         )
-        factors = {rec.site: rec.d_f for rec in ctrl.records}
-        for k, expected in ((1, 0.3), (2, 0.6), (3, 0.9)):
-            assert factors[f"stack/layer{k}/into1"] == pytest.approx(expected, abs=1e-12)
-            assert factors[f"stack/layer{k}/into2"] == pytest.approx(expected, abs=1e-12)
+        assert [(rec.site, rec.d_f) for rec in ctrl.records] == [
+            (f"stack/layer{k}/into{i}", d_f)
+            for k, d_f in ((1, 0.3), (2, 0.6), (3, 0.9)) for i in (1, 2)
+        ]
 
     def test_one_factor_per_level(self):
+        # One mask pair per level: a short list raises, a pair of Nones masks nothing.
         levels = self.build(18, depth=2)
         x = tok(np.zeros((3, 8)))
         with pytest.raises(ValueError):
-            run_encoder_stack(x, x, levels, (0.3,), MaskController())
+            run_encoder_stack(x, x, levels, stack_masks(MaskController(), (0.3,)))
         ctrl = MaskController()
-        run_encoder_stack(x, x, levels, None, ctrl)
+        run_encoder_stack(x, x, levels, stack_masks(ctrl, (None, None)))
         assert ctrl.records == []
 
     def test_outputs_finite_across_seeds(self):
@@ -309,7 +319,7 @@ class TestEncoderStack:
             y1, y2 = run_encoder_stack(
                 tok(rng.normal(size=(3, 8)) * 2),
                 tok(rng.normal(size=(5, 8)) * 2),
-                levels, (0.3,), MaskController(),
+                levels, stack_masks(MaskController(), (0.3,)),
             )
             assert np.all(np.isfinite(y1.data))
             assert np.all(np.isfinite(y2.data))

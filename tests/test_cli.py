@@ -685,7 +685,7 @@ class TestGoldenScript:
         golden = json.loads((root / "GOLDEN.json").read_text())
         assert sorted(golden) == sorted([
             "run/metrics.jsonl", "run/model.ckpt", "eval/eval.jsonl", "trace/trace.jsonl",
-            "abl/ablation.jsonl", "default/manifest.json",
+            "mixed/trace.jsonl", "abl/ablation.jsonl", "default/manifest.json",
             *(f"default/sample_{i:05d}.drxf" for i in range(8)),
         ])
         golden["run/model.ckpt"] = "0" * 64

@@ -109,6 +109,21 @@ class TestFeatureFile:
                 question=rng.normal(size=(2, 3)),
                 answers=(rng.normal(size=(1, 3)),) * 4, label=9,
             )
+        # A label must be an integer and not a bool: a float or a bool would
+        # write a file that `read_features` refuses or reads back changed.
+        for label in (1.5, 1.0, True, np.True_, "1", None):
+            with pytest.raises(DataError, match="label must be an integer"):
+                FeatureBundle(
+                    appearance=rng.normal(size=(2, 3)), motion=rng.normal(size=(2, 3)),
+                    question=rng.normal(size=(2, 3)),
+                    answers=(rng.normal(size=(1, 3)),) * 4, label=label,
+                )
+        bundle = FeatureBundle(
+            appearance=rng.normal(size=(2, 3)), motion=rng.normal(size=(2, 3)),
+            question=rng.normal(size=(2, 3)),
+            answers=(rng.normal(size=(1, 3)),) * 4, label=np.int64(2),
+        )
+        assert type(bundle.label) is int and bundle.label == 2
 
     # 1e39 is beyond float32's range: the bundle would hold inf, and a file
     # written from it would be refused on read. No cast warning may escape.

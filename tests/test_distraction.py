@@ -1,5 +1,7 @@
 """Masking semantics: thresholds, strictness, schedules, and the controller."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -53,7 +55,7 @@ class TestRelevanceAndThreshold:
         np.testing.assert_allclose(threshold(np.array([[0.9], [0.1]]), 0.0), [[0.0], [0.0]])
         np.testing.assert_allclose(threshold(np.array([[0.6]]), 0.9), [[0.54]])
 
-    @pytest.mark.parametrize("bad", [-0.1, 1.5])
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan])
     def test_threshold_range(self, bad):
         with pytest.raises(ValueError):
             threshold(np.array([[0.5]]), bad)
@@ -139,6 +141,11 @@ class TestSchedule:
             schedule_df(0.3, 0.3, 0)
         with pytest.raises(ValueError):
             schedule_df(1.5, 0.3, 1)
+        for allow_above_one in (False, True):
+            with pytest.raises(ValueError):
+                schedule_df(0.3, math.nan, 2, allow_above_one)
+            with pytest.raises(ValueError):
+                schedule_df(math.nan, 0.3, 1, allow_above_one)
 
 
 class TestMaskProperties:
@@ -207,7 +214,7 @@ class TestMaskController:
         assert rec.site == "a" and rec.d_f == 0.5
         assert rec.density == pytest.approx(1 / 3)
         assert rec.mask.tolist() == [[[False, False, True]]]
-        assert (rec.rho.tolist(), rec.threshold.tolist()) == ([[0.5]], [[0.25]])
+        assert rec.rho.tolist() == [[0.5]]
         assert rec.pre_weights is None
 
     def test_full_record_and_replay_match_live(self):
@@ -242,7 +249,7 @@ class TestMaskController:
             np.testing.assert_array_equal(out.weights.data[k], outs[k].weights.data)
             assert (rec.d_f, rec.density, rec.mask.shape) == (
                 one.d_f, one.density, one.mask.shape)
-            for field in ("mask", "threshold", "rho"):
+            for field in ("mask", "rho"):
                 np.testing.assert_array_equal(getattr(rec, field), getattr(one, field))
             np.testing.assert_array_equal(rec.pre_weights, one.pre_weights)
             np.testing.assert_array_equal(rec.pre_weights * (1.0 - rec.mask),
@@ -402,7 +409,7 @@ class TestMaskedScoreOp:
         for k, (rec, want) in enumerate(zip(fused.records, split.records, strict=True)):
             assert (rec.site, rec.d_f, rec.density, rec.mask.shape) == (
                 want.site, want.d_f, want.density, want.mask.shape)
-            for field in ("mask", "rho", "threshold", "pre_weights"):
+            for field in ("mask", "rho", "pre_weights"):
                 assert _bytes(getattr(rec, field)) == _bytes(getattr(want, field))
             if record == "summary":
                 assert rec.pre_weights is None and want.pre_weights is None

@@ -50,8 +50,8 @@ class TestVectorSpaceTransform:
         rng = np.random.default_rng(0)
         params = make_params(0, 8, heads=2)
         out = vector_space_transform(
-            Tensor(rng.normal(size=(2, 8))), Tensor(rng.normal(size=(5, 8))), params, 0.4,
-            MaskController(),
+            Tensor(rng.normal(size=(2, 8))), Tensor(rng.normal(size=(5, 8))), params,
+            MaskController().site(0.4, "fusion"),
         )
         assert out.shape == (2, 8)
 
@@ -61,14 +61,16 @@ class TestVectorSpaceTransform:
         d = 8
         params = make_params(20 + heads, d, heads)
         x_a, x_t = rng.normal(size=(3, d)), rng.normal(size=(6, d))
-        got = vector_space_transform(Tensor(x_a), Tensor(x_t), params, 0.0, MaskController()).data
+        got = vector_space_transform(Tensor(x_a), Tensor(x_t), params,
+                                     MaskController().site(0.0, "fusion")).data
         np.testing.assert_allclose(got, alignment_oracle(x_a, x_t, params, heads), atol=1e-10)
 
     def test_dim_mismatch(self):
         params = make_params(1, 8)
         with pytest.raises(ShapeError):
             vector_space_transform(
-                Tensor(np.zeros((2, 8))), Tensor(np.zeros((3, 6))), params, 0.0, MaskController()
+                Tensor(np.zeros((2, 8))), Tensor(np.zeros((3, 6))), params,
+                MaskController().site(0.0, "fusion"),
             )
 
     def test_aligned_rows_stay_in_tail_convex_hull(self):
@@ -81,7 +83,7 @@ class TestVectorSpaceTransform:
         for _ in range(10):
             x_a, x_t = rng.normal(size=(3, d)), rng.normal(size=(m, d))
             out = vector_space_transform(
-                Tensor(x_a), Tensor(x_t), params, 0.0, MaskController()
+                Tensor(x_a), Tensor(x_t), params, MaskController().site(0.0, "fusion")
             ).data
             for row in out:
                 coeffs, residual, rank, _ = np.linalg.lstsq(x_t.T, row, rcond=None)
@@ -138,14 +140,12 @@ class TestCrossAlignedFuse:
 
         # Freeze the fusion mask so finite differences see a fixed graph.
         live = MaskController(mode="live", record="full")
-        vector_space_transform(x_a, x_t, params, 0.4, masker=live, site="fusion")
+        vector_space_transform(x_a, x_t, params, live.site(0.4, "fusion"))
         frozen = live.frozen_masks()
 
         def loss():
             replay = MaskController(mode="replay", frozen=frozen)
-            aligned = vector_space_transform(
-                x_a, x_t, params, 0.4, masker=replay, site="fusion"
-            )
+            aligned = vector_space_transform(x_a, x_t, params, replay.site(0.4, "fusion"))
             return T.tensor_sum(cross_aligned_fuse(x_a, aligned, params) * readout)
 
         worst = check_gradients(loss, [x_a, x_t], tol=1e-5)

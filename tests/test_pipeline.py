@@ -19,6 +19,7 @@ from drax.checkpoint import (
     save_checkpoint,
 )
 from drax.cli import coerce_fields
+from drax.cli import main as cli_main
 from drax.data import (
     FeatureBundle,
     SyntheticSpec,
@@ -544,9 +545,10 @@ class TestBatchedStage3:
             batch.zero_grad()
             masker = model.make_masker(record="full")
             tokens = T.broadcast(shared, 3) if first else shared
-            y1, y2 = run_encoder_stack(
-                tokens, batch, levels, model.layer_factors, masker, site=sites
-            )
+            masks = [tuple(masker.site(d_f, tuple(f"{s}/layer{k}/into{i}" for s in sites))
+                           for i in (1, 2))
+                     for k, d_f in enumerate(model.layer_factors, start=1)]
+            y1, y2 = run_encoder_stack(tokens, batch, levels, masks)
             T.backward(T.tensor_sum(y1 * probes[0]) + T.tensor_sum(y2 * probes[1]))
             grads = {p.name: p.grad for p in model.parameters()}
             grads.update(shared=shared.grad, batch=batch.grad)
@@ -634,7 +636,7 @@ class TestBatchedStage3:
         assert len(summary) == len(full) > 0
         for got, want in zip(summary, full):
             assert got.pre_weights is None and want.pre_weights.shape == want.mask.shape
-            assert (got.rho is None) == (got.threshold is None) == (mode == "replay")
+            assert (got.rho is None) == (mode == "replay")
             for field in dataclasses.fields(MaskRecord):
                 a, b = getattr(got, field.name), getattr(want, field.name)
                 if field.name == "pre_weights":
@@ -725,6 +727,23 @@ class TestMaskingSchedule:
                 assert model.fusion_factor == cfg.d_f_fusion
         off = DraxModel(tiny_config(masking_enabled=False), draw=False)
         assert off.layer_factors is None and off.fusion_factor is None
+
+    def test_every_site_label_carries_its_factor(self):
+        """Stage 1 and 2 record each level's into1 and into2, then fusion;
+        stage 3 records the same per candidate, in candidate order."""
+        model = DraxModel(tiny_config(layers=3))
+        masker = model.make_masker()
+        model.forward(tiny_bundle(seed=5), masker)
+        assert model.layer_factors == pytest.approx((0.3, 0.6, 0.9), abs=1e-12)
+
+        def stage(site):
+            return [(f"{site}/layer{k}/into{i}", d_f)
+                    for k, d_f in enumerate(model.layer_factors, start=1) for i in (1, 2)
+                    ] + [(f"{site}/fusion", model.fusion_factor)]
+
+        want = stage("stage1") + stage("stage2")
+        want += [pair for c in range(4) for pair in stage(f"stage3/cand{c}")]
+        assert [(rec.site, rec.d_f) for rec in masker.records] == want
 
     def test_masking_off_replays_under_a_caller_built_masker(self):
         """Criterion 5's pattern on a masking-off model: a full live pass,
@@ -1240,6 +1259,25 @@ class TestCheckpoint:
         path.write_bytes(raw + bytes(8))
         with pytest.raises(CheckpointError, match="8 trailing bytes"):
             load_model(path)
+
+    def test_repeated_parameter_name_rejected(self, tmp_path, capsys):
+        """A header that names a parameter twice is refused, not loaded with
+        the later payload silently winning; the CLI exits 4."""
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(DraxModel(tiny_config()), path)
+        config_dict, arrays = read_checkpoint(path)
+        entries = [{"name": name, "shape": list(a.shape)} for name, a in arrays.items()]
+        entries.append({"name": "decoder.b_out", "shape": [1]})
+        header = json.dumps({"config": config_dict, "params": entries}).encode("utf-8")
+        payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays.values())
+        path.write_bytes(struct.pack("<I", len(header)) + header + payload
+                         + np.full(1, 7.0, dtype="<f8").tobytes())
+        with pytest.raises(CheckpointError, match="'decoder.b_out' more than once"):
+            read_checkpoint(path)
+        save_dataset([tiny_bundle()], tmp_path / "data")
+        assert cli_main(["eval", "--checkpoint", str(path), "--data", str(tmp_path / "data"),
+                         "--out", str(tmp_path / "out")]) == 4
+        assert "more than once" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit, message", [
         (lambda arrays: arrays.update({"decoder.w_a": np.zeros((2, 2))}), "shape mismatch"),
