@@ -9,17 +9,18 @@ weights pass gradients through, zeroed positions pass nothing.
 The model owns the schedule and the site labels: it fixes one factor per
 encoder level (`schedule_df`) and one for fusion when it is built, all None
 with masking off, and gets each site's mask callable from `site(factor,
-label)`; the score op, `tensor.head_softmax`, calls it and gets each row's
-relevance score free as its softmax normaliser's reciprocal.
-`MaskController` only masks, live or replayed, through one mask-and-record
-body with two entry points, `site`'s callable and `apply` for finished
-weights. Each site's event is one flat `MaskRecord` holding views of the
-arrays the step built: the mask, and live, the row maxima.
+label)`; the score op, `tensor.head_softmax`, calls it with the fresh
+weights and their softmax normalisers and multiplies in the keep factors
+(`1 - mask`) it returns. A live site reads each row's relevance score as
+its normaliser's reciprocal. `MaskController` only masks, live or replayed,
+and records one flat `MaskRecord` per site label: the mask, and live, the
+row maxima, as views of the arrays the step built.
 
-A masked site costs its comparison (live) and the score op's multiply by
-the kept entries. Replay reads a `FrozenMasks`, which stacks a candidate
-batch and counts its densities on the batch's first replay and reuses both,
-so a replayed site costs a dictionary lookup and that multiply.
+A live site costs its comparison, its keep factors and the score op's
+multiply. Replay reads a `FrozenMasks`, which builds a site's keep factors
+and records on its first replay at a factor and reuses both after that, so
+a summary replay costs a dictionary lookup and that multiply; the records
+are shared by every such pass and immutable.
 """
 
 from __future__ import annotations
@@ -103,13 +104,14 @@ def schedule_df(
     return value if allow_above_one else min(1.0, value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MaskRecord:
     """One masking event at a named site within a forward pass.
 
     `mask` and `rho` (live only; the thresholds are `rho * d_f`) are views
     of the arrays the masking step built, not copies. `pre_weights` is a
-    copy of the pre-mask weights, kept with record="full".
+    copy of the pre-mask weights, kept with record="full". Frozen: summary
+    replay passes share one record per site and factor.
     """
 
     site: str
@@ -133,12 +135,14 @@ class FrozenMasks(Mapping):
     """A read-only site-to-mask map for replay passes.
 
     The masks are copied in and made non-writeable, so the candidate
-    batches and densities `batch` caches cannot go stale.
+    batches, densities, keep factors and records `batch` and `replay`
+    cache cannot go stale.
     """
 
     def __init__(self, masks: Mapping):
         self._masks = {site: _read_only(np.array(m, dtype=bool)) for site, m in masks.items()}
         self._batches: dict = {}
+        self._replays: dict = {}
 
     def __getitem__(self, site: str) -> np.ndarray:
         return self._masks[site]
@@ -163,6 +167,22 @@ class FrozenMasks(Mapping):
             hit = self._batches[site] = (mask, tuple(_density(m) for m in masks))
         return hit
 
+    def replay(self, site, d_f: float) -> tuple[np.ndarray, tuple[MaskRecord, ...]]:
+        """The read-only keep factors (`1 - mask`) of `batch(site)` and one
+        summary record per label at factor `d_f`; built on first use."""
+        key = (site, d_f)
+        hit = self._replays.get(key)
+        if hit is None:
+            mask, densities = self.batch(site)
+            single = isinstance(site, str)
+            records = tuple(
+                MaskRecord(label, float(d_f), density, m)
+                for label, density, m in zip((site,) if single else site, densities,
+                                             (mask,) if single else mask, strict=True)
+            )
+            hit = self._replays[key] = (_read_only(1.0 - mask), records)
+        return hit
+
 
 class MaskController:
     """Masks and records every masking site of a forward pass.
@@ -173,15 +193,17 @@ class MaskController:
     `FrozenMasks`; a plain dict is wrapped in one at construction. A site
     whose factor is None (masking off) passes its weights through.
 
-    Both modes take one path, `_mask`: get the mask (live, weights below
-    `rho * d_f`, the factor range-checked when the schedule was built; in
-    replay, the frozen ones stacked), then append one record per site
-    label. A candidate batch carries (K, heads, n, m) weights and K labels,
-    recorded in label order. Every record holds the site, d_f, density and
-    mask, plus `rho` when live; record="full" adds only a
-    copy of the pre-mask weights, for inspection dumps; the post-mask
-    weights are `pre_weights * (1 - mask)`, as the no-renormalisation rule
-    leaves them.
+    A live pass, a record="full" replay and `apply` take one path, `_mask`:
+    get the mask (live, weights below `rho * d_f`, the factor range-checked
+    when the schedule was built; in replay, the frozen ones stacked), then
+    append one record per site label. A candidate batch carries
+    (K, heads, n, m) weights and K labels, recorded in label order. Every
+    record holds the site, d_f, density and mask, plus `rho` when live;
+    record="full" adds only a copy of the pre-mask weights, for inspection
+    dumps; the post-mask weights are `pre_weights * (1 - mask)`, as the
+    no-renormalisation rule leaves them. A summary replay takes its keep
+    factors and records from `FrozenMasks.replay`, the same values the
+    path above would build, and appends those shared records.
     """
 
     MODES = ("live", "replay")
@@ -209,16 +231,29 @@ class MaskController:
         self.records.clear()
 
     def site(self, d_f: float | None, site):
-        """`_mask` for one site (or candidate batch) as `head_softmax`'s `mask`."""
+        """The keep factors of one site (or candidate batch), as
+        `head_softmax`'s `mask`; a live site's row maxima are `1 / sums`."""
         if d_f is None:
             return None
-        return lambda weights, rho: self._mask(weights, rho, d_f, site)
+        if self.mode == "live":
+            return lambda weights, sums: 1.0 - self._mask(weights, 1.0 / sums[..., 0], d_f, site)
+        if self.record == "full":
+            return lambda weights, sums: 1.0 - self._mask(weights, None, d_f, site)
+        return lambda weights, sums: self._replay(weights, d_f, site)
 
     def apply(self, attn, d_f: float | None, site) -> "AttentionWeights":
         if d_f is None:
             return attn
         rho = relevance_scores(attn) if self.mode == "live" else None
         return apply_mask(attn, self._mask(attn.weights.data, rho, d_f, site))
+
+    def _replay(self, weights: np.ndarray, d_f: float, site) -> np.ndarray:
+        """The cached keep factors for `weights`, their records appended."""
+        keep, records = self.frozen.replay(site, d_f)
+        if keep.shape != weights.shape:
+            raise ShapeError(f"mask shape {keep.shape} does not match weights {weights.shape}")
+        self.records.extend(records)
+        return keep
 
     def _mask(self, weights: np.ndarray, rho: np.ndarray | None, d_f: float,
               site) -> np.ndarray:

@@ -23,8 +23,9 @@ single ops with analytic vector-Jacobian products:
 - `layer_norm`: normalize, scale and shift;
 - `affine`: `x @ w + b`;
 - `head_softmax`: project queries and keys, split them into heads,
-  score, scale and softmax over the key axis, then zero the entries a
-  masking site's callable marks (it sees `1 / row sum` as the row max);
+  score, scale and softmax over the key axis, then multiply in the keep
+  factors a masking site's callable returns (it sees the weights and their
+  softmax normalisers, whose reciprocals are the row maxima);
 - `head_mix`: weight per-head values and merge the heads back;
 - `self_attention_block`, `feed_forward_block`: the two halves of a
   self-attention encoder, each with its residual and `layer_norm`;
@@ -371,14 +372,12 @@ def _head_softmax(xq, wq, xk, wk, head_count: int, scale: float, mask=None):
     scores = qh @ kh.swapaxes(-1, -2)
     scores *= scale
     soft, sums = _softmax_data(scores, -1)
-    data, keep = soft, None
-    # A row's largest exp is exp(0) = 1.0, so its largest weight is 1 / sum.
-    masked = None if mask is None else mask(soft, (1.0 / sums)[..., 0])
-    if masked is not None:
-        # An all-false mask needs no test: multiplying by ones keeps every value.
-        if masked.shape != soft.shape:
-            raise ShapeError(f"mask shape {masked.shape} does not match weights {soft.shape}")
-        keep = 1.0 - masked
+    data = soft
+    keep = None if mask is None else mask(soft, sums)
+    if keep is not None:
+        # All-ones factors need no test: multiplying by ones keeps every value.
+        if keep.shape != soft.shape:
+            raise ShapeError(f"mask shape {keep.shape} does not match weights {soft.shape}")
         data = soft * keep
 
     def vjp(g):
@@ -399,9 +398,13 @@ def head_softmax(x_q, w_q, x_k, w_k, head_count: int, scale: float, mask=None) -
     result has shape (heads, n, m). With a leading candidate axis on both
     `x_q` and `x_k`, (K, n, d) and (K, m, d), it is (K, heads, n, m).
 
-    `mask(weights, rho)`, if given, sees the weights and each row's largest
-    weight and returns a bool array shaped like the weights, or None. The
-    True entries are zeroed, and the gradient treats the mask as a constant.
+    `mask(weights, sums)`, if given, sees the weights and their softmax
+    normalisers (the row sums of the exponentials, shaped like the weights
+    with a last axis of 1). A row's largest exponential is exp(0) = 1, so
+    `1.0 / sums[..., 0]` is each row's largest weight, bit for bit. It
+    returns keep factors, a float64 array of 0.0 and 1.0 shaped like the
+    weights, or None to keep them all. The value and the gradient are
+    multiplied by the factors, which the gradient treats as a constant.
     """
     data, vjp = _head_softmax(x_q.data, w_q.data, x_k.data, w_k.data, head_count, scale, mask)
     return _from_op(data, (x_q, w_q, x_k, w_k), vjp)

@@ -19,13 +19,22 @@ from .model import DraxModel, predict
 from .tensor import no_grad
 
 
+# OpenBLAS splits a dot product over its threads above 10,000 entries, and
+# the split changes the rounding; a chunk of this many entries is summed on
+# one thread, so the norm does not depend on the thread count.
+_DOT_CHUNK = 8192
+
+
 def global_grad_norm(params) -> float:
-    """L2 norm over every present gradient, one BLAS dot product per tensor."""
+    """L2 norm over every present gradient, one BLAS dot product per chunk of
+    at most `_DOT_CHUNK` entries (one per tensor up to that size)."""
     total = 0.0
     for p in params:
         if p.grad is not None:
             flat = p.grad.ravel()
-            total += float(np.dot(flat, flat))
+            for start in range(0, flat.size, _DOT_CHUNK):
+                chunk = flat[start:start + _DOT_CHUNK]
+                total += float(np.dot(chunk, chunk))
     return math.sqrt(total)
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib.util
 import json
+import os
 import shutil
 import struct
 import subprocess
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import drax
 import drax.cli
 import drax.data
 from drax.checkpoint import load_model, read_checkpoint, save_checkpoint
@@ -703,6 +705,39 @@ class TestGoldenScript:
                  if line.startswith("hash differs: ")]
         assert "run/model.ckpt" in named
         assert named == sorted(name for name in golden if printed[name] != golden[name])
+
+
+class TestBlasThreadCount:
+    def test_train_bytes_do_not_depend_on_the_thread_count(self, tmp_path):
+        """`train` at one and two BLAS threads writes the same bytes.
+        OpenBLAS splits a dot product over threads above 10,000 entries, and
+        `motion_dim=2048` gives the tiny model a 16,384-entry
+        `embed.motion.w`, so the gradient norm crosses that cut. With golden's
+        four samples the last-bit differences happen not to reach an update;
+        with eight they do."""
+        shapes = ["--set", "appearance_dim=12", "--set", "motion_dim=2048",
+                  "--set", "text_dim=10"]
+        data = tmp_path / "data"
+        assert main(["gen-data", "--out", str(data), "--seed", "5", "--set", "samples=8",
+                     "--set", "frames=8", "--set", "clips=3", "--set", "question_len=3",
+                     "--set", "answer_len=2", "--set", "signal_dims=4",
+                     "--set", "distractor_tokens=2", *shapes]) == 0
+        src = str(Path(drax.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"run{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            done = subprocess.run(
+                [sys.executable, "-m", "drax.cli", "train", "--data", str(data),
+                 "--out", str(out), "--seed", "0", "--set", "d=8", "--set", "heads=2",
+                 "--set", "layers=1", *shapes, "--set", "max_positions=14",
+                 "--set", "learning_rate=0.01", "--set", "epochs=3"],
+                capture_output=True, text=True, env=env, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append([(out / name).read_bytes() for name in ("model.ckpt", "metrics.jsonl")])
+        assert outputs[0] == outputs[1]
 
 
 class TestPairsScript:

@@ -1,5 +1,6 @@
 """Masking semantics: thresholds, strictness, schedules, and the controller."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -421,8 +422,9 @@ class TestMaskedScoreOp:
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_all_false_mask_is_the_unmasked_op(self, batched):
-        """The op multiplies by `1 - mask` without testing the mask for any
-        True entry; for an all-false mask that is a bit-for-bit identity."""
+        """The op multiplies by the keep factors `1 - mask` without testing
+        them for any zero; for an all-false mask, all-ones factors, that is
+        a bit-for-bit identity."""
         rng = np.random.default_rng(33)
         inputs = _score_inputs(rng, batched)
         probe = rng.normal(size=(3, 2, 4, 5) if batched else (2, 4, 5))
@@ -434,13 +436,13 @@ class TestMaskedScoreOp:
             T.tensor_sum(weights * probe).backward()
             return weights.data.tobytes(), [t.grad.tobytes() for t in inputs]
 
-        assert run(lambda w, rho: np.zeros(w.shape, dtype=bool)) == run(None)
+        assert run(lambda w, sums: np.ones(w.shape)) == run(None)
 
     def test_mask_shape_checked(self):
         rng = np.random.default_rng(32)
         inputs = _score_inputs(rng, False)
         with pytest.raises(ShapeError):
-            T.head_softmax(*inputs, 2, 0.7, lambda w, rho: np.ones(w.shape[:-1] + (1,), bool))
+            T.head_softmax(*inputs, 2, 0.7, lambda w, sums: np.ones(w.shape[:-1] + (1,)))
         short = MaskController(mode="replay", frozen={"x": np.ones((2, 4, 4), dtype=bool)})
         with pytest.raises(ShapeError):
             T.head_softmax(*inputs, 2, 0.7, short.site(0.5, "x"))
@@ -465,3 +467,177 @@ class TestMaskedScoreOp:
         # Per stage: 2 layers x 2 directions + 1 fusion site; stage 3 per candidate.
         assert len(masker.records) == 2 * 5 + 4 * 5
         assert any(rec.density > 0.0 for rec in masker.records)
+
+
+def _split_score_op(original):
+    """`head_softmax` unmasked, then `MaskController.apply` (which masks
+    through `apply_mask`), for the (masker, d_f, site) triples that
+    `_SplitSites` hands out in place of mask callables."""
+    def head_softmax(x_q, w_q, x_k, w_k, heads, scale, mask=None):
+        weights = original(x_q, w_q, x_k, w_k, heads, scale)
+        if mask is None:
+            return weights
+        ctrl, d_f, site = mask
+        return ctrl.apply(AttentionWeights(weights, heads, scale), d_f, site).weights
+    return head_softmax
+
+
+class _SplitSites(MaskController):
+    def site(self, d_f, site):
+        return None if d_f is None else (self, d_f, site)
+
+
+def _tiny(**overrides):
+    config = DraxConfig(d=8, heads=2, layers=2, appearance_dim=6, motion_dim=5, text_dim=7,
+                        max_positions=20, **overrides)
+    spec = SyntheticSpec(samples=1, frames=6, clips=3, question_len=3, answer_len=2,
+                         signal_dims=3, distractor_tokens=1, appearance_dim=6,
+                         motion_dim=5, text_dim=7, seed=4)
+    return config, generate_synthetic(spec)[0]
+
+
+def _replay_case(name):
+    if name == "default":
+        return DraxConfig(), generate_synthetic(SyntheticSpec(samples=1, seed=4))[0]
+    if name == "two-group":
+        config, bundle = _tiny()
+        rng = np.random.default_rng(41)
+        answers = tuple(rng.normal(size=(n, 7)) for n in (2, 3, 2, 3))
+        return config, dataclasses.replace(bundle, answers=answers)
+    overrides = {
+        "tiny": {},
+        "above-one": {"allow_df_above_one": True, "d_f_initial": 0.6, "delta": 0.6},
+        "off": {"masking_enabled": False},
+    }[name]
+    return _tiny(**overrides)
+
+
+def _perturbed(bundle, seed):
+    """A bundle of the same shapes with other values, so a replay on it
+    reads masks that its own weights would not give."""
+    rng = np.random.default_rng(seed)
+
+    def move(a):
+        return a + 0.5 * rng.normal(size=a.shape)
+
+    return dataclasses.replace(
+        bundle, appearance=move(bundle.appearance), motion=move(bundle.motion),
+        question=move(bundle.question), answers=tuple(move(a) for a in bundle.answers),
+    )
+
+
+class TestSummaryReplay:
+    """A summary replay takes its keep factors and records from the
+    `FrozenMasks` cache; the path it replaces is the unmasked score op
+    followed by `MaskController.apply` (`apply_mask` on the frozen mask)."""
+
+    CASES = ["tiny", "default", "two-group", "above-one", "off"]
+
+    @staticmethod
+    def _pass(model, bundle, masker):
+        model.zero_grad()
+        loss, probs = model.sample_loss(bundle, masker)
+        T.backward(loss)
+        grads = {p.name: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+                 for p in model.parameters()}
+        return loss.data, probs, grads, list(masker.records)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_the_split_path(self, case, monkeypatch):
+        config, bundle = _replay_case(case)
+        model = DraxModel(config)
+        live = MaskController()
+        live_out = self._pass(model, bundle, live)
+        frozen = live.frozen_masks()
+        assert (len(frozen) == 0) == (case == "off")
+        if case != "off":
+            assert any(m.any() for m in frozen.values())
+        if case == "above-one":
+            assert {rec.d_f for rec in live.records} >= {1.2}
+
+        replay = MaskController(mode="replay", frozen=frozen)
+        # Same bundle: the live pass's outputs and records, without `rho`.
+        same = self._pass(model, bundle, replay)
+        self._assert_close(same, live_out)
+        assert len(same[3]) == len(live.records)
+        for got, want in zip(same[3], live.records, strict=True):
+            assert (got.site, got.d_f, got.density) == (want.site, want.d_f, want.density)
+            assert got.mask.tobytes() == want.mask.tobytes()
+            assert got.rho is None and got.pre_weights is None
+
+        # Other values under the same frozen masks: the split path's outputs
+        # and records.
+        other = _perturbed(bundle, 42)
+        got = self._pass(model, other, replay)
+        with monkeypatch.context() as patch:
+            patch.setattr(T, "head_softmax", _split_score_op(T.head_softmax))
+            want = self._pass(model, other, _SplitSites(mode="replay", frozen=frozen))
+        self._assert_close(got, want)
+        assert [(r.site, r.d_f, r.density, r.mask.tobytes(), r.rho) for r in got[3]] == [
+            (r.site, r.d_f, r.density, r.mask.tobytes(), r.rho) for r in want[3]]
+        for rec in got[3]:
+            assert rec.mask.tobytes() == frozen[rec.site].tobytes()
+
+    @staticmethod
+    def _assert_close(got, want):
+        loss, probs, grads, _ = got
+        want_loss, want_probs, want_grads, _ = want
+        np.testing.assert_allclose(loss, want_loss, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(probs, want_probs, rtol=0, atol=1e-12)
+        assert grads.keys() == want_grads.keys()
+        for name, grad in grads.items():
+            np.testing.assert_allclose(grad, want_grads[name], rtol=0, atol=1e-12,
+                                       err_msg=name)
+
+    def test_replays_share_immutable_records(self):
+        config, bundle = _replay_case("two-group")
+        model = DraxModel(config)
+        live = MaskController()
+        model.forward(bundle, live)
+        frozen = live.frozen_masks()
+        passes = []
+        for ctrl in [MaskController(mode="replay", frozen=frozen)] * 2 + [
+                MaskController(mode="replay", frozen=frozen)]:
+            model.forward(bundle, ctrl)
+            passes.append(list(ctrl.records))
+        assert len(passes[0]) == len(live.records) > 0
+        for first, *later in zip(*passes, strict=True):
+            assert all(rec is first for rec in later)
+        for rec in (passes[0][0], live.records[0]):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                rec.density = 0.5
+        with pytest.raises(ValueError):
+            passes[0][0].mask[...] = True
+
+    def test_full_replays_copy_pre_weights(self):
+        config, bundle = _replay_case("tiny")
+        model = DraxModel(config)
+        live = MaskController()
+        model.forward(bundle, live)
+        full = MaskController(mode="replay", record="full", frozen=live.frozen_masks())
+        passes = []
+        for _ in range(2):
+            model.forward(bundle, full)
+            passes.append(list(full.records))
+        for a, b in zip(*passes, strict=True):
+            assert a is not b and a.pre_weights.tobytes() == b.pre_weights.tobytes()
+            assert not np.shares_memory(a.pre_weights, b.pre_weights)
+
+    def test_score_op_reuses_read_only_keep_factors(self):
+        rng = np.random.default_rng(34)
+        labels = ("c0/x", "c1/x", "c2/x")
+        frozen = {label: rng.random((2, 4, 5)) < 0.4 for label in labels}
+        inputs = _score_inputs(rng, True)
+        ctrl = MaskController(mode="replay", frozen=frozen)
+        seen = []
+
+        def spy(weights, sums):
+            seen.append(ctrl.site(0.6, labels)(weights, sums))
+            return seen[-1]
+
+        for _ in range(2):
+            T.head_softmax(*inputs, 2, 0.7, spy)
+        assert seen[0] is seen[1] and not seen[0].flags.writeable
+        assert seen[0].dtype == np.float64
+        assert seen[0].tobytes() == (1.0 - np.stack([frozen[s] for s in labels])).tobytes()
+        assert ctrl.records[:3] == ctrl.records[3:] and ctrl.records[0] is ctrl.records[3]

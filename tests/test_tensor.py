@@ -487,7 +487,8 @@ class TestFusedOps:
     @pytest.mark.parametrize("seed", range(5))
     def test_softmax_normaliser_reciprocal_is_row_max(self, seed):
         """The masker's relevance score `1 / sum` equals the largest softmax
-        weight bit for bit, for scores up to 1e3 in magnitude with ties."""
+        weight bit for bit, for scores up to 1e3 in magnitude with ties; the
+        score op hands its mask callable those sums, with kept dims."""
         rng = np.random.default_rng(seed)
         scale = 10.0 ** rng.uniform(-3, 3, size=(40, 1, 1))
         scores = rng.normal(size=(40, 6, 9)) * scale
@@ -496,15 +497,15 @@ class TestFusedOps:
         scores[5] = 7.0  # whole rows tied
         scores = np.clip(scores, -1e3, 1e3)
         weights, sums = T._softmax_data(scores, -1)
-        assert ((1.0 / sums)[..., 0]).tobytes() == weights.max(axis=-1).tobytes()
+        assert (1.0 / sums[..., 0]).tobytes() == weights.max(axis=-1).tobytes()
         seen = []
         x_q = Tensor(rng.uniform(-20.0, 20.0, size=(2, 5, 4)))  # scores up to 800
         x_k = Tensor(np.concatenate([x_q.data, x_q.data[:, :3]], axis=1))
         eye = Tensor(np.eye(4))
-        T.head_softmax(x_q, eye, x_k, eye, 2, 1.0, lambda w, rho: seen.append((w, rho)))
-        (w, rho), = seen
-        assert rho.shape == (2, 2, 5)
-        assert rho.tobytes() == w.max(axis=-1).tobytes()
+        T.head_softmax(x_q, eye, x_k, eye, 2, 1.0, lambda w, sums: seen.append((w, sums)))
+        (w, sums), = seen
+        assert sums.shape == (2, 2, 5, 1)
+        assert (1.0 / sums[..., 0]).tobytes() == w.max(axis=-1).tobytes()
 
     def test_fused_op_shape_errors(self):
         with pytest.raises(ShapeError):
