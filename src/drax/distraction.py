@@ -17,16 +17,17 @@ and records one flat `MaskRecord` per site label: the mask, and live, the
 row maxima, as views of the arrays the step built.
 
 A live site costs its comparison, its keep factors and the score op's
-multiply. Replay reads a `FrozenMasks`, which builds a site's keep factors
-and records on its first replay at a factor and reuses both after that, so
-a summary replay costs a dictionary lookup and that multiply; the records
-are shared by every such pass and immutable.
+multiply. Every replay takes its keep factors and records from
+`FrozenMasks.replay`, which builds both on a site's first replay at a
+factor and reuses them after that, so a summary replay costs a dictionary
+lookup and that multiply; the records are shared by every such pass and
+immutable. record="full" appends copies that add the pre-mask weights.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -134,14 +135,12 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 class FrozenMasks(Mapping):
     """A read-only site-to-mask map for replay passes.
 
-    The masks are copied in and made non-writeable, so the candidate
-    batches, densities, keep factors and records `batch` and `replay`
-    cache cannot go stale.
+    The masks are copied in and made non-writeable, so the keep factors and
+    records `replay` caches cannot go stale.
     """
 
     def __init__(self, masks: Mapping):
         self._masks = {site: _read_only(np.array(m, dtype=bool)) for site, m in masks.items()}
-        self._batches: dict = {}
         self._replays: dict = {}
 
     def __getitem__(self, site: str) -> np.ndarray:
@@ -153,34 +152,23 @@ class FrozenMasks(Mapping):
     def __len__(self) -> int:
         return len(self._masks)
 
-    def batch(self, site) -> tuple[np.ndarray, tuple[float, ...]]:
-        """The mask of a site label, or the stacked masks of a tuple of
-        candidate labels, and each label's density; built on first use."""
-        hit = self._batches.get(site)
-        if hit is None:
-            single = isinstance(site, str)
-            try:
-                masks = [self._masks[label] for label in ((site,) if single else site)]
-            except KeyError as exc:
-                raise KeyError(f"no frozen mask recorded for site {exc.args[0]!r}") from None
-            mask = masks[0] if single else _read_only(np.stack(masks))
-            hit = self._batches[site] = (mask, tuple(_density(m) for m in masks))
-        return hit
-
     def replay(self, site, d_f: float) -> tuple[np.ndarray, tuple[MaskRecord, ...]]:
-        """The read-only keep factors (`1 - mask`) of `batch(site)` and one
-        summary record per label at factor `d_f`; built on first use."""
+        """The read-only keep factors (`1 - mask`) of a site label, or of the
+        stacked masks of a tuple of candidate labels, and one summary record
+        per label at factor `d_f`; built on first use."""
         key = (site, d_f)
         hit = self._replays.get(key)
         if hit is None:
-            mask, densities = self.batch(site)
             single = isinstance(site, str)
-            records = tuple(
-                MaskRecord(label, float(d_f), density, m)
-                for label, density, m in zip((site,) if single else site, densities,
-                                             (mask,) if single else mask, strict=True)
-            )
-            hit = self._replays[key] = (_read_only(1.0 - mask), records)
+            labels = (site,) if single else site
+            try:
+                masks = [self._masks[label] for label in labels]
+            except KeyError as exc:
+                raise KeyError(f"no frozen mask recorded for site {exc.args[0]!r}") from None
+            keep = 1.0 - (masks[0] if single else np.stack(masks))
+            records = tuple(MaskRecord(label, float(d_f), _density(m), m)
+                            for label, m in zip(labels, masks, strict=True))
+            hit = self._replays[key] = (_read_only(keep), records)
         return hit
 
 
@@ -193,17 +181,15 @@ class MaskController:
     `FrozenMasks`; a plain dict is wrapped in one at construction. A site
     whose factor is None (masking off) passes its weights through.
 
-    A live pass, a record="full" replay and `apply` take one path, `_mask`:
-    get the mask (live, weights below `rho * d_f`, the factor range-checked
-    when the schedule was built; in replay, the frozen ones stacked), then
-    append one record per site label. A candidate batch carries
-    (K, heads, n, m) weights and K labels, recorded in label order. Every
-    record holds the site, d_f, density and mask, plus `rho` when live;
-    record="full" adds only a copy of the pre-mask weights, for inspection
-    dumps; the post-mask weights are `pre_weights * (1 - mask)`, as the
-    no-renormalisation rule leaves them. A summary replay takes its keep
-    factors and records from `FrozenMasks.replay`, the same values the
-    path above would build, and appends those shared records.
+    A live site (`_mask`) takes the weights below `rho * d_f`, the factor
+    range-checked when the schedule was built, and appends one record per
+    site label; a replay (`_replay`) appends the records `FrozenMasks.replay`
+    cached with the keep factors it returns. `apply` takes the same two
+    paths. A candidate batch carries (K, heads, n, m) weights and K labels,
+    recorded in label order. Every record holds the site, d_f, density and
+    mask, plus `rho` when live; record="full" adds only a copy of the
+    pre-mask weights, for inspection dumps; the post-mask weights are
+    `pre_weights * (1 - mask)`, as the no-renormalisation rule leaves them.
     """
 
     MODES = ("live", "replay")
@@ -237,45 +223,41 @@ class MaskController:
             return None
         if self.mode == "live":
             return lambda weights, sums: 1.0 - self._mask(weights, 1.0 / sums[..., 0], d_f, site)
-        if self.record == "full":
-            return lambda weights, sums: 1.0 - self._mask(weights, None, d_f, site)
         return lambda weights, sums: self._replay(weights, d_f, site)
 
     def apply(self, attn, d_f: float | None, site) -> "AttentionWeights":
         if d_f is None:
             return attn
-        rho = relevance_scores(attn) if self.mode == "live" else None
-        return apply_mask(attn, self._mask(attn.weights.data, rho, d_f, site))
+        weights = attn.weights.data
+        if self.mode == "live":
+            return apply_mask(attn, self._mask(weights, relevance_scores(attn), d_f, site))
+        return apply_mask(attn, self._replay(weights, d_f, site) == 0.0)
 
     def _replay(self, weights: np.ndarray, d_f: float, site) -> np.ndarray:
-        """The cached keep factors for `weights`, their records appended."""
+        """The cached keep factors for `weights`, their records appended;
+        record="full" appends copies that also hold the pre-mask weights."""
         keep, records = self.frozen.replay(site, d_f)
         if keep.shape != weights.shape:
             raise ShapeError(f"mask shape {keep.shape} does not match weights {weights.shape}")
+        if self.record == "full":
+            records = [replace(rec, pre_weights=w.copy()) for rec, w in
+                       zip(records, (weights,) if isinstance(site, str) else weights)]
         self.records.extend(records)
         return keep
 
-    def _mask(self, weights: np.ndarray, rho: np.ndarray | None, d_f: float,
-              site) -> np.ndarray:
-        """The mask for pre-mask `weights` with row maxima `rho`, recorded."""
+    def _mask(self, weights: np.ndarray, rho: np.ndarray, d_f: float, site) -> np.ndarray:
+        """The live mask for pre-mask `weights` with row maxima `rho`, recorded."""
         batched = weights.ndim == 4
         labels = tuple(site) if batched else (site,)
         if batched and len(labels) != weights.shape[0]:
             raise ShapeError(f"{len(labels)} site labels for {weights.shape[0]} candidates")
-        live = self.mode == "live"
-        if live:
-            mask, densities = weights < (rho * d_f)[..., None], None
-        else:
-            mask, densities = self.frozen.batch(site)
-            if mask.shape != weights.shape:
-                raise ShapeError(f"mask shape {mask.shape} does not match weights {weights.shape}")
+        mask = weights < (rho * d_f)[..., None]
         full = self.record == "full"
         for k, label in enumerate(labels):
             at = k if batched else ...
             m = mask[at]
             self.records.append(MaskRecord(
-                label, float(d_f), _density(m) if live else densities[k], m,
-                rho[at] if live else None, weights[at].copy() if full else None,
+                label, float(d_f), _density(m), m, rho[at], weights[at].copy() if full else None
             ))
         return mask
 

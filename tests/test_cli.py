@@ -88,8 +88,10 @@ class TestConfigPlumbing:
 
     def test_unknown_key_is_exit_2(self, dataset_dir, tmp_path, capsys):
         # A non-finite float is refused the same way, before any training.
+        # So are an item without "=" and values outside a field's range.
         for item in ("bogus=1", "learning_rate=nan", "learning_rate=inf",
-                     "layer_norm_eps=nan", "delta=nan", "grad_clip=nan", "seed=-3"):
+                     "layer_norm_eps=nan", "delta=nan", "grad_clip=nan", "seed=-3",
+                     "no_equals_sign", "layer_norm_eps=0", "grad_clip=-1"):
             code = main([
                 "train", "--data", str(dataset_dir), "--out", str(tmp_path / "o"),
                 "--set", item,
@@ -139,6 +141,14 @@ class TestConfigPlumbing:
         from drax.cli import build_config
         config = build_config(args)
         assert config.d == 8 and config.heads == 2
+
+    @pytest.mark.parametrize("text, value", [("yes", True), ("On", True), ("no", False)])
+    def test_bool_override_words(self, text, value):
+        args = build_parser().parse_args([
+            "train", "--set", f"masking_enabled={text}", "--data", "x", "--out", "y",
+        ])
+        from drax.cli import build_config
+        assert build_config(args).masking_enabled is value
 
     def test_seed_flag_overrides_config(self, tmp_path):
         parser = build_parser()
@@ -389,6 +399,16 @@ class TestMalformedManifest:
         err = capsys.readouterr().err
         assert err.startswith("data error: manifest") and "label mismatch" not in err
 
+    def test_empty_samples_list_exits_3(self, dataset_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        (data / "manifest.json").write_text(json.dumps({"samples": []}))
+        assert main([
+            "train", "--data", str(data), "--out", str(tmp_path / "run"), *TINY_MODEL_SETS,
+        ]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: dataset under") and err.rstrip().endswith("is empty")
+
     def test_non_utf8_manifest_exits_3(self, dataset_dir, tmp_path, capsys):
         data = tmp_path / "data"
         shutil.copytree(dataset_dir, data)
@@ -429,6 +449,18 @@ class TestMalformedFeatureFile:
         assert self._eval(checkpoint, data) == 3
         assert "'appearance' appears more than once" in capsys.readouterr().err
 
+    def test_unknown_dtype_code_is_exit_3(self, checkpoint, dataset_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        path = data / "sample_00000.drxf"
+        raw = bytearray(path.read_bytes())
+        # The first name, "appearance", ends at byte 22; its dtype code follows.
+        assert raw[12:22] == b"appearance" and raw[22] == 0
+        raw[22] = 7
+        path.write_bytes(bytes(raw))
+        assert self._eval(checkpoint, data) == 3
+        assert "unknown dtype code 7 for tensor 'appearance'" in capsys.readouterr().err
+
     def test_trailing_bytes_are_exit_3(self, checkpoint, dataset_dir, tmp_path, capsys):
         data = tmp_path / "data"
         shutil.copytree(dataset_dir, data)
@@ -459,6 +491,20 @@ class TestMalformedCheckpointHeader:
         blob = json.dumps(edit(json.loads(raw[4:4 + length]))).encode("utf-8")
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(struct.pack("<I", len(blob)) + blob + raw[4 + length:])
+        assert main(["eval", "--checkpoint", str(bad), "--data", str(dataset_dir)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint error: checkpoint") and message in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw[:3], "checkpoint too short"),
+        (lambda raw: struct.pack("<I", len(raw)) + raw[4:], "header extends past end of file"),
+        (lambda raw: struct.pack("<I", 2) + b"\xff\xfe" + raw[4:], "header is not valid JSON"),
+        (lambda raw: struct.pack("<I", 1) + b"{" + raw[4:], "header is not valid JSON"),
+    ], ids=["three-bytes", "length-past-eof", "non-utf8", "truncated-json"])
+    def test_unreadable_header_exits_4(self, checkpoint, dataset_dir, tmp_path, capsys,
+                                       edit, message):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(edit(checkpoint.read_bytes()))
         assert main(["eval", "--checkpoint", str(bad), "--data", str(dataset_dir)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("checkpoint error: checkpoint") and message in err
@@ -705,6 +751,25 @@ class TestGoldenScript:
                  if line.startswith("hash differs: ")]
         assert "run/model.ckpt" in named
         assert named == sorted(name for name in golden if printed[name] != golden[name])
+
+
+class TestDigestScript:
+    def test_slice_digest_repeats(self):
+        """`tools/digest.py` on one config prints the same line twice, and a
+        different line for another config."""
+        script = Path(__file__).resolve().parents[1] / "tools" / "digest.py"
+
+        def run(config):
+            done = subprocess.run([sys.executable, str(script), "--config", config],
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            return done.stdout
+
+        first = run("tiny")
+        value, passes = first.split("  ")
+        assert len(value) == 64 and passes == "48 passes\n"
+        assert run("tiny") == first
+        assert run("off").split("  ")[0] != value
 
 
 class TestBlasThreadCount:

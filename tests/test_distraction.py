@@ -314,6 +314,13 @@ class TestMaskController:
         with pytest.raises(KeyError):
             MaskController(mode="replay", frozen={"a": None}).apply(batch, 0.5, ("a", "b", "c"))
 
+    def test_frozen_masks_refuse_a_site_recorded_twice(self):
+        ctrl = MaskController(mode="live")
+        ctrl.apply(make_attn([0.5, 0.3, 0.2]), 0.5, "a")
+        ctrl.apply(make_attn([0.9, 0.1]), 0.5, "a")
+        with pytest.raises(ValueError, match="duplicate mask site in one pass: 'a'"):
+            ctrl.frozen_masks()
+
     def test_begin_pass_clears_records(self):
         ctrl = MaskController(mode="live")
         ctrl.apply(make_attn([0.5, 0.3, 0.2]), 0.5, "a")
@@ -622,6 +629,12 @@ class TestSummaryReplay:
         for a, b in zip(*passes, strict=True):
             assert a is not b and a.pre_weights.tobytes() == b.pre_weights.tobytes()
             assert not np.shares_memory(a.pre_weights, b.pre_weights)
+        # Each full record copies the cached summary record, mask included.
+        summary = MaskController(mode="replay", frozen=full.frozen)
+        model.forward(bundle, summary)
+        for rec, cached in zip(passes[0], summary.records, strict=True):
+            assert rec.mask is cached.mask and cached.pre_weights is None
+            assert (rec.site, rec.d_f, rec.density) == (cached.site, cached.d_f, cached.density)
 
     def test_score_op_reuses_read_only_keep_factors(self):
         rng = np.random.default_rng(34)

@@ -656,7 +656,7 @@ class TestBatchedStage3:
 
 class TestFrozenMaskReplay:
     """Replay reads its masks through one read-only `FrozenMasks`, which
-    stacks each candidate batch and counts its densities once."""
+    builds each site's keep factors and records once per factor."""
 
     @staticmethod
     def _pass(model, bundle, masker):
@@ -701,9 +701,12 @@ class TestFrozenMaskReplay:
             frozen[site] = np.zeros_like(frozen[site])
         with pytest.raises(ValueError):
             frozen[site][...] = True
-        mask, _ = frozen.batch(tuple(s for s in frozen if s.endswith("/layer1/into1")
-                                     and s.startswith("stage3/")))
-        assert mask.shape[0] == 4 and not mask.flags.writeable
+        labels = tuple(s for s in frozen if s.endswith("/layer1/into1")
+                       and s.startswith("stage3/"))
+        keep, records = frozen.replay(labels, 0.3)
+        assert keep.shape[0] == 4 and not keep.flags.writeable
+        assert [rec.site for rec in records] == list(labels)
+        assert not any(rec.mask.flags.writeable for rec in records)
         # A plain dict is copied in: writing to it afterwards changes no replay.
         plain = {s: np.array(m) for s, m in frozen.items()}
         replay = MaskController(mode="replay", frozen=plain)
