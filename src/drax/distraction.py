@@ -12,22 +12,19 @@ with masking off, and gets each site's mask callable from `site(factor,
 label)`; the score op, `tensor.head_softmax`, calls it with the fresh
 weights and their softmax normalisers and multiplies in the keep factors
 (`1 - mask`) it returns. A live site reads each row's relevance score as
-its normaliser's reciprocal. `MaskController` only masks, live or replayed,
-and records one flat `MaskRecord` per site label: the mask, and live, the
-row maxima, as views of the arrays the step built.
+its normaliser's reciprocal and records one flat `MaskRecord` per site
+label: the mask and the row maxima, as views of the arrays the step built.
 
-A live site costs its comparison, its keep factors and the score op's
-multiply. Every replay takes its keep factors and records from
-`FrozenMasks.replay`, which builds both on a site's first replay at a
-factor and reuses them after that, so a summary replay costs a dictionary
-lookup and that multiply; the records are shared by every such pass and
-immutable. record="full" appends copies that add the pre-mask weights.
+A replay exists so that a finite difference sees a frozen mask. It masks
+with the keep factors `FrozenMasks.keep` builds on a site's first replay
+and reuses after that, so it costs a dictionary lookup and the score op's
+multiply, and it records nothing: every record comes from a live pass.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -105,21 +102,20 @@ def schedule_df(
     return value if allow_above_one else min(1.0, value)
 
 
-@dataclass(frozen=True)
+@dataclass
 class MaskRecord:
-    """One masking event at a named site within a forward pass.
+    """One live masking event at a named site within a forward pass.
 
-    `mask` and `rho` (live only; the thresholds are `rho * d_f`) are views
-    of the arrays the masking step built, not copies. `pre_weights` is a
-    copy of the pre-mask weights, kept with record="full". Frozen: summary
-    replay passes share one record per site and factor.
+    `mask` and `rho` (the row maxima; the thresholds are `rho * d_f`) are
+    views of the arrays the masking step built, not copies. `pre_weights` is
+    a copy of the pre-mask weights, kept with record="full".
     """
 
     site: str
     d_f: float
     density: float
     mask: np.ndarray
-    rho: np.ndarray | None = None
+    rho: np.ndarray
     pre_weights: np.ndarray | None = None
 
 
@@ -135,13 +131,13 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 class FrozenMasks(Mapping):
     """A read-only site-to-mask map for replay passes.
 
-    The masks are copied in and made non-writeable, so the keep factors and
-    records `replay` caches cannot go stale.
+    The masks are copied in and made non-writeable, so the keep factors
+    `keep` caches cannot go stale.
     """
 
     def __init__(self, masks: Mapping):
         self._masks = {site: _read_only(np.array(m, dtype=bool)) for site, m in masks.items()}
-        self._replays: dict = {}
+        self._keep: dict = {}
 
     def __getitem__(self, site: str) -> np.ndarray:
         return self._masks[site]
@@ -152,44 +148,40 @@ class FrozenMasks(Mapping):
     def __len__(self) -> int:
         return len(self._masks)
 
-    def replay(self, site, d_f: float) -> tuple[np.ndarray, tuple[MaskRecord, ...]]:
+    def keep(self, site) -> np.ndarray:
         """The read-only keep factors (`1 - mask`) of a site label, or of the
-        stacked masks of a tuple of candidate labels, and one summary record
-        per label at factor `d_f`; built on first use."""
-        key = (site, d_f)
-        hit = self._replays.get(key)
-        if hit is None:
-            single = isinstance(site, str)
-            labels = (site,) if single else site
+        stacked masks of a tuple of candidate labels; built on first use."""
+        keep = self._keep.get(site)
+        if keep is None:
             try:
-                masks = [self._masks[label] for label in labels]
+                mask = (self._masks[site] if isinstance(site, str)
+                        else np.stack([self._masks[label] for label in site]))
             except KeyError as exc:
                 raise KeyError(f"no frozen mask recorded for site {exc.args[0]!r}") from None
-            keep = 1.0 - (masks[0] if single else np.stack(masks))
-            records = tuple(MaskRecord(label, float(d_f), _density(m), m)
-                            for label, m in zip(labels, masks, strict=True))
-            hit = self._replays[key] = (_read_only(keep), records)
-        return hit
+            keep = self._keep[site] = _read_only(1.0 - mask)
+        return keep
 
 
 class MaskController:
-    """Masks and records every masking site of a forward pass.
+    """Masks every masking site of a forward pass and records the live ones.
 
     Modes: "live" computes masks from the current weights; "replay" reuses
     masks captured by an earlier live pass, keyed by site label, so repeated
-    forward evaluations see a frozen mask. Replay reads its masks through a
-    `FrozenMasks`; a plain dict is wrapped in one at construction. A site
-    whose factor is None (masking off) passes its weights through.
+    forward evaluations see a frozen mask. Replay, and only replay, takes
+    frozen masks, read through a `FrozenMasks`; a plain dict is wrapped in
+    one at construction. A site whose factor is None (masking off) passes
+    its weights through.
 
     A live site (`_mask`) takes the weights below `rho * d_f`, the factor
     range-checked when the schedule was built, and appends one record per
-    site label; a replay (`_replay`) appends the records `FrozenMasks.replay`
-    cached with the keep factors it returns. `apply` takes the same two
-    paths. A candidate batch carries (K, heads, n, m) weights and K labels,
-    recorded in label order. Every record holds the site, d_f, density and
-    mask, plus `rho` when live; record="full" adds only a copy of the
-    pre-mask weights, for inspection dumps; the post-mask weights are
-    `pre_weights * (1 - mask)`, as the no-renormalisation rule leaves them.
+    site label; a replay (`_replay`) multiplies in the keep factors
+    `FrozenMasks.keep` caches and appends nothing. `apply` takes the same
+    two paths. A candidate batch carries (K, heads, n, m) weights and K
+    labels, recorded in label order. Every record holds the site, d_f,
+    density, mask and `rho`; record="full", for live passes only, adds a
+    copy of the pre-mask weights, for inspection dumps; the post-mask
+    weights are `pre_weights * (1 - mask)`, as the no-renormalisation rule
+    leaves them.
     """
 
     MODES = ("live", "replay")
@@ -204,8 +196,10 @@ class MaskController:
             raise ValueError(f"unknown mask mode: {mode!r}")
         if record not in ("summary", "full"):
             raise ValueError(f"unknown record mode: {record!r}")
-        if mode == "replay" and frozen is None:
-            raise ValueError("replay mode requires frozen masks")
+        if (mode == "replay") != (frozen is not None):
+            raise ValueError("frozen masks are given exactly when mode is 'replay'")
+        if mode == "replay" and record == "full":
+            raise ValueError("record='full' is for live passes; a replay records nothing")
         self.mode = mode
         self.record = record
         if frozen is not None and not isinstance(frozen, FrozenMasks):
@@ -223,7 +217,7 @@ class MaskController:
             return None
         if self.mode == "live":
             return lambda weights, sums: 1.0 - self._mask(weights, 1.0 / sums[..., 0], d_f, site)
-        return lambda weights, sums: self._replay(weights, d_f, site)
+        return lambda weights, sums: self._replay(weights, site)
 
     def apply(self, attn, d_f: float | None, site) -> "AttentionWeights":
         if d_f is None:
@@ -231,18 +225,13 @@ class MaskController:
         weights = attn.weights.data
         if self.mode == "live":
             return apply_mask(attn, self._mask(weights, relevance_scores(attn), d_f, site))
-        return apply_mask(attn, self._replay(weights, d_f, site) == 0.0)
+        return apply_mask(attn, self._replay(weights, site) == 0.0)
 
-    def _replay(self, weights: np.ndarray, d_f: float, site) -> np.ndarray:
-        """The cached keep factors for `weights`, their records appended;
-        record="full" appends copies that also hold the pre-mask weights."""
-        keep, records = self.frozen.replay(site, d_f)
+    def _replay(self, weights: np.ndarray, site) -> np.ndarray:
+        """The cached keep factors for `weights`."""
+        keep = self.frozen.keep(site)
         if keep.shape != weights.shape:
             raise ShapeError(f"mask shape {keep.shape} does not match weights {weights.shape}")
-        if self.record == "full":
-            records = [replace(rec, pre_weights=w.copy()) for rec, w in
-                       zip(records, (weights,) if isinstance(site, str) else weights)]
-        self.records.extend(records)
         return keep
 
     def _mask(self, weights: np.ndarray, rho: np.ndarray, d_f: float, site) -> np.ndarray:
@@ -262,7 +251,7 @@ class MaskController:
         return mask
 
     def frozen_masks(self) -> FrozenMasks:
-        """Site-to-mask map from the last pass, read-only."""
+        """Site-to-mask map from the last pass, read-only; empty after a replay."""
         out: dict[str, np.ndarray] = {}
         for rec in self.records:
             if rec.site in out:

@@ -767,7 +767,7 @@ class TestDigestScript:
 
         first = run("tiny")
         value, passes = first.split("  ")
-        assert len(value) == 64 and passes == "48 passes\n"
+        assert len(value) == 64 and passes == "36 passes\n"
         assert run("tiny") == first
         assert run("off").split("  ")[0] != value
 

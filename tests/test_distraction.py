@@ -241,13 +241,26 @@ class TestMaskController:
         batch = AttentionWeights(
             weights=Tensor(np.stack([a.weights.data for a in slices])), head_count=2, scale=1.0
         )
-        single = MaskController(mode=mode, record="full", frozen=frozen)
+
+        def controller():
+            if mode == "replay":
+                return MaskController(mode="replay", frozen=frozen)
+            return MaskController(record="full")
+
+        single = controller()
         outs = [single.apply(a, 0.8, label) for a, label in zip(slices, labels)]
-        batched = MaskController(mode=mode, record="full", frozen=frozen)
+        batched = controller()
         out = batched.apply(batch, 0.8, labels)
+        for k, label in enumerate(labels):
+            np.testing.assert_array_equal(out.weights.data[k], outs[k].weights.data)
+            if mode == "replay":
+                np.testing.assert_array_equal(
+                    out.weights.data[k], slices[k].weights.data * (1.0 - frozen[label]))
+        if mode == "replay":
+            assert single.records == batched.records == []
+            return
         assert [rec.site for rec in batched.records] == list(labels)
         for k, (one, rec) in enumerate(zip(single.records, batched.records)):
-            np.testing.assert_array_equal(out.weights.data[k], outs[k].weights.data)
             assert (rec.d_f, rec.density, rec.mask.shape) == (
                 one.d_f, one.density, one.mask.shape)
             for field in ("mask", "rho"):
@@ -255,11 +268,9 @@ class TestMaskController:
             np.testing.assert_array_equal(rec.pre_weights, one.pre_weights)
             np.testing.assert_array_equal(rec.pre_weights * (1.0 - rec.mask),
                                           outs[k].weights.data)
-            if mode == "replay":
-                np.testing.assert_array_equal(rec.mask, frozen[labels[k]])
 
     @pytest.mark.parametrize("labels", [("x",), ("c0/x", "c1/x", "c2/x")])
-    def test_summary_replay_matches_full_replay(self, labels):
+    def test_replay_masks_with_the_frozen_mask(self, labels):
         rng = np.random.default_rng(7)
         frozen = {label: rng.random((2, 3, 5)) < 0.4 for label in labels}
         frozen[labels[0]][...] = False
@@ -269,18 +280,16 @@ class TestMaskController:
             weights=Tensor(np.stack([a.weights.data for a in slices])), head_count=2, scale=1.0
         )
         site = labels if batched else labels[0]
-        summary = MaskController(mode="replay", frozen=frozen)
-        full = MaskController(mode="replay", record="full", frozen=frozen)
-        out, want = summary.apply(attn, 0.8, site), full.apply(attn, 0.8, site)
-        assert out.weights.data.tobytes() == want.weights.data.tobytes()
-        assert (out.head_count, out.scale) == (want.head_count, want.scale)
-        assert [(r.site, r.d_f, r.density, r.mask.shape) for r in summary.records] == [
-            (r.site, r.d_f, r.density, r.mask.shape) for r in full.records
-        ]
-        assert all(r.pre_weights is None for r in summary.records)
+        replay = MaskController(mode="replay", frozen=frozen)
+        out = replay.apply(attn, 0.8, site)
+        want = np.stack([a.weights.data * (1.0 - frozen[label])
+                         for a, label in zip(slices, labels)])
+        assert out.weights.data.tobytes() == want.reshape(attn.weights.shape).tobytes()
+        assert (out.head_count, out.scale) == (attn.head_count, attn.scale)
+        assert replay.records == []
         if not batched:
             # An all-false mask leaves the weights object itself in place.
-            assert out is attn and summary.records[0].density == 0.0
+            assert out is attn
         wrong = {label: np.zeros((2, 3, 4), dtype=bool) for label in labels}
         short = MaskController(mode="replay", frozen=wrong)
         with pytest.raises(ShapeError):
@@ -342,6 +351,16 @@ class TestMaskController:
         with pytest.raises(ValueError):
             MaskController(mode="replay")
 
+    def test_frozen_masks_go_with_replay_alone(self):
+        """A live controller refuses frozen masks rather than ignore them,
+        and a replay, which records nothing, refuses record="full"."""
+        frozen = {"a": np.zeros((1, 1, 2), dtype=bool)}
+        for kwargs in ({"frozen": frozen}, {"mode": "live", "frozen": {}},
+                       {"record": "full", "frozen": frozen},
+                       {"mode": "replay", "record": "full", "frozen": frozen}):
+            with pytest.raises(ValueError):
+                MaskController(**kwargs)
+
 
 def _bytes(array):
     return None if array is None else array.tobytes()
@@ -385,8 +404,10 @@ class TestMaskedScoreOp:
 
     @pytest.mark.parametrize("d_f", [0.0, 0.6])
     @pytest.mark.parametrize("batched", [False, True])
-    @pytest.mark.parametrize("record", ["summary", "full"])
-    @pytest.mark.parametrize("mode", ["live", "replay", "off"])
+    @pytest.mark.parametrize(("mode", "record"), [
+        ("live", "summary"), ("live", "full"), ("replay", "summary"),
+        ("off", "summary"), ("off", "full"),
+    ])
     def test_matches_apply(self, mode, record, batched, d_f):
         """In replay, d_f = 0 pairs with all-false frozen masks, so both
         modes cover the path where nothing is masked; "off" is a live
@@ -399,8 +420,9 @@ class TestMaskedScoreOp:
         probe = rng.normal(size=(3, 2, 4, 5) if batched else (2, 4, 5))
 
         def controller():
-            return MaskController(mode="live" if mode == "off" else mode, record=record,
-                                  frozen=frozen)
+            if mode == "replay":
+                return MaskController(mode="replay", frozen=frozen)
+            return MaskController(record=record)
 
         fused, split = controller(), controller()
         d_f = None if mode == "off" else d_f
@@ -413,7 +435,10 @@ class TestMaskedScoreOp:
         masked = mode != "off" and d_f > 0.0
         assert want_ops == (2 if masked else 1)
         assert (values == 0.0).any() == masked
-        assert len(fused.records) == (0 if mode == "off" else len(labels))
+        if mode == "replay":
+            mask = np.stack([frozen[label] for label in labels]).reshape(values.shape)
+            assert ((values == 0.0) == mask).all()
+        assert len(fused.records) == (len(labels) if mode == "live" else 0)
         for k, (rec, want) in enumerate(zip(fused.records, split.records, strict=True)):
             assert (rec.site, rec.d_f, rec.density, rec.mask.shape) == (
                 want.site, want.d_f, want.density, want.mask.shape)
@@ -424,8 +449,6 @@ class TestMaskedScoreOp:
                 continue
             post = rec.pre_weights * (1.0 - rec.mask)
             assert post.tobytes() == values[k if batched else ...].tobytes()
-            if mode == "replay":
-                assert rec.mask.tobytes() == frozen[rec.site].tobytes()
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_all_false_mask_is_the_unmasked_op(self, batched):
@@ -534,9 +557,9 @@ def _perturbed(bundle, seed):
 
 
 class TestSummaryReplay:
-    """A summary replay takes its keep factors and records from the
-    `FrozenMasks` cache; the path it replaces is the unmasked score op
-    followed by `MaskController.apply` (`apply_mask` on the frozen mask)."""
+    """A replay takes its keep factors from the `FrozenMasks` cache and
+    records nothing; the path it replaces is the unmasked score op followed
+    by `MaskController.apply` (`apply_mask` on the frozen mask)."""
 
     CASES = ["tiny", "default", "two-group", "above-one", "off"]
 
@@ -563,27 +586,19 @@ class TestSummaryReplay:
             assert {rec.d_f for rec in live.records} >= {1.2}
 
         replay = MaskController(mode="replay", frozen=frozen)
-        # Same bundle: the live pass's outputs and records, without `rho`.
+        # Same bundle: the live pass's outputs, and no records.
         same = self._pass(model, bundle, replay)
         self._assert_close(same, live_out)
-        assert len(same[3]) == len(live.records)
-        for got, want in zip(same[3], live.records, strict=True):
-            assert (got.site, got.d_f, got.density) == (want.site, want.d_f, want.density)
-            assert got.mask.tobytes() == want.mask.tobytes()
-            assert got.rho is None and got.pre_weights is None
+        assert same[3] == []
 
-        # Other values under the same frozen masks: the split path's outputs
-        # and records.
+        # Other values under the same frozen masks: the split path's outputs.
         other = _perturbed(bundle, 42)
         got = self._pass(model, other, replay)
         with monkeypatch.context() as patch:
             patch.setattr(T, "head_softmax", _split_score_op(T.head_softmax))
             want = self._pass(model, other, _SplitSites(mode="replay", frozen=frozen))
         self._assert_close(got, want)
-        assert [(r.site, r.d_f, r.density, r.mask.tobytes(), r.rho) for r in got[3]] == [
-            (r.site, r.d_f, r.density, r.mask.tobytes(), r.rho) for r in want[3]]
-        for rec in got[3]:
-            assert rec.mask.tobytes() == frozen[rec.site].tobytes()
+        assert got[3] == want[3] == []
 
     @staticmethod
     def _assert_close(got, want):
@@ -596,47 +611,9 @@ class TestSummaryReplay:
             np.testing.assert_allclose(grad, want_grads[name], rtol=0, atol=1e-12,
                                        err_msg=name)
 
-    def test_replays_share_immutable_records(self):
-        config, bundle = _replay_case("two-group")
-        model = DraxModel(config)
-        live = MaskController()
-        model.forward(bundle, live)
-        frozen = live.frozen_masks()
-        passes = []
-        for ctrl in [MaskController(mode="replay", frozen=frozen)] * 2 + [
-                MaskController(mode="replay", frozen=frozen)]:
-            model.forward(bundle, ctrl)
-            passes.append(list(ctrl.records))
-        assert len(passes[0]) == len(live.records) > 0
-        for first, *later in zip(*passes, strict=True):
-            assert all(rec is first for rec in later)
-        for rec in (passes[0][0], live.records[0]):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                rec.density = 0.5
-        with pytest.raises(ValueError):
-            passes[0][0].mask[...] = True
-
-    def test_full_replays_copy_pre_weights(self):
-        config, bundle = _replay_case("tiny")
-        model = DraxModel(config)
-        live = MaskController()
-        model.forward(bundle, live)
-        full = MaskController(mode="replay", record="full", frozen=live.frozen_masks())
-        passes = []
-        for _ in range(2):
-            model.forward(bundle, full)
-            passes.append(list(full.records))
-        for a, b in zip(*passes, strict=True):
-            assert a is not b and a.pre_weights.tobytes() == b.pre_weights.tobytes()
-            assert not np.shares_memory(a.pre_weights, b.pre_weights)
-        # Each full record copies the cached summary record, mask included.
-        summary = MaskController(mode="replay", frozen=full.frozen)
-        model.forward(bundle, summary)
-        for rec, cached in zip(passes[0], summary.records, strict=True):
-            assert rec.mask is cached.mask and cached.pre_weights is None
-            assert (rec.site, rec.d_f, rec.density) == (cached.site, cached.d_f, cached.density)
-
     def test_score_op_reuses_read_only_keep_factors(self):
+        """The keep factors are built once per label tuple, whatever the
+        factor: a frozen mask does not depend on it."""
         rng = np.random.default_rng(34)
         labels = ("c0/x", "c1/x", "c2/x")
         frozen = {label: rng.random((2, 4, 5)) < 0.4 for label in labels}
@@ -644,13 +621,13 @@ class TestSummaryReplay:
         ctrl = MaskController(mode="replay", frozen=frozen)
         seen = []
 
-        def spy(weights, sums):
-            seen.append(ctrl.site(0.6, labels)(weights, sums))
-            return seen[-1]
+        for d_f in (0.6, 0.6, 0.3):
+            def spy(weights, sums):
+                seen.append(ctrl.site(d_f, labels)(weights, sums))
+                return seen[-1]
 
-        for _ in range(2):
             T.head_softmax(*inputs, 2, 0.7, spy)
-        assert seen[0] is seen[1] and not seen[0].flags.writeable
+        assert seen[0] is seen[1] is seen[2] and not seen[0].flags.writeable
         assert seen[0].dtype == np.float64
         assert seen[0].tobytes() == (1.0 - np.stack([frozen[s] for s in labels])).tobytes()
-        assert ctrl.records[:3] == ctrl.records[3:] and ctrl.records[0] is ctrl.records[3]
+        assert ctrl.records == []

@@ -577,32 +577,13 @@ class TestBatchedStage3:
         bundle = tiny_bundle(seed=9)
 
         def replay():
-            return MaskController(mode="replay", record="full", frozen=frozen)
+            return MaskController(mode="replay", frozen=frozen)
 
         got = forward_outputs(model, lambda masker: model.forward(bundle, masker), replay())
         want = forward_outputs(model, lambda masker: looped_forward(model, bundle, masker),
                                replay())
         assert_same_outputs(got, want)
-        for rec in got[2]:
-            np.testing.assert_array_equal(rec.mask, frozen[rec.site])
-
-    def test_summary_replay_matches_full_replay(self):
-        model = DraxModel(tiny_config(layers=2))
-        live = model.make_masker(record="full")
-        model.forward(tiny_bundle(seed=8), live)
-        frozen = live.frozen_masks()
-        bundle = tiny_bundle(seed=9)
-        summary = MaskController(mode="replay", frozen=frozen)
-        full = MaskController(mode="replay", record="full", frozen=frozen)
-        got = forward_outputs(model, lambda masker: model.forward(bundle, masker), summary)
-        want = forward_outputs(model, lambda masker: model.forward(bundle, masker), full)
-        assert got[0].tobytes() == want[0].tobytes()
-        for name, grad in got[1].items():
-            assert (grad is None and want[1][name] is None
-                    or grad.tobytes() == want[1][name].tobytes()), name
-        assert [(r.site, r.d_f, r.density, r.mask.shape) for r in got[2]] == [
-            (r.site, r.d_f, r.density, r.mask.shape) for r in want[2]
-        ]
+        assert got[2] == want[2] == []
 
     def test_summary_pass_freezes_the_masks_of_a_full_pass(self):
         """`frozen_masks` after a summary-mode live pass holds the masks a
@@ -621,22 +602,17 @@ class TestBatchedStage3:
         assert loss.data.tobytes() == live_loss.data.tobytes()
         assert probs.tobytes() == live_probs.tobytes()
 
-    @pytest.mark.parametrize("mode", ["live", "replay"])
-    def test_summary_and_full_records_differ_only_in_pre_weights(self, mode):
+    def test_summary_and_full_records_differ_only_in_pre_weights(self):
         model = DraxModel(tiny_config(layers=2))
-        live = model.make_masker(record="full")
-        model.forward(tiny_bundle(seed=8), live)
-        frozen = live.frozen_masks() if mode == "replay" else None
         records = []
         for record in ("summary", "full"):
-            masker = MaskController(mode=mode, record=record, frozen=frozen)
+            masker = MaskController(record=record)
             model.forward(tiny_bundle(seed=9), masker)
             records.append(masker.records)
         summary, full = records
         assert len(summary) == len(full) > 0
         for got, want in zip(summary, full):
             assert got.pre_weights is None and want.pre_weights.shape == want.mask.shape
-            assert (got.rho is None) == (mode == "replay")
             for field in dataclasses.fields(MaskRecord):
                 a, b = getattr(got, field.name), getattr(want, field.name)
                 if field.name == "pre_weights":
@@ -656,7 +632,7 @@ class TestBatchedStage3:
 
 class TestFrozenMaskReplay:
     """Replay reads its masks through one read-only `FrozenMasks`, which
-    builds each site's keep factors and records once per factor."""
+    builds each site's keep factors once; a replay records nothing."""
 
     @staticmethod
     def _pass(model, bundle, masker):
@@ -672,9 +648,9 @@ class TestFrozenMaskReplay:
     @pytest.mark.parametrize("record", ["summary", "full"])
     @pytest.mark.parametrize("lengths", [(2, 2, 2, 2), (2, 3, 2, 1)])
     def test_frozen_mapping_plain_dict_and_live_agree(self, record, lengths):
-        """Loss, probabilities, every gradient and every record (site, d_f,
-        density, mask bytes, pre-mask weights) bit-identical, over repeated
-        replays that reuse the cached batches."""
+        """Replays of the masks frozen after a live pass at either record
+        level give its loss, probabilities and every gradient bit for bit,
+        over repeated replays that reuse the cached keep factors."""
         model = DraxModel(tiny_config(layers=2))
         rng = np.random.default_rng(12)
         bundle = dataclasses.replace(
@@ -686,10 +662,36 @@ class TestFrozenMaskReplay:
         plain = {site: np.array(mask) for site, mask in frozen.items()}
         assert any(r[2] > 0.0 for r in want[3])
         for masks in (frozen, frozen, plain):
-            replay = MaskController(mode="replay", record=record, frozen=masks)
+            replay = MaskController(mode="replay", frozen=masks)
             assert (replay.frozen is frozen) == (masks is frozen)
             for _ in range(2):
-                assert self._pass(model, bundle, replay) == want
+                assert self._pass(model, bundle, replay) == (*want[:3], [])
+
+    def test_replay_records_nothing(self):
+        """A replay appends no record, so it has no densities, and its
+        outputs equal the live pass's bit for bit."""
+        model = DraxModel(tiny_config(layers=2))
+        bundle = tiny_bundle(seed=8)
+        live = model.make_masker()
+        want = self._pass(model, bundle, live)
+        assert want[3] and live.density_by_site()
+        replay = MaskController(mode="replay", frozen=live.frozen_masks())
+        assert self._pass(model, bundle, replay) == (*want[:3], [])
+        assert replay.records == [] and replay.density_by_site() == {}
+
+    def test_a_replay_freezes_no_masks(self):
+        """`frozen_masks()` after a replay is empty, and a replay of that map
+        with masking on fails at the model's first site."""
+        model = DraxModel(tiny_config(layers=2))
+        bundle = tiny_bundle(seed=8)
+        live = model.make_masker()
+        model.forward(bundle, live)
+        replay = MaskController(mode="replay", frozen=live.frozen_masks())
+        model.forward(bundle, replay)
+        empty = replay.frozen_masks()
+        assert len(empty) == 0
+        with pytest.raises(KeyError, match="site 'stage1/layer1/into1'"):
+            model.forward(bundle, MaskController(mode="replay", frozen=empty))
 
     def test_frozen_masks_are_read_only(self):
         model = DraxModel(tiny_config())
@@ -703,10 +705,10 @@ class TestFrozenMaskReplay:
             frozen[site][...] = True
         labels = tuple(s for s in frozen if s.endswith("/layer1/into1")
                        and s.startswith("stage3/"))
-        keep, records = frozen.replay(labels, 0.3)
+        keep = frozen.keep(labels)
         assert keep.shape[0] == 4 and not keep.flags.writeable
-        assert [rec.site for rec in records] == list(labels)
-        assert not any(rec.mask.flags.writeable for rec in records)
+        assert keep is frozen.keep(labels)
+        assert keep.tobytes() == (1.0 - np.stack([frozen[s] for s in labels])).tobytes()
         # A plain dict is copied in: writing to it afterwards changes no replay.
         plain = {s: np.array(m) for s, m in frozen.items()}
         replay = MaskController(mode="replay", frozen=plain)
@@ -769,7 +771,8 @@ class TestMaskingSchedule:
 
     def test_factors_above_one_reach_every_masker(self):
         """Levels 1-4 mask at 0.3, 0.6, 0.9 and 1.2, whichever masker runs
-        them, and a replay records the factors its live pass used."""
+        them: a live pass records each site's factor, and a replay of its
+        masks gives the same outputs."""
         model = DraxModel(tiny_config(layers=4, allow_df_above_one=True))
         bundle = tiny_bundle(seed=4)
 
@@ -781,9 +784,10 @@ class TestMaskingSchedule:
         live = MaskController(record="full")
         forward(live)
         replay = MaskController(mode="replay", frozen=live.frozen_masks())
-        assert_same_outputs(forward_outputs(model, forward, replay), want)
+        assert_same_outputs(forward_outputs(model, forward, replay), (*want[:2], []))
         assert model.layer_factors[3] == pytest.approx(1.2)
-        for rec in replay.records:
+        assert replay.records == [] and live.records
+        for rec in live.records:
             if rec.site.endswith("/fusion"):
                 assert rec.d_f == model.fusion_factor
             else:
