@@ -43,7 +43,10 @@ VM). What is left is the numpy arithmetic itself: many calls on small
 arrays. So the softmax and layer-norm kernels reduce with `np.add.reduce`
 and `np.maximum.reduce` directly, and the kernels do their arithmetic in
 place on arrays they have just made; each in-place step computes the same
-values, in the same order, as the expression it replaces.
+values, in the same order, as the expression it replaces. No kernel selects
+on the sign of an activation: on fresh activations a `np.where` on the sign
+mispredicts about every other element, which doubled the ELU kernel's cost
+against one repeated input (see `_elu`).
 
 The answer stage runs all candidates at once, so token matrices may carry
 one leading candidate axis: (K, n, d) instead of (n, d). `matmul` and
@@ -549,13 +552,21 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def index(a: Tensor, key) -> Tensor:
-    """Basic (slice/int/tuple) indexing, or a permutation array; the gradient
-    scatters back into place."""
+    """Basic (slice/int/tuple) or integer-array indexing; the gradient
+    scatters back into place. An array key may repeat an entry, so its
+    gradient accumulates with `np.add.at`; a basic key selects each entry
+    at most once and assigns."""
     data = a.data[key]
+    parts = key if isinstance(key, tuple) else (key,)
+    basic = all(k is None or k is Ellipsis or isinstance(k, (slice, int, np.integer))
+                for k in parts)
 
     def vjp(g):
         full = np.zeros_like(a.data)
-        full[key] = g
+        if basic:
+            full[key] = g
+        else:
+            np.add.at(full, key, g)
         return (full,)
 
     return _from_op(data, (a,), vjp)
@@ -651,19 +662,31 @@ def _softmax_grad(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _elu(xd):
-    """The `elu` kernel on an array: (data, vjp)."""
+    """The `elu` kernel on an array: (data, vjp).
+
+    No select on the sign of `xd`: a select's loop mispredicts about every
+    other element of a fresh activation. `negative = expm1(min(x, 0))` is
+    ±0.0 wherever x >= 0 and above x elsewhere, so `maximum(negative, x)`
+    is the value, and the slope `negative + 1` is exactly 1.0 where x >= 0.
+    The operand order matters at x = -0.0, where `negative` is +0.0: on a
+    tie of signed zeros numpy's `maximum` returns its second operand, so
+    this order returns x itself, -0.0, and `maximum(x, negative)` +0.0.
+    """
     negative = np.minimum(xd, 0.0)
     np.expm1(negative, out=negative)
-    data = np.where(xd >= 0.0, xd, negative)
+    data = np.maximum(negative, xd)
 
     def vjp(g):
-        return (g * np.where(xd >= 0.0, 1.0, negative + 1.0),)
+        return (g * (negative + 1.0),)
 
     return data, vjp
 
 
 def elu(a: Tensor) -> Tensor:
-    """x for x >= 0, exp(x) - 1 below; slope 1 from both sides at zero."""
+    """x for x >= 0, exp(x) - 1 below; slope 1 from both sides at zero.
+
+    `_elu` takes no select on the sign, which a fresh activation makes
+    costly, and orders `maximum`'s operands so that elu(-0.0) is -0.0."""
     data, vjp = _elu(a.data)
     return _from_op(data, (a,), vjp)
 

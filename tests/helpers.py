@@ -1,6 +1,7 @@
 """Shared numeric test utilities: finite differences, brute-force oracles,
 the composite head split/merge that the fused attention ops replace, the
-composite encoder blocks that the fused block ops replace, and the
+composite encoder blocks that the fused block ops replace, the select
+form of the ELU kernel that the branch-free one replaces, and the
 graph-search backward that creation-order backward replaces."""
 
 import numpy as np
@@ -102,6 +103,18 @@ def feed_forward_composite(x, w1, b1, w2, b2, gain, bias, eps=1e-5):
     """`T.feed_forward_block` as the five ops it fuses."""
     hidden = T.elu(T.affine(x, w1, b1))
     return T.layer_norm(T.add(x, T.affine(hidden, w2, b2)), gain, bias, eps)
+
+
+def elu_select(xd):
+    """`T._elu` as two `np.where` selects on the sign: (data, vjp)."""
+    negative = np.minimum(xd, 0.0)
+    np.expm1(negative, out=negative)
+    data = np.where(xd >= 0.0, xd, negative)
+
+    def vjp(g):
+        return g * np.where(xd >= 0.0, 1.0, negative + 1.0)
+
+    return data, vjp
 
 
 def attend_composite(x, weights, src, w_v, w_o, b_o):

@@ -9,6 +9,7 @@ from drax.tensor import ParamStore, Parameter, ShapeError, Tensor
 from helpers import (
     attend_composite,
     check_gradients,
+    elu_select,
     feed_forward_composite,
     finite_difference,
     matmul_oracle,
@@ -749,6 +750,68 @@ class TestCopyKernels:
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         # A fresh array: backward may hand it to a leaf without a copy.
         assert got.base is None and not np.shares_memory(got, g)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+_TINY = np.finfo(np.float64).smallest_subnormal
+ELU_SPECIALS = np.array([
+    0.0, -0.0, np.inf, -np.inf, np.nan, _TINY, -_TINY, 3 * _TINY, -3 * _TINY,
+    np.finfo(np.float64).tiny, -np.finfo(np.float64).tiny, -745.0, -746.0,
+    1e300, -1e300, 1.0, -1.0, 0.5, -0.5, 1e-17, -1e-17,
+])
+
+
+class TestBranchFreeElu:
+    """`_elu` takes no select on the sign; its value and VJP must keep the
+    bits of the `np.where` kernel it replaces, signed zeros included."""
+
+    @pytest.mark.parametrize("case", ["specials", "random"])
+    def test_matches_select_kernel_bit_for_bit(self, case):
+        rng = np.random.default_rng(43)
+        if case == "specials":
+            # Every special gradient against every special input.
+            x, g = np.meshgrid(ELU_SPECIALS, ELU_SPECIALS, indexing="ij")
+        else:
+            x = rng.normal(scale=2.0, size=(4, 7, 128))
+            g = rng.normal(size=x.shape)
+            assert (x > 0).any() and (x < 0).any()
+        with np.errstate(invalid="ignore"):  # inf * 0 in both kernels' VJPs
+            want, want_vjp = elu_select(x)
+            got, got_vjp = T._elu(x)
+            assert np.array_equal(_bits(got), _bits(want))
+            assert np.array_equal(_bits(got_vjp(g)[0]), _bits(want_vjp(g)))
+            out = T.elu(Tensor(x, requires_grad=True))
+            assert np.array_equal(_bits(out.data), _bits(want))
+            assert np.array_equal(_bits(out._vjp(g)[0]), _bits(want_vjp(g)))
+
+
+class TestIndexGradient:
+    def test_repeated_array_entries_accumulate(self):
+        a = Tensor(np.arange(4.0), requires_grad=True)
+        T.backward(T.tensor_sum(T.index(a, np.array([0, 0, 2]))))
+        np.testing.assert_array_equal(a.grad, [2.0, 0.0, 1.0, 0.0])
+
+    def test_repeated_rows_match_finite_differences(self):
+        rng = np.random.default_rng(44)
+        x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+        w = Tensor(rng.normal(size=(5, 2)))
+
+        def loss():
+            return T.tensor_sum(T.matmul(x[np.array([2, 0, 2, 2])], w) * x[1:2, :2])
+
+        check_gradients(loss, [x], tol=1e-7)
+
+    @pytest.mark.parametrize("key", [np.array([2, 0, 1]), (slice(None), np.array([1, 0]))])
+    def test_permutation_gradient_scatters_into_place(self, key):
+        a = Tensor(np.random.default_rng(45).normal(size=(3, 2)), requires_grad=True)
+        out = T.index(a, key)
+        g = np.random.default_rng(46).normal(size=out.shape)
+        want = np.zeros_like(a.data)
+        want[key] = g
+        assert np.array_equal(_bits(out._vjp(g)[0]), _bits(want))
 
 
 class TestParamStore:
