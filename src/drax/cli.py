@@ -134,11 +134,23 @@ def _write_jsonl(path: Path, records) -> None:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def _out_dir(args) -> Path | None:
+    """Make `--out`, if given, once the config is checked and before any data
+    is read or made, so a path that cannot be a directory exits 2 at once."""
+    if not args.out:
+        return None
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out}: {exc.strerror}") from None
+    return out
+
+
 def cmd_train(args) -> int:
     config = build_config(args)
+    out = _out_dir(args)
     dataset = load_dataset(args.data)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     model = DraxModel(config)
     history = fit(model, dataset)
     _write_jsonl(out / "metrics.jsonl", history)
@@ -155,15 +167,14 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     overrides = coerce_fields(DraxConfig, _parse_overrides(args.set))
     model = load_model(args.checkpoint, overrides)
+    out = _out_dir(args)
     dataset = load_dataset(args.data)
     result = evaluate(model, dataset)
     records = [{"record": "sample", **sample} for sample in result["samples"]]
     records.append(
         {"record": "summary", "accuracy": result["accuracy"], "loss": result["loss"]}
     )
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         _write_jsonl(out / "eval.jsonl", records)
     else:
         for record in records:
@@ -174,9 +185,10 @@ def cmd_eval(args) -> int:
 
 def cmd_gen_data(args) -> int:
     spec = build_spec(args)
+    out = _out_dir(args)
     bundles = generate_synthetic(spec)
-    manifest = save_dataset(bundles, args.out, spec=spec)
-    print(f"wrote {len(bundles)} sample(s) under {Path(args.out)}")
+    manifest = save_dataset(bundles, out, spec=spec)
+    print(f"wrote {len(bundles)} sample(s) under {out}")
     print(f"manifest: {manifest}")
     return EXIT_OK
 
@@ -184,12 +196,11 @@ def cmd_gen_data(args) -> int:
 def cmd_inspect_attention(args) -> int:
     overrides = coerce_fields(DraxConfig, _parse_overrides(args.set))
     model = load_model(args.checkpoint, overrides)
+    out = _out_dir(args)
     data = Path(args.data)
     bundle = next(iter_dataset(data)) if data.is_dir() else read_features(data)
     masker = model.make_masker(record="full")
     model.forward(bundle, masker)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     records = []
     for rec in masker.records:
         for head in range(rec.mask.shape[0]):
@@ -216,9 +227,8 @@ def cmd_inspect_attention(args) -> int:
 
 def cmd_ablate(args) -> int:
     base = build_config(args)
+    out = _out_dir(args)
     dataset = load_dataset(args.data)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     records = []
     for name, overrides in ABLATION_VARIANTS:
         model = DraxModel(dataclasses.replace(base, **overrides))

@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -174,6 +175,30 @@ class TestConfigPlumbing:
                   "--seed", "1"])
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "eval", "inspect-attention", "ablate",
+                                         "gen-data"])
+    def test_out_that_cannot_be_a_directory_is_exit_2(self, dataset_dir, checkpoint, tmp_path,
+                                                       capsys, monkeypatch, command):
+        """An `--out` that names a file, or a path under one, exits 2 with one
+        line naming it, before any data is read or made."""
+        def no_data(*args, **kwargs):
+            raise AssertionError("data was read or made before --out was checked")
+
+        for name in ("load_dataset", "iter_dataset", "read_features", "generate_synthetic"):
+            monkeypatch.setattr(drax.cli, name, no_data)
+        data = ["--data", str(dataset_dir)]
+        inputs = {"gen-data": [], "train": data, "ablate": data,
+                  "eval": ["--checkpoint", str(checkpoint), *data],
+                  "inspect-attention": ["--checkpoint", str(checkpoint), *data]}[command]
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        for out in (blocker, blocker / "sub"):
+            assert main([command, *inputs, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and err.count("\n") == 1
+            assert str(out) in err
+        assert blocker.read_text() == "kept"
 
 
 class TestGenData:
@@ -727,6 +752,17 @@ class TestAblate:
         assert len(names) == 7
 
 
+def _load_tool(name):
+    """A script under `tools/` loaded as a module. `tools/golden.py` pins BLAS
+    threads in the environment and puts `src` on `sys.path`; both are undone."""
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"tools_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ), mock.patch.object(sys, "path", list(sys.path)):
+        spec.loader.exec_module(module)
+    return module
+
+
 class TestGoldenScript:
     def test_names_the_file_whose_hash_differs(self, tmp_path):
         root = Path(__file__).resolve().parents[1]
@@ -735,8 +771,11 @@ class TestGoldenScript:
             "run/metrics.jsonl", "run/model.ckpt", "eval/eval.jsonl", "trace/trace.jsonl",
             "mixed/trace.jsonl", "abl/ablation.jsonl", "default/manifest.json",
             *(f"default/sample_{i:05d}.drxf" for i in range(8)),
+            *(f"grid/{name}" for name in ("tiny", "deep", "above-one", "off", "anchors",
+                                          "default")),
         ])
         golden["run/model.ckpt"] = "0" * 64
+        golden["grid/anchors"] = "0" * 64
         expect = tmp_path / "GOLDEN.json"
         expect.write_text(json.dumps(golden))
         done = subprocess.run(
@@ -749,27 +788,16 @@ class TestGoldenScript:
         printed = dict(line.split()[::-1] for line in done.stdout.splitlines())
         named = [line.split(": ")[1] for line in done.stderr.splitlines()
                  if line.startswith("hash differs: ")]
-        assert "run/model.ckpt" in named
+        assert "run/model.ckpt" in named and "grid/anchors" in named
         assert named == sorted(name for name in golden if printed[name] != golden[name])
 
-
-class TestDigestScript:
-    def test_slice_digest_repeats(self):
-        """`tools/digest.py` on one config prints the same line twice, and a
-        different line for another config."""
-        script = Path(__file__).resolve().parents[1] / "tools" / "digest.py"
-
-        def run(config):
-            done = subprocess.run([sys.executable, str(script), "--config", config],
-                                  capture_output=True, text=True, timeout=300)
-            assert done.returncode == 0, done.stderr
-            return done.stdout
-
-        first = run("tiny")
-        value, passes = first.split("  ")
-        assert len(value) == 64 and passes == "36 passes\n"
-        assert run("tiny") == first
-        assert run("off").split("  ")[0] != value
+    def test_grid_hash_repeats(self):
+        """One config's grid hash is the same twice, and differs from another's."""
+        golden = _load_tool("golden")
+        first = golden.grid_hash("tiny")
+        assert len(first) == 64
+        assert golden.grid_hash("tiny") == first
+        assert golden.grid_hash("off") != first
 
 
 class TestBlasThreadCount:
@@ -809,20 +837,12 @@ class TestPairsScript:
     """`tools/pairs.py` summarised on canned results, without running the benchmark."""
 
     @staticmethod
-    def _pairs_module():
-        path = Path(__file__).resolve().parents[1] / "tools" / "pairs.py"
-        spec = importlib.util.spec_from_file_location("tools_pairs", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
-    @staticmethod
     def _run(**values):
         return {"failed": 0, "attempted": 10,
                 "metrics": {name: {"value": v, "unit": "u"} for name, v in values.items()}}
 
     def test_summary_counts_wins_by_direction(self):
-        pairs = self._pairs_module()
+        pairs = _load_tool("pairs")
         end_to_end = [{"name": "cost", "unit": "ratio", "better": "lower"},
                       {"name": "rate", "unit": "1/s", "better": "higher"}]
         runs = [((1.0, 5.0), (0.9, 5.0)), ((1.2, 4.0), (1.2, 4.5)),
@@ -852,7 +872,7 @@ class TestPairsScript:
         ([1.0, 1.6] * 5, [0.9] * 8 + [0.95] * 2, "within bound (change won 10 of 10"),
     ], ids=["gain", "within-bound", "regression", "unresolved", "separated"])
     def test_verdict_per_metric(self, parent, change, expect):
-        pairs = self._pairs_module()
+        pairs = _load_tool("pairs")
         metric = {"name": "cost", "unit": "ratio", "better": "lower", "bound": 0.25}
         canned = [(self._run(cost=p), self._run(cost=c)) for p, c in zip(parent, change)]
         (row,) = pairs.compare([metric], canned)
@@ -870,13 +890,13 @@ class TestPairsScript:
         (0, '{"failed": 2, "attempted": 9, "metrics": {}}\n', "2 of 9 ops failed"),
     ], ids=["exit-code", "no-json", "no-output", "failed-ops"])
     def test_bad_run_names_pair_and_side(self, code, stdout, message):
-        pairs = self._pairs_module()
+        pairs = _load_tool("pairs")
         with pytest.raises(pairs.RunError, match=f"^pair 3 change: .*{message}"):
             pairs.parse_run(code, stdout, "pair 3 change")
 
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_pairs_below_one_is_usage_error(self, count, tmp_path, capsys):
-        pairs = self._pairs_module()
+        pairs = _load_tool("pairs")
         with pytest.raises(SystemExit) as exc:
             pairs.main([str(tmp_path), str(tmp_path), "--workload", "w", "--pairs", count])
         assert exc.value.code == 2
@@ -886,7 +906,7 @@ class TestPairsScript:
     def test_unknown_workload_is_usage_error(self, workload, tmp_path, capsys, monkeypatch):
         """A name `bench/run.py` accepts but the benchmark does not declare
         (`all` prints a table, not a JSON summary) fails before any run."""
-        pairs = self._pairs_module()
+        pairs = _load_tool("pairs")
         (tmp_path / "BENCHMARK.json").write_text(json.dumps(
             {"workloads": [{"name": "w"}], "run_seconds": 1, "end_to_end": []}))
 
