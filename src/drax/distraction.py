@@ -2,9 +2,11 @@
 
 Per head and per query row, the largest attention weight is the relevance
 score; any weight strictly below a configured fraction of it is a
-distraction and is multiplied away. The comparison happens on raw weight
-values, so the mask acts as a constant during differentiation: surviving
-weights pass gradients through, zeroed positions pass nothing.
+distraction and is multiplied away. That comparison is `distractions`, and
+both the reference `identify_distractions` and every live masking site run
+it. It happens on raw weight values, so the mask acts as a constant during
+differentiation: surviving weights pass gradients through, zeroed positions
+pass nothing.
 
 The model owns the schedule and the site labels: it fixes one factor per
 encoder level (`schedule_df`) and one for fusion when it is built, all None
@@ -37,14 +39,13 @@ if TYPE_CHECKING:
 
 @dataclass
 class DistractionMask:
-    """Boolean mask plus the per-row statistics that produced it.
+    """Boolean mask plus the row maxima that produced it.
 
     `mask[h, i, j]` is True exactly when weight (h, i, j) fell strictly
-    below `threshold[h, i]`, which in turn is `rho[h, i] * d_f`.
+    below `rho[h, i] * d_f`.
     """
 
     mask: np.ndarray
-    threshold: np.ndarray
     rho: np.ndarray
 
 
@@ -56,18 +57,18 @@ def relevance_scores(attn) -> np.ndarray:
     return weights.max(axis=-1)
 
 
-def threshold(rho: np.ndarray, d_f: float) -> np.ndarray:
-    """Per-row cutoff: the relevance score scaled by the distraction factor."""
-    if not 0.0 <= d_f <= 1.0:
-        raise ValueError(f"distraction factor out of range [0, 1]: {d_f}")
-    return np.asarray(rho) * d_f
+def distractions(weights: np.ndarray, rho: np.ndarray, d_f: float) -> np.ndarray:
+    """The masking rule: True where a weight falls strictly below `d_f` times
+    its row's maximum `rho`, so a row's maximum survives any factor <= 1."""
+    return weights < (rho * d_f)[..., None]
 
 
 def identify_distractions(attn, d_f: float) -> DistractionMask:
-    """Relevance scores, thresholds and mask in one step."""
+    """Relevance scores and mask in one step, for a factor in [0, 1]."""
+    if not 0.0 <= d_f <= 1.0:
+        raise ValueError(f"distraction factor out of range [0, 1]: {d_f}")
     rho = relevance_scores(attn)
-    tau = threshold(rho, d_f)
-    return DistractionMask(attn.weights.data < tau[..., None], tau, rho)
+    return DistractionMask(distractions(attn.weights.data, rho, d_f), rho)
 
 
 def apply_mask(attn, mask) -> "AttentionWeights":
@@ -172,12 +173,12 @@ class MaskController:
     one at construction. A site whose factor is None (masking off) passes
     its weights through.
 
-    A live site (`_mask`) takes the weights below `rho * d_f`, the factor
-    range-checked when the schedule was built, and appends one record per
-    site label; a replay (`_replay`) multiplies in the keep factors
-    `FrozenMasks.keep` caches and appends nothing. `apply` takes the same
-    two paths. A candidate batch carries (K, heads, n, m) weights and K
-    labels, recorded in label order. Every record holds the site, d_f,
+    A live site (`_mask`) masks by `distractions`, the factor range-checked
+    when the schedule was built, and appends one record per site label; a
+    replay multiplies in the keep factors `FrozenMasks.keep` caches (the op
+    that multiplies checks their shape) and appends nothing. `apply` takes
+    the same two paths. A candidate batch carries (K, heads, n, m) weights
+    and K labels, recorded in label order. Every record holds the site, d_f,
     density, mask and `rho`; record="full", for live passes only, adds a
     copy of the pre-mask weights, for inspection dumps; the post-mask
     weights are `pre_weights * (1 - mask)`, as the no-renormalisation rule
@@ -217,22 +218,14 @@ class MaskController:
             return None
         if self.mode == "live":
             return lambda weights, sums: 1.0 - self._mask(weights, 1.0 / sums[..., 0], d_f, site)
-        return lambda weights, sums: self._replay(weights, site)
+        return lambda weights, sums: self.frozen.keep(site)
 
     def apply(self, attn, d_f: float | None, site) -> "AttentionWeights":
         if d_f is None:
             return attn
-        weights = attn.weights.data
-        if self.mode == "live":
-            return apply_mask(attn, self._mask(weights, relevance_scores(attn), d_f, site))
-        return apply_mask(attn, self._replay(weights, site) == 0.0)
-
-    def _replay(self, weights: np.ndarray, site) -> np.ndarray:
-        """The cached keep factors for `weights`."""
-        keep = self.frozen.keep(site)
-        if keep.shape != weights.shape:
-            raise ShapeError(f"mask shape {keep.shape} does not match weights {weights.shape}")
-        return keep
+        if self.mode == "replay":
+            return apply_mask(attn, self.frozen.keep(site) == 0.0)
+        return apply_mask(attn, self._mask(attn.weights.data, relevance_scores(attn), d_f, site))
 
     def _mask(self, weights: np.ndarray, rho: np.ndarray, d_f: float, site) -> np.ndarray:
         """The live mask for pre-mask `weights` with row maxima `rho`, recorded."""
@@ -240,7 +233,7 @@ class MaskController:
         labels = tuple(site) if batched else (site,)
         if batched and len(labels) != weights.shape[0]:
             raise ShapeError(f"{len(labels)} site labels for {weights.shape[0]} candidates")
-        mask = weights < (rho * d_f)[..., None]
+        mask = distractions(weights, rho, d_f)
         full = self.record == "full"
         for k, label in enumerate(labels):
             at = k if batched else ...

@@ -9,7 +9,6 @@ import struct
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -753,13 +752,11 @@ class TestAblate:
 
 
 def _load_tool(name):
-    """A script under `tools/` loaded as a module. `tools/golden.py` pins BLAS
-    threads in the environment and puts `src` on `sys.path`; both are undone."""
+    """A script under `tools/` loaded as a module."""
     path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"tools_{name}", path)
     module = importlib.util.module_from_spec(spec)
-    with mock.patch.dict(os.environ), mock.patch.object(sys, "path", list(sys.path)):
-        spec.loader.exec_module(module)
+    spec.loader.exec_module(module)
     return module
 
 
@@ -771,8 +768,8 @@ class TestGoldenScript:
             "run/metrics.jsonl", "run/model.ckpt", "eval/eval.jsonl", "trace/trace.jsonl",
             "mixed/trace.jsonl", "abl/ablation.jsonl", "default/manifest.json",
             *(f"default/sample_{i:05d}.drxf" for i in range(8)),
-            *(f"grid/{name}" for name in ("tiny", "deep", "above-one", "off", "anchors",
-                                          "default")),
+            *(f"grid/{name}" for name in ("tiny", "deep", "capped", "above-one", "off",
+                                          "anchors", "default")),
         ])
         golden["run/model.ckpt"] = "0" * 64
         golden["grid/anchors"] = "0" * 64

@@ -16,7 +16,6 @@ from drax.distraction import (
     identify_distractions,
     relevance_scores,
     schedule_df,
-    threshold,
 )
 from drax.model import DraxConfig, DraxModel
 from drax.tensor import ShapeError, Tensor
@@ -51,15 +50,10 @@ class TestRelevanceAndThreshold:
         with pytest.raises(ShapeError):
             relevance_scores(make_attn(np.zeros((1, 1, 0))))
 
-    def test_threshold_scaling(self):
-        np.testing.assert_allclose(threshold(np.array([[0.5]]), 0.3), [[0.15]])
-        np.testing.assert_allclose(threshold(np.array([[0.9], [0.1]]), 0.0), [[0.0], [0.0]])
-        np.testing.assert_allclose(threshold(np.array([[0.6]]), 0.9), [[0.54]])
-
     @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan])
     def test_threshold_range(self, bad):
-        with pytest.raises(ValueError):
-            threshold(np.array([[0.5]]), bad)
+        with pytest.raises(ValueError, match="distraction factor out of range"):
+            identify_distractions(make_attn([0.5, 0.3, 0.2]), bad)
 
 
 class TestDistractionMask:
@@ -82,7 +76,6 @@ class TestDistractionMask:
     def test_identify_records_factor_and_rho(self):
         dm = identify_distractions(make_attn([0.5, 0.3, 0.2]), 0.5)
         np.testing.assert_allclose(dm.rho, [[0.5]])
-        np.testing.assert_allclose(dm.threshold, dm.rho * 0.5)
 
 
 class TestApplyMask:

@@ -794,6 +794,21 @@ class TestMaskingSchedule:
                 level = int(rec.site.split("/layer")[1].split("/")[0])
                 assert rec.d_f == model.layer_factors[level - 1], rec.site
 
+    def test_a_factor_of_one_keeps_each_row_maximum(self):
+        """The default schedule caps level 4 at exactly 1.0 (0.3 + 3 * 0.3):
+        every live site there masks all but each row's maximum, which the
+        strict comparison keeps, so no row is masked whole."""
+        model = DraxModel(tiny_config(layers=4))
+        assert model.layer_factors[3] == 1.0
+        masker = model.make_masker(record="full")
+        model.forward(tiny_bundle(seed=4), masker)
+        at_one = [rec for rec in masker.records if rec.d_f == 1.0]
+        assert at_one and any(rec.density > 0.0 for rec in at_one)
+        for rec in at_one:
+            argmax = rec.pre_weights.argmax(axis=-1)[..., None]
+            assert not np.take_along_axis(rec.mask, argmax, axis=-1).any(), rec.site
+            assert not rec.mask.all(axis=-1).any(), rec.site
+
 
 def positive_loss(model, bundle):
     loss, _ = model.sample_loss(bundle, model.make_masker())
@@ -896,6 +911,29 @@ class TestTraining:
             history = fit(model, data, epochs=3)
             runs.append([m["loss"] for m in history])
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_epoch_visits_samples_in_seeded_shuffle_order(self, seed, monkeypatch):
+        """Each epoch takes its steps in `default_rng([seed, epoch])`'s
+        permutation; the visits are told apart by bundle identity, so no
+        float of this host decides the result."""
+        model = DraxModel(tiny_config(seed=seed))
+        data = self.make_dataset(8)
+        index = {id(bundle): i for i, bundle in enumerate(data)}
+        visited = []
+        sample_loss = model.sample_loss
+
+        def recorded(bundle, masker=None):
+            visited.append(index[id(bundle)])
+            return sample_loss(bundle, masker)
+
+        monkeypatch.setattr(model, "sample_loss", recorded)
+        for epoch in (1, 2):
+            visited.clear()
+            train_epoch(model, data, epoch)
+            want = np.random.default_rng([seed, epoch]).permutation(len(data)).tolist()
+            assert want != sorted(want)
+            assert visited == want
 
     @pytest.mark.parametrize("seed", range(5))
     def test_single_sample_loss_shrinks_monotonically(self, seed):

@@ -20,8 +20,9 @@ file and per config, keyed `grid/<config>`:
 
 With `--expect`, every key whose hash differs from the JSON map of key to
 hash is named on stderr and the exit status is 1. The hashes depend on the
-numpy and BLAS build, so `GOLDEN.json` holds one host's values; BLAS is held
-to one thread. A change that moves a hash on purpose updates `GOLDEN.json`.
+numpy and BLAS build, so `GOLDEN.json` holds one host's values; the script
+holds BLAS to one thread. A change that moves a hash on purpose updates
+`GOLDEN.json`.
 """
 
 from __future__ import annotations
@@ -37,10 +38,12 @@ import sys
 import tempfile
 from pathlib import Path
 
-# Before numpy loads, so its BLAS starts with one thread.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+if __name__ == "__main__":
+    # Before numpy loads, so its BLAS starts with one thread; an importer
+    # keeps its own environment and path.
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
@@ -81,6 +84,8 @@ GRID_TINY_DATA = dict(frames=6, clips=3, question_len=3, answer_len=2, signal_di
 GRID_CONFIGS = {
     "tiny": (GRID_TINY, GRID_TINY_DATA),
     "deep": ({**GRID_TINY, "layers": 3, "delta": 0.2}, GRID_TINY_DATA),
+    # Factors (0.6, 1.0): the cap makes level 2's factor exactly 1.0.
+    "capped": ({**GRID_TINY, "d_f_initial": 0.6, "delta": 0.6}, GRID_TINY_DATA),
     "above-one": ({**GRID_TINY, "allow_df_above_one": True, "d_f_initial": 0.6, "delta": 0.6},
                   GRID_TINY_DATA),
     "off": ({**GRID_TINY, "masking_enabled": False}, GRID_TINY_DATA),
