@@ -1,7 +1,8 @@
 """Command-line entry points: train, eval, gen-data, inspect-attention, ablate.
 
 Configuration comes from an optional flat key=value file plus repeatable
-`--set key=value` overrides; unknown keys are hard errors. All outputs are
+`--set key=value` overrides, then `--seed`, all typed by `settings()`;
+unknown keys are hard errors. All outputs are
 deterministic for a fixed (config, seed, inputs) triple: metric logs are
 sorted-key JSON lines and datasets/checkpoints are byte-stable.
 """
@@ -49,31 +50,26 @@ ABLATION_VARIANTS = [
 ]
 
 
+def _split_item(item: str, where: str) -> tuple[str, str]:
+    if "=" not in item:
+        raise ConfigError(f"{where}: expected key=value, got {item!r}")
+    key, value = item.split("=", 1)
+    return key.strip(), value.strip()
+
+
 def parse_config_file(path) -> dict[str, str]:
-    """Flat key=value lines; blank lines and # comments are ignored."""
+    """Flat key=value lines; blank lines and # comments are ignored, and a
+    leading UTF-8 byte-order mark is dropped."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     values: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
-        key, value = stripped.split("=", 1)
-        values[key.strip()] = value.strip()
-    return values
-
-
-def _parse_overrides(items) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for item in items or []:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        values[key.strip()] = value.strip()
+        if stripped and not stripped.startswith("#"):
+            key, value = _split_item(stripped, f"{path}:{lineno}")
+            values[key] = value
     return values
 
 
@@ -89,8 +85,14 @@ def _parse_bool(text: str) -> bool:
 _PARSERS = {"bool": _parse_bool, "int": int, "float": float}
 
 
-def coerce_fields(cls, raw: dict[str, str], what: str = "config") -> dict:
-    """Type each key=value string by the dataclass field of `cls` it names."""
+def settings(cls, args, what: str = "config") -> dict:
+    """The typed settings of one command, by the dataclass fields of `cls`.
+
+    The `--config` file's values, then each `--set` item (a later key wins),
+    are merged as strings and typed once; `--seed` then replaces `seed`.
+    """
+    raw = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    raw.update(_split_item(item, "--set") for item in args.set or [])
     kinds = {f.name: f.type for f in fields(cls)}
     typed = {}
     for key, text in raw.items():
@@ -100,32 +102,9 @@ def coerce_fields(cls, raw: dict[str, str], what: str = "config") -> dict:
             typed[key] = _PARSERS.get(kinds[key], str)(text)
         except ValueError:
             raise ConfigError(f"cannot parse {key}={text!r} as {kinds[key]}") from None
+    if getattr(args, "seed", None) is not None:
+        typed["seed"] = args.seed
     return typed
-
-
-def build_config(args) -> DraxConfig:
-    raw: dict[str, str] = {}
-    if getattr(args, "config", None):
-        raw.update(parse_config_file(args.config))
-    raw.update(_parse_overrides(getattr(args, "set", None)))
-    typed = coerce_fields(DraxConfig, raw)
-    if getattr(args, "seed", None) is not None:
-        typed["seed"] = args.seed
-    return DraxConfig.from_dict(typed)
-
-
-def build_spec(args) -> SyntheticSpec:
-    """SyntheticSpec from --set overrides (gen-data's config surface)."""
-    typed = coerce_fields(SyntheticSpec, _parse_overrides(getattr(args, "set", None)),
-                          "generator")
-    if getattr(args, "seed", None) is not None:
-        typed["seed"] = args.seed
-    spec = SyntheticSpec(**typed)
-    try:
-        spec.validate()
-    except DataError as exc:
-        raise ConfigError(str(exc)) from None
-    return spec
 
 
 def _write_jsonl(path: Path, records) -> None:
@@ -148,7 +127,7 @@ def _out_dir(args) -> Path | None:
 
 
 def cmd_train(args) -> int:
-    config = build_config(args)
+    config = DraxConfig.from_dict(settings(DraxConfig, args))
     out = _out_dir(args)
     dataset = load_dataset(args.data)
     model = DraxModel(config)
@@ -165,8 +144,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    overrides = coerce_fields(DraxConfig, _parse_overrides(args.set))
-    model = load_model(args.checkpoint, overrides)
+    model = load_model(args.checkpoint, settings(DraxConfig, args))
     out = _out_dir(args)
     dataset = load_dataset(args.data)
     result = evaluate(model, dataset)
@@ -184,7 +162,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    spec = build_spec(args)
+    spec = SyntheticSpec(**settings(SyntheticSpec, args, "generator"))
+    try:
+        spec.validate()
+    except DataError as exc:
+        raise ConfigError(str(exc)) from None
     out = _out_dir(args)
     bundles = generate_synthetic(spec)
     manifest = save_dataset(bundles, out, spec=spec)
@@ -194,8 +176,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_inspect_attention(args) -> int:
-    overrides = coerce_fields(DraxConfig, _parse_overrides(args.set))
-    model = load_model(args.checkpoint, overrides)
+    model = load_model(args.checkpoint, settings(DraxConfig, args))
     out = _out_dir(args)
     data = Path(args.data)
     bundle = next(iter_dataset(data)) if data.is_dir() else read_features(data)
@@ -226,7 +207,7 @@ def cmd_inspect_attention(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    base = build_config(args)
+    base = DraxConfig.from_dict(settings(DraxConfig, args))
     out = _out_dir(args)
     dataset = load_dataset(args.data)
     records = []

@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -17,7 +18,14 @@ import drax
 import drax.cli
 import drax.data
 from drax.checkpoint import load_model, read_checkpoint, save_checkpoint
-from drax.cli import ABLATION_VARIANTS, _write_jsonl, build_parser, main, parse_config_file
+from drax.cli import (
+    ABLATION_VARIANTS,
+    _write_jsonl,
+    build_parser,
+    main,
+    parse_config_file,
+    settings,
+)
 from drax.data import (
     SyntheticSpec,
     generate_synthetic,
@@ -79,12 +87,58 @@ class TestConfigPlumbing:
             "d": "16", "heads": "2", "loss_mode": "probability-hinge"
         }
 
-    def test_malformed_line_rejected(self, tmp_path):
+    def test_malformed_line_rejected(self, tmp_path, capsys):
+        # A file line and a `--set` item share one error form; only where differs.
         path = tmp_path / "bad.cfg"
         path.write_text("d 16\n")
         from drax.model import ConfigError
-        with pytest.raises(ConfigError):
+        expected = f"{path}:1: expected key=value, got 'd 16'"
+        with pytest.raises(ConfigError, match=re.escape(expected)):
             parse_config_file(path)
+        assert main(["gen-data", "--out", str(tmp_path / "o"), "--set", "d 16"]) == 2
+        assert capsys.readouterr().err == "config error: --set: expected key=value, got 'd 16'\n"
+
+    def test_bom_config_file_is_read(self, tmp_path):
+        """Windows Notepad starts a UTF-8 file with a byte-order mark; the
+        first key is still `d`, not `\\ufeffd`."""
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xef\xbb\xbfd=8\nheads=2\n")
+        assert parse_config_file(path) == {"d": "8", "heads": "2"}
+        # A valid config gets past the config step: the missing data exits 3.
+        assert main([
+            "train", "--config", str(path), "--data", str(tmp_path / "absent"),
+            "--out", str(tmp_path / "o"),
+        ]) == 3
+
+    @pytest.mark.parametrize("command", ["train", "ablate", "gen-data", "eval",
+                                         "inspect-attention"])
+    def test_every_command_types_set_items(self, tmp_path, capsys, command):
+        """A malformed `--set` exits 2 before `--out` is made and before any
+        checkpoint or data file is opened (neither path exists)."""
+        data = ["--data", str(tmp_path / "absent-data")]
+        checkpoint = ["--checkpoint", str(tmp_path / "absent.ckpt")]
+        inputs = {"train": data, "ablate": data, "gen-data": [],
+                  "eval": checkpoint + data, "inspect-attention": checkpoint + data}[command]
+        out = tmp_path / "o"
+        assert main([command, *inputs, "--out", str(out), "--set", "no_equals"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'no_equals'" in err
+        assert not out.exists()
+
+    def test_config_then_set_then_seed(self, dataset_dir, tmp_path):
+        """`--config` < `--set` < `--seed`, and a later `--set` wins. Values
+        merge as strings and are typed once, so the file's `d=eight`, which
+        `--set d=8` replaces, is never parsed."""
+        path = tmp_path / "run.cfg"
+        path.write_text("d=eight\nheads=1\ndelta=0.1\nseed=3\n")
+        out = tmp_path / "o"
+        assert main([
+            "train", "--config", str(path), "--data", str(dataset_dir), "--out", str(out),
+            *TINY_MODEL_SETS, "--set", "epochs=1", "--set", "seed=5", "--seed", "11",
+        ]) == 0
+        stored, _ = read_checkpoint(out / "model.ckpt")
+        assert (stored["d"], stored["heads"], stored["delta"]) == (8, 2, 0.1)
+        assert (stored["epochs"], stored["seed"]) == (1, 11)
 
     def test_unknown_key_is_exit_2(self, dataset_dir, tmp_path, capsys):
         # A non-finite float is refused the same way, before any training.
@@ -138,8 +192,7 @@ class TestConfigPlumbing:
             "train", "--config", str(path), "--set", "d=8",
             "--data", "x", "--out", "y",
         ])
-        from drax.cli import build_config
-        config = build_config(args)
+        config = DraxConfig.from_dict(settings(DraxConfig, args))
         assert config.d == 8 and config.heads == 2
 
     @pytest.mark.parametrize("text, value", [("yes", True), ("On", True), ("no", False)])
@@ -147,16 +200,14 @@ class TestConfigPlumbing:
         args = build_parser().parse_args([
             "train", "--set", f"masking_enabled={text}", "--data", "x", "--out", "y",
         ])
-        from drax.cli import build_config
-        assert build_config(args).masking_enabled is value
+        assert DraxConfig.from_dict(settings(DraxConfig, args)).masking_enabled is value
 
     def test_seed_flag_overrides_config(self, tmp_path):
         parser = build_parser()
         args = parser.parse_args([
             "train", "--set", "seed=3", "--seed", "11", "--data", "x", "--out", "y",
         ])
-        from drax.cli import build_config
-        assert build_config(args).seed == 11
+        assert DraxConfig.from_dict(settings(DraxConfig, args)).seed == 11
 
     @pytest.mark.parametrize("command", ["gen-data", "train", "ablate"])
     def test_negative_seed_flag_is_exit_2(self, dataset_dir, tmp_path, capsys, command):
@@ -915,3 +966,28 @@ class TestPairsScript:
             pairs.main([str(tmp_path), str(tmp_path), "--workload", workload])
         assert exc.value.code == 2
         assert f"--workload must be one of w, got {workload!r}" in capsys.readouterr().err
+
+
+class TestReadmeKeys:
+    """The README's key lists follow the dataclasses, so a key added without
+    docs, or a default changed without them, fails here."""
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+    def test_config_table_matches_draxconfig(self):
+        block = self.readme.split("| key | default | meaning |\n| --- | --- | --- |\n", 1)[1]
+        rows = [line.split("|")[1:3] for line in block.split("\n\n", 1)[0].splitlines()]
+        documented = [(key.strip().strip("`"), text.strip().strip("`")) for key, text in rows]
+        assert [key for key, _ in documented] == [f.name for f in dataclasses.fields(DraxConfig)]
+        for field, (_, text) in zip(dataclasses.fields(DraxConfig), documented):
+            if isinstance(field.default, bool):
+                assert text == str(field.default).lower(), field.name
+            elif isinstance(field.default, (int, float)):
+                assert float(text) == field.default, field.name
+            else:
+                assert text == field.default, field.name
+
+    def test_generator_sentence_matches_syntheticspec(self):
+        sentence = self.readme.split("Generator keys for `gen-data` (`SyntheticSpec`):", 1)[1]
+        keys = re.findall(r"`(\w+)`", sentence.split(".", 1)[0])
+        assert keys == [f.name for f in dataclasses.fields(SyntheticSpec)]

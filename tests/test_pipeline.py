@@ -18,8 +18,8 @@ from drax.checkpoint import (
     restore_parameters,
     save_checkpoint,
 )
-from drax.cli import coerce_fields
 from drax.cli import main as cli_main
+from drax.cli import settings
 from drax.data import (
     FeatureBundle,
     SyntheticSpec,
@@ -114,7 +114,10 @@ class TestConfig:
             DraxConfig.from_dict({"d": 8, "mystery": 1})
 
     def test_coerce(self):
-        typed = coerce_fields(DraxConfig, {
+        def coerce(cls, raw, what="config"):
+            return settings(cls, SimpleNamespace(set=[f"{k}={v}" for k, v in raw.items()]), what)
+
+        typed = coerce(DraxConfig, {
             "d": "32", "delta": "0.25", "masking_enabled": "false",
             "loss_mode": "logit-hinge",
         })
@@ -122,19 +125,19 @@ class TestConfig:
             "d": 32, "delta": 0.25, "masking_enabled": False, "loss_mode": "logit-hinge",
         }
         assert typed["masking_enabled"] is False
-        spec = coerce_fields(SyntheticSpec, {"samples": "12", "noise_sigma": "0.75"})
+        spec = coerce(SyntheticSpec, {"samples": "12", "noise_sigma": "0.75"})
         assert spec == {"samples": 12, "noise_sigma": 0.75}
         assert isinstance(spec["samples"], int) and isinstance(spec["noise_sigma"], float)
         with pytest.raises(ConfigError):
-            coerce_fields(DraxConfig, {"d": "eight"})
+            coerce(DraxConfig, {"d": "eight"})
         with pytest.raises(ConfigError):
-            coerce_fields(DraxConfig, {"masking_enabled": "maybe"})
+            coerce(DraxConfig, {"masking_enabled": "maybe"})
         with pytest.raises(ConfigError, match="unknown config key: nonesuch"):
-            coerce_fields(DraxConfig, {"nonesuch": "1"})
+            coerce(DraxConfig, {"nonesuch": "1"})
         with pytest.raises(ConfigError, match="cannot parse samples='1.5' as int"):
-            coerce_fields(SyntheticSpec, {"samples": "1.5"})
+            coerce(SyntheticSpec, {"samples": "1.5"})
         with pytest.raises(ConfigError, match="unknown generator key: d"):
-            coerce_fields(SyntheticSpec, {"d": "8"}, "generator")
+            coerce(SyntheticSpec, {"d": "8"}, "generator")
 
 
 class TestSequencesAndPositions:
