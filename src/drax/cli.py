@@ -51,9 +51,9 @@ ABLATION_VARIANTS = [
 
 
 def _split_item(item: str, where: str) -> tuple[str, str]:
-    if "=" not in item:
+    key, sep, value = item.partition("=")
+    if not sep or not key.strip():
         raise ConfigError(f"{where}: expected key=value, got {item!r}")
-    key, value = item.split("=", 1)
     return key.strip(), value.strip()
 
 

@@ -32,6 +32,7 @@ MAGIC = b"DRXF"
 FORMAT_VERSION = 1
 ANSWER_COUNT = 4
 DISTRACTOR_SIGMA = 3.0
+_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
 class DataError(Exception):
@@ -231,6 +232,18 @@ def read_features(path) -> FeatureBundle:
     return FeatureBundle(*streams, answers=answers, label=int(label[0]))
 
 
+def check_field_types(settings, error: type[Exception]) -> None:
+    """Raise `error` unless each dataclass field of `settings` holds its type:
+    a bool (an int subclass) only for a bool field, a finite float or int for a float."""
+    for f in dataclasses.fields(settings):
+        value = getattr(settings, f.name)
+        wrong_bool = isinstance(value, bool) != (f.type == "bool")
+        if wrong_bool or not isinstance(value, _FIELD_TYPES[f.type]):
+            raise error(f"{f.name} must be {f.type}, got {value!r}")
+        if f.type == "float" and not -math.inf < value < math.inf:
+            raise error(f"{f.name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Shape and difficulty of the planted-rule benchmark."""
@@ -249,15 +262,14 @@ class SyntheticSpec:
     text_dim: int = 300
 
     def validate(self) -> None:
+        check_field_types(self, DataError)
         for key in ("samples", "frames", "clips", "question_len", "answer_len",
                     "signal_dims", "appearance_dim", "motion_dim", "text_dim"):
             if getattr(self, key) < 1:
                 raise DataError(f"{key} must be >= 1, got {getattr(self, key)}")
-        for key in ("distractor_tokens", "seed"):
+        for key in ("distractor_tokens", "seed", "noise_sigma"):
             if getattr(self, key) < 0:
                 raise DataError(f"{key} must be >= 0, got {getattr(self, key)}")
-        if not 0 <= self.noise_sigma < math.inf:
-            raise DataError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         smallest = min(self.appearance_dim, self.motion_dim, self.text_dim)
         if self.signal_dims >= smallest:
             raise DataError(

@@ -114,14 +114,14 @@ class MaskRecord:
 
     site: str
     d_f: float
-    density: float
     mask: np.ndarray
     rho: np.ndarray
     pre_weights: np.ndarray | None = None
 
-
-def _density(mask: np.ndarray) -> float:
-    return np.count_nonzero(mask) / mask.size if mask.size else 0.0
+    @property
+    def density(self) -> float:
+        """The masked fraction of the weights, counted from `mask` when read."""
+        return np.count_nonzero(self.mask) / self.mask.size if self.mask.size else 0.0
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -179,10 +179,10 @@ class MaskController:
     that multiplies checks their shape) and appends nothing. `apply` takes
     the same two paths. A candidate batch carries (K, heads, n, m) weights
     and K labels, recorded in label order. Every record holds the site, d_f,
-    density, mask and `rho`; record="full", for live passes only, adds a
-    copy of the pre-mask weights, for inspection dumps; the post-mask
-    weights are `pre_weights * (1 - mask)`, as the no-renormalisation rule
-    leaves them.
+    mask and `rho`, and counts its density from the mask when it is read;
+    record="full", for live passes only, adds a copy of the pre-mask
+    weights, for inspection dumps; the post-mask weights are
+    `pre_weights * (1 - mask)`, as the no-renormalisation rule leaves them.
     """
 
     MODES = ("live", "replay")
@@ -239,7 +239,7 @@ class MaskController:
             at = k if batched else ...
             m = mask[at]
             self.records.append(MaskRecord(
-                label, float(d_f), _density(m), m, rho[at], weights[at].copy() if full else None
+                label, float(d_f), m, rho[at], weights[at].copy() if full else None
             ))
         return mask
 

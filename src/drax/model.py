@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import tensor as T
 from .attention import EncoderLayerParams, run_encoder_stack
+from .data import check_field_types
 from .distraction import MaskController, schedule_df
 from .fusion import FusionParams, cross_aligned_fuse, simple_concat_fuse, vector_space_transform
 from .tensor import ParamStore, Parameter, ShapeError, Tensor
@@ -41,7 +41,6 @@ STAGES = (
     ("stage2", "fused", "question"),
     ("stage3", "fused", "answer"),
 )
-_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
 @dataclass
@@ -82,14 +81,7 @@ class DraxConfig:
     grad_clip: float = 5.0
 
     def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # bool is an int subclass: accept it for bool fields only.
-            wrong_bool = isinstance(value, bool) != (f.type == "bool")
-            if wrong_bool or not isinstance(value, _FIELD_TYPES[f.type]):
-                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
-            if f.type == "float" and not -math.inf < value < math.inf:
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        check_field_types(self, ConfigError)
         if self.d < 1 or self.heads < 1 or self.d % self.heads != 0:
             raise ConfigError(f"d={self.d} must be a positive multiple of heads={self.heads}")
         if self.layers < 1:
@@ -243,12 +235,6 @@ def _stage_sites(site, layers: int):
                  for k in range(1, layers + 1)), under("fusion")
 
 
-@functools.lru_cache(maxsize=1024)
-def _candidate_index(site: str) -> int:
-    """The candidate a stage-3 site label names: 2 for `stage3/cand2/...`."""
-    return int(site.split("/")[1].removeprefix("cand"))
-
-
 def predict(probabilities) -> int:
     """Most probable candidate; ties go to the lowest index."""
     values = probabilities.data if isinstance(probabilities, Tensor) else probabilities
@@ -400,8 +386,9 @@ class DraxModel:
         question = self.embed_tokens(bundle.question, "question")
         fused = self.run_stage(1, fused, question, masker)
         start = len(masker.records)
-        means, order = [], []
+        means, order, by_cand = [], [], {}
         for cands in _candidate_groups(bundle.answers):
+            begin = len(masker.records)
             answers = self.embed_tokens(np.stack([bundle.answers[c] for c in cands]), "answer")
             out = self.run_stage(
                 2, fused, answers, masker, keep_cls=True,
@@ -409,11 +396,11 @@ class DraxModel:
             )
             means.append(T.tensor_mean(out.tokens, axis=-2))
             order += cands
-        # A batched site records its candidates side by side; a stable sort by
-        # candidate lists them as one stage run per candidate would.
-        masker.records[start:] = sorted(
-            masker.records[start:], key=lambda rec: _candidate_index(rec.site)
-        )
+            # Each batched site appends one record per label, in `cands` order.
+            for i, c in enumerate(cands):
+                by_cand[c] = masker.records[begin + i::len(cands)]
+        # Listed by candidate, as one stage run per candidate would list them.
+        masker.records[start:] = [rec for c in sorted(by_cand) for rec in by_cand[c]]
         reps = means[0] if len(means) == 1 else T.concat(means, axis=0)
         if order != sorted(order):
             reps = reps[np.argsort(order)]

@@ -8,6 +8,7 @@ import pytest
 
 from drax import tensor as T
 from drax.attention import (
+    AttentionWeights,
     CrossLayerParams,
     EncoderLayerParams,
     SelfAttentionParams,
@@ -119,6 +120,12 @@ class TestScaledScores:
             attn.weights.data.sum(axis=-1), np.ones((4, 6)), atol=1e-10
         )
         assert np.all(attn.weights.data > 0)
+
+
+def test_attended_values_head_count_mismatch():
+    attn = AttentionWeights(Tensor(np.full((2, 3, 3), 1.0 / 3.0)), head_count=4, scale=1.0)
+    with pytest.raises(ShapeError, match="2 heads, expected 4"):
+        attended_values(attn, Tensor(np.zeros((3, 8))))
 
 
 class TestSelfEncoder:

@@ -98,6 +98,17 @@ class TestConfigPlumbing:
         assert main(["gen-data", "--out", str(tmp_path / "o"), "--set", "d 16"]) == 2
         assert capsys.readouterr().err == "config error: --set: expected key=value, got 'd 16'\n"
 
+    def test_empty_key_rejected(self, tmp_path, capsys):
+        # An empty key is the same error, so the message names the item.
+        path = tmp_path / "bad.cfg"
+        path.write_text(" = 5\n")
+        from drax.model import ConfigError
+        expected = f"{path}:1: expected key=value, got '= 5'"
+        with pytest.raises(ConfigError, match=re.escape(expected)):
+            parse_config_file(path)
+        assert main(["gen-data", "--out", str(tmp_path / "o"), "--set", "=5"]) == 2
+        assert capsys.readouterr().err == "config error: --set: expected key=value, got '=5'\n"
+
     def test_bom_config_file_is_read(self, tmp_path):
         """Windows Notepad starts a UTF-8 file with a byte-order mark; the
         first key is still `d`, not `\\ufeffd`."""
@@ -761,6 +772,13 @@ class TestInspectAttention:
         ]) == 0
         traced = (tmp_path / "dir" / "trace.jsonl").read_bytes()
         assert traced == (tmp_path / "file" / "trace.jsonl").read_bytes()
+
+    def test_missing_feature_file_is_exit_3(self, checkpoint, tmp_path, capsys):
+        assert main([
+            "inspect-attention", "--checkpoint", str(checkpoint),
+            "--data", str(tmp_path / "absent.drxf"), "--out", str(tmp_path / "trace"),
+        ]) == 3
+        assert capsys.readouterr().err.startswith("data error: cannot read feature file")
 
     def test_first_entry_label_checked_against_manifest(self, checkpoint, dataset_dir,
                                                         tmp_path, capsys):

@@ -95,6 +95,10 @@ class TestFeatureFile:
         with pytest.raises(TruncatedError):
             read_features(path)
 
+    def test_missing_file_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read feature file"):
+            read_features(tmp_path / "absent.drxf")
+
     def test_bundle_validation(self):
         rng = np.random.default_rng(1)
         with pytest.raises(DataError):
@@ -294,6 +298,19 @@ class TestSyntheticGenerator:
             dataclasses.replace(TINY, noise_sigma=-1.0).validate()
         with pytest.raises(DataError):
             dataclasses.replace(TINY, samples=0).validate()
+
+    @pytest.mark.parametrize("key, value", [
+        ("seed", True), ("noise_sigma", True), ("distractor_tokens", True),
+        ("signal_dims", True), ("samples", 2.5), ("frames", "6"), ("noise_sigma", float("nan")),
+    ])
+    def test_spec_field_types(self, key, value):
+        """Each field holds its annotated type, as `DraxConfig` requires: a
+        bool only for a bool field, a finite float for a float field."""
+        spec = dataclasses.replace(TINY, **{key: value})
+        with pytest.raises(DataError, match=f"^{key} must be "):
+            spec.validate()
+        with pytest.raises(DataError, match=f"^{key} must be "):
+            generate_synthetic(spec)
 
 
 class TestDatasetRoundTrip:

@@ -102,6 +102,32 @@ class TestForwardValues:
             Tensor(np.zeros(3)).item()
 
 
+def _zeros(*shape) -> Tensor:
+    return Tensor(np.zeros(shape))
+
+
+class TestShapeErrors:
+    """A bad operand shape or axis raises ShapeError, which the CLI maps to
+    exit 3, not a bare ValueError from numpy."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: T.add(_zeros(2, 3), _zeros(4)),
+        lambda: T.sub(_zeros(2, 3), _zeros(4)),
+        lambda: T.mul(_zeros(2, 3), _zeros(4)),
+        lambda: T.reshape(_zeros(2, 3), (4,)),
+        lambda: T.transpose(_zeros(2, 3), (0, 0)),
+        lambda: T.concat([]),
+        lambda: T.tensor_sum(_zeros(2, 3), axis=2),
+        lambda: T.softmax(_zeros(2, 3), axis=-3),
+        lambda: T.layer_norm(_zeros(2, 3), _zeros(4), _zeros(3)),
+        lambda: T.layer_norm(_zeros(2, 3), _zeros(3), _zeros(1, 3)),
+    ], ids=["add", "sub", "mul", "reshape", "transpose", "concat-empty", "sum-axis",
+            "softmax-axis", "layer_norm-gain", "layer_norm-bias"])
+    def test_raises_shape_error(self, call):
+        with pytest.raises(ShapeError):
+            call()
+
+
 class TestBackward:
     def test_scalar_chain(self):
         x = Tensor(3.0, requires_grad=True)
@@ -214,6 +240,30 @@ class TestBackward:
             return T.tensor_sum(T.relu(x + b))
 
         check_gradients(loss, [x, b], tol=1e-7)
+
+    @pytest.mark.parametrize("op, oracle", [(T.neg, np.negative), (T.exp, np.exp)],
+                             ids=["neg", "exp"])
+    def test_unary_values_and_gradients(self, op, oracle):
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 4)))
+        np.testing.assert_array_equal(op(x).data, oracle(x.data))
+
+        def loss():
+            return T.tensor_sum(op(x) * w)
+
+        check_gradients(loss, [x], tol=1e-7)
+
+    def test_loss_without_grad_leaves_gradients(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        y = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+        T.backward(T.tensor_sum(x * x))
+        before = x.grad.copy()
+        with T.no_grad():
+            loss = T.tensor_sum(x * y)
+        assert not loss.requires_grad
+        assert T.backward(loss) is None
+        assert x.grad.tobytes() == before.tobytes() and y.grad is None
 
     def test_grad_against_manual_finite_difference(self):
         # Direct use of the helper on a fresh array, independent of check_gradients.

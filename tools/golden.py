@@ -12,8 +12,8 @@ backward of `sample_loss` live at record="summary", live at record="full",
 and in replay under the first live pass's frozen masks, twice with the
 same masker. Every pass feeds its config's hash the loss, probabilities and
 every parameter gradient; a live pass also feeds it every `MaskRecord`
-field (a replay records nothing). It prints one `<sha256>  <key>` line per
-file and per config, keyed `grid/<config>`:
+field and its density (a replay records nothing). It prints one
+`<sha256>  <key>` line per file and per config, keyed `grid/<config>`:
 
     python tools/golden.py                        # print the hashes
     python tools/golden.py --expect GOLDEN.json   # also compare them
