@@ -33,6 +33,10 @@ FORMAT_VERSION = 1
 ANSWER_COUNT = 4
 DISTRACTOR_SIGMA = 3.0
 _FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
+# A bundle's video and question streams, in `FeatureBundle` field order, and
+# the nine tensors a feature file holds, each once, in the order written.
+STREAMS = ("appearance", "motion", "question")
+TENSOR_NAMES = (*STREAMS, *(f"answer{i}" for i in range(ANSWER_COUNT)), "label")
 
 
 class DataError(Exception):
@@ -77,7 +81,7 @@ class FeatureBundle:
         # rejects; numpy's cast warning would only repeat that.
         with np.errstate(over="ignore"):
             self.answers = tuple(np.asarray(a, dtype=np.float32) for a in self.answers)
-            for name in ("appearance", "motion", "question"):
+            for name in STREAMS:
                 setattr(self, name, np.asarray(getattr(self, name), dtype=np.float32))
         if len(self.answers) != ANSWER_COUNT:
             raise DataError(f"expected {ANSWER_COUNT} answer candidates, got {len(self.answers)}")
@@ -94,22 +98,13 @@ class FeatureBundle:
 
 
 def _feature_records(bundle: FeatureBundle) -> list[tuple[str, np.ndarray]]:
-    records = [
-        ("appearance", bundle.appearance),
-        ("motion", bundle.motion),
-        ("question", bundle.question),
-    ]
-    return records + [(f"answer{i}", a) for i, a in enumerate(bundle.answers)]
+    # Eight arrays: zip stops before the label, the last of `TENSOR_NAMES`.
+    arrays = [getattr(bundle, name) for name in STREAMS] + list(bundle.answers)
+    return list(zip(TENSOR_NAMES, arrays))
 
 
 def _tensor_records(bundle: FeatureBundle) -> list[tuple[str, np.ndarray]]:
     return _feature_records(bundle) + [("label", np.array([float(bundle.label)]))]
-
-
-# The names `_tensor_records` gives; a feature file holds each exactly once.
-TENSOR_NAMES = frozenset(
-    ("appearance", "motion", "question", "label", *(f"answer{i}" for i in range(ANSWER_COUNT)))
-)
 
 
 @contextlib.contextmanager
@@ -186,7 +181,7 @@ def read_features(path) -> FeatureBundle:
     """
     try:
         raw = Path(path).read_bytes()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise DataError(f"cannot read feature file {path}: {exc}") from None
     reader = _Reader(memoryview(raw))
     if reader.take(len(MAGIC)) != MAGIC:
@@ -221,27 +216,35 @@ def read_features(path) -> FeatureBundle:
             f"payload CRC mismatch: stored {stored_crc:#010x}, computed {payload_crc:#010x}"
         )
     try:
-        answers = tuple(tensors[f"answer{i}"] for i in range(ANSWER_COUNT))
-        streams = [tensors[name] for name in ("appearance", "motion", "question")]
-        label = tensors["label"]
+        *features, label = [tensors[name] for name in TENSOR_NAMES]
     except KeyError as exc:
         raise DataError(f"feature file missing tensor {exc.args[0]!r}") from None
     # is_integer() is False for NaN and inf.
     if label.shape != (1,) or not float(label[0]).is_integer():
         raise DataError(f"label tensor must hold one integral value, got {label}")
-    return FeatureBundle(*streams, answers=answers, label=int(label[0]))
+    return FeatureBundle(*features[:len(STREAMS)], answers=tuple(features[len(STREAMS):]),
+                         label=int(label[0]))
 
 
-def check_field_types(settings, error: type[Exception]) -> None:
-    """Raise `error` unless each dataclass field of `settings` holds its type:
-    a bool (an int subclass) only for a bool field, a finite float or int for a float."""
+def check_fields(settings, error: type[Exception], positive=(), choices=None) -> None:
+    """Raise `error` unless each dataclass field of `settings` holds its type
+    (a bool, an int subclass, only for a bool field; a finite float or int
+    for a float) and its range: a number is at least 0, and above 0 if its
+    name is in `positive`; a field named in `choices` holds one of its values."""
+    choices = choices or {}
     for f in dataclasses.fields(settings):
-        value = getattr(settings, f.name)
+        key, value = f.name, getattr(settings, f.name)
         wrong_bool = isinstance(value, bool) != (f.type == "bool")
         if wrong_bool or not isinstance(value, _FIELD_TYPES[f.type]):
-            raise error(f"{f.name} must be {f.type}, got {value!r}")
+            raise error(f"{key} must be {f.type}, got {value!r}")
         if f.type == "float" and not -math.inf < value < math.inf:
-            raise error(f"{f.name} must be finite, got {value!r}")
+            raise error(f"{key} must be finite, got {value!r}")
+        if key in positive and not value > 0:
+            raise error(f"{key} must be positive, got {value}")
+        if f.type in ("int", "float") and value < 0:
+            raise error(f"{key} must be >= 0, got {value}")
+        if key in choices and value not in choices[key]:
+            raise error(f"{key} must be one of {choices[key]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -262,14 +265,11 @@ class SyntheticSpec:
     text_dim: int = 300
 
     def validate(self) -> None:
-        check_field_types(self, DataError)
-        for key in ("samples", "frames", "clips", "question_len", "answer_len",
-                    "signal_dims", "appearance_dim", "motion_dim", "text_dim"):
-            if getattr(self, key) < 1:
-                raise DataError(f"{key} must be >= 1, got {getattr(self, key)}")
-        for key in ("distractor_tokens", "seed", "noise_sigma"):
-            if getattr(self, key) < 0:
-                raise DataError(f"{key} must be >= 0, got {getattr(self, key)}")
+        # `distractor_tokens`, `noise_sigma` and `seed` may be 0.
+        check_fields(self, DataError, positive=(
+            "samples", "frames", "clips", "question_len", "answer_len", "signal_dims",
+            "appearance_dim", "motion_dim", "text_dim",
+        ))
         smallest = min(self.appearance_dim, self.motion_dim, self.text_dim)
         if self.signal_dims >= smallest:
             raise DataError(

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import EncoderLayerParams, run_encoder_stack
-from .data import check_field_types
+from .data import check_fields
 from .distraction import MaskController, schedule_df
 from .fusion import FusionParams, cross_aligned_fuse, simple_concat_fuse, vector_space_transform
 from .tensor import ParamStore, Parameter, ShapeError, Tensor
@@ -81,41 +81,18 @@ class DraxConfig:
     grad_clip: float = 5.0
 
     def validate(self) -> None:
-        check_field_types(self, ConfigError)
-        if self.d < 1 or self.heads < 1 or self.d % self.heads != 0:
-            raise ConfigError(f"d={self.d} must be a positive multiple of heads={self.heads}")
-        if self.layers < 1:
-            raise ConfigError(f"layers must be >= 1, got {self.layers}")
+        # `seed`, `delta`, `learning_rate`, `grad_clip` and the factors may be 0.
+        check_fields(self, ConfigError, positive=(
+            "d", "heads", "layers", "ffn_width_multiple", "appearance_dim", "motion_dim",
+            "text_dim", "max_positions", "layer_norm_eps", "epochs",
+        ), choices={"loss_mode": LOSS_MODES, "fusion_mode": FUSION_MODES,
+                    **{f"anchor_{stage}": tuple(streams) for stage, *streams in STAGES}})
+        if self.d % self.heads:
+            raise ConfigError(f"d={self.d} must be a multiple of heads={self.heads}")
         for key in ("d_f_initial", "d_f_fusion"):
             value = getattr(self, key)
-            if not 0.0 <= value <= 1.0:
+            if value > 1.0:
                 raise ConfigError(f"{key} must lie in [0, 1], got {value}")
-        if self.delta < 0.0:
-            raise ConfigError(f"delta must be nonnegative, got {self.delta}")
-        if self.loss_mode not in LOSS_MODES:
-            raise ConfigError(f"loss_mode must be one of {LOSS_MODES}, got {self.loss_mode!r}")
-        if self.fusion_mode not in FUSION_MODES:
-            raise ConfigError(
-                f"fusion_mode must be one of {FUSION_MODES}, got {self.fusion_mode!r}"
-            )
-        for stage, *choices in STAGES:
-            value = getattr(self, f"anchor_{stage}")
-            if value not in choices:
-                raise ConfigError(
-                    f"anchor for {stage} must be one of {tuple(choices)}, got {value!r}"
-                )
-        for key in ("ffn_width_multiple", "appearance_dim", "motion_dim", "text_dim",
-                    "max_positions", "epochs"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
-        if self.layer_norm_eps <= 0.0:
-            raise ConfigError(f"layer_norm_eps must be positive, got {self.layer_norm_eps}")
-        if self.learning_rate < 0.0:
-            raise ConfigError(f"learning_rate must be nonnegative, got {self.learning_rate}")
-        if self.grad_clip < 0.0:
-            raise ConfigError(f"grad_clip must be nonnegative, got {self.grad_clip}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

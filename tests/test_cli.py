@@ -504,6 +504,16 @@ class TestMalformedManifest:
         ]) == 3
         assert capsys.readouterr().err.startswith("data error: manifest is not valid JSON")
 
+    def test_nul_byte_in_path_exits_3(self, checkpoint, dataset_dir, tmp_path, capsys):
+        # The OS refuses such a path with ValueError, not OSError.
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        (data / "manifest.json").write_text(json.dumps(
+            {"samples": [{"path": "a\u0000b.drxf", "label": 0}]}))
+        assert main(["eval", "--checkpoint", str(checkpoint), "--data", str(data)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: cannot read feature file") and err.count("\n") == 1
+
 
 class TestMalformedFeatureFile:
     """Bytes the payload CRC does not cover are checked too (exit 3)."""
@@ -948,6 +958,22 @@ class TestPairsScript:
         negated = [(self._run(cost=-p), self._run(cost=-c)) for p, c in zip(parent, change)]
         (row,) = pairs.compare([flipped], negated)
         assert pairs.verdict(row).split(" (")[0] == f"cost: {expect}".split(" (")[0]
+
+    def test_ratio_interval(self):
+        pairs = _load_tool("pairs")
+        # Every pair's ratio is 0.5, so every resample's median is too.
+        assert pairs.ratio_interval([1.0, 2.0, 4.0, 8.0], [0.5, 1.0, 2.0, 4.0]) == (0.5, 0.5, 0.5)
+        rng = np.random.default_rng(3)
+        parent = rng.uniform(1.0, 2.0, size=10)
+        change = parent * rng.uniform(0.8, 1.2, size=10)
+        median, low, high = pairs.ratio_interval(parent, change)
+        assert median == np.median(change / parent)
+        assert low <= median <= high and low < high
+        assert pairs.ratio_interval(parent, change) == (median, low, high)
+        (row,) = pairs.compare([{"name": "cost", "unit": "u", "better": "lower"}],
+                               [(self._run(cost=p), self._run(cost=c))
+                                for p, c in zip(parent, change)])
+        assert row["ratio"] == (median, low, high)
 
     @pytest.mark.parametrize("code, stdout, message", [
         (1, '{"failed": 0, "metrics": {}}\n', "exited with code 1"),

@@ -1,8 +1,9 @@
-"""Every name a module-level import binds in `src/drax` is used in its file.
+"""Every name a module-level import binds in `src/drax`, `tools` and
+`tests` is used in its file.
 
 There is no linter among the test dependencies, so this is the one check
-for imports a deletion leaves behind. `__init__.py` is skipped: its imports
-are re-exports. An import line marked `# noqa: F401` is exempt.
+for imports a deletion leaves behind. `src/drax/__init__.py` is skipped: its
+imports are re-exports. An import line marked `# noqa: F401` is exempt.
 """
 
 import ast
@@ -10,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "drax"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "drax"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + sorted(
+    [*(ROOT / "tools").glob("*.py"), *(ROOT / "tests").glob("*.py")])
 
 
 def _module_imports(tree: ast.Module):
@@ -47,7 +50,8 @@ def _used_names(tree: ast.Module) -> set[str]:
     return {node.id for t in trees for node in ast.walk(t) if isinstance(node, ast.Name)}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(
+    SRC if p.parent == SRC else ROOT)))
 def test_every_import_is_used(path):
     source = path.read_text()
     lines = source.splitlines()

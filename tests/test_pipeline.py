@@ -21,6 +21,7 @@ from drax.checkpoint import (
 from drax.cli import main as cli_main
 from drax.cli import settings
 from drax.data import (
+    DataError,
     FeatureBundle,
     SyntheticSpec,
     generate_synthetic,
@@ -103,6 +104,37 @@ class TestConfig:
     def test_invalid_values(self, overrides):
         with pytest.raises(ConfigError):
             DraxConfig(**overrides).validate()
+
+    # The numeric settings that may be 0; every other numeric one must be positive.
+    ZERO_ALLOWED = {"seed", "delta", "learning_rate", "grad_clip", "d_f_initial", "d_f_fusion",
+                    "distractor_tokens", "noise_sigma"}
+
+    @pytest.mark.parametrize("cls, field", [
+        (cls, f) for cls in (DraxConfig, SyntheticSpec) for f in dataclasses.fields(cls)
+        if f.type != "bool"
+    ], ids=lambda value: value.__name__ if isinstance(value, type) else value.name)
+    def test_setting_range(self, cls, field):
+        """A negative number is refused, and so is 0 unless the setting may
+        be 0; a string outside its choices is refused. Each refusal is the
+        class's error and names the setting."""
+        error = ConfigError if cls is DraxConfig else DataError
+        names_it = rf"\b{field.name}\b"
+
+        def validate(value):
+            dataclasses.replace(cls(), **{field.name: value}).validate()
+
+        if field.type == "str":
+            with pytest.raises(error, match=names_it):
+                validate("nonesuch")
+            return
+        unit = 1 if field.type == "int" else 1.0
+        with pytest.raises(error, match=names_it):
+            validate(-unit)
+        if field.name in self.ZERO_ALLOWED:
+            validate(0 * unit)
+        else:
+            with pytest.raises(error, match=names_it):
+                validate(0 * unit)
 
     def test_round_trip(self):
         cfg = tiny_config(delta=0.15, loss_mode="probability-hinge")

@@ -23,6 +23,11 @@ side. Below those rows, one verdict line per metric reads, first match wins:
   not every change run is better than every parent run;
 - `within bound`: none of these.
 
+Below each verdict, a `ratio` line gives the median of the per-pair
+change/parent ratios and a 95% percentile-bootstrap interval for it: 2,000
+resamples of the pairs, drawn from a fixed seed, so the same runs always
+print the same interval. It is reported beside the verdict, not used by it.
+
 The exit status is 1, naming the pair and side, when a run exits
 non-zero, prints no JSON last line, or reports failed ops. Each run writes
 its result files under `bench/out/` in its own checkout, as `bench/run.py`
@@ -40,6 +45,7 @@ from pathlib import Path
 import numpy as np
 
 SIDES = ("parent", "change")
+RESAMPLES = 2000
 
 
 class RunError(Exception):
@@ -71,9 +77,20 @@ def run_once(checkout: Path, bench: dict, args, label: str) -> dict:
     return parse_run(done.returncode, done.stdout, label)
 
 
+def ratio_interval(parent: list[float], change: list[float]) -> tuple[float, float, float]:
+    """The median of the per-pair change/parent ratios, and the 2.5th and
+    97.5th percentiles of that median over `RESAMPLES` bootstrap resamples
+    of the pairs, drawn from seed 0."""
+    ratios = np.asarray(change, dtype=float) / np.asarray(parent, dtype=float)
+    draws = np.random.default_rng(0).integers(len(ratios), size=(RESAMPLES, len(ratios)))
+    low, high = np.percentile(np.median(ratios[draws], axis=1), (2.5, 97.5))
+    return float(np.median(ratios)), float(low), float(high)
+
+
 def compare(end_to_end: list[dict], pairs: list[tuple[dict, dict]]) -> list[dict]:
     """Per metric: each side's (q1, median, q3), the change's wins and ties,
-    the metric's bound, and whether every change run beat every parent run."""
+    the metric's bound, whether every change run beat every parent run, and
+    the paired change/parent ratio with its bootstrap interval."""
     rows = []
     for metric in end_to_end:
         name = metric["name"]
@@ -94,6 +111,7 @@ def compare(end_to_end: list[dict], pairs: list[tuple[dict, dict]]) -> list[dict
             # Every change run better than every parent run.
             "separated": min(sign * (p - c) for p in values["parent"]
                              for c in values["change"]) > 0,
+            "ratio": ratio_interval(values["parent"], values["change"]),
         })
     return rows
 
@@ -169,6 +187,9 @@ def main(argv=None) -> int:
         print(line)
     for row in rows:
         print(f"verdict {verdict(row)}")
+        median, low, high = row["ratio"]
+        print(f"ratio {row['name']}: change/parent median {median:.4f}, "
+              f"95% bootstrap interval [{low:.4f}, {high:.4f}] over {row['pairs']} pairs")
     return 0
 
 
