@@ -1,16 +1,17 @@
-"""Model checkpoints: a JSON header plus raw little-endian float64 payloads."""
+"""Model checkpoints: a DRXF container (see `data`, which holds the byte codec)
+whose `.config` record holds the sorted-key JSON config as bytes, followed by
+every parameter as a float64 record, in registration order."""
 
 from __future__ import annotations
 
 import json
-import math
-import struct
-from pathlib import Path
 
 import numpy as np
 
-from .data import atomic_write
+from .data import BadMagicError, DataError, atomic_write, read_container, shown, write_container
 from .model import DraxConfig, DraxModel
+
+CONFIG_RECORD = ".config"
 
 
 class CheckpointError(Exception):
@@ -18,70 +19,41 @@ class CheckpointError(Exception):
 
 
 def save_checkpoint(model: DraxModel, path) -> None:
-    """Write config and every named parameter, in registration order.
-
-    The file is replaced whole: a write that fails keeps the previous one.
-    """
-    arrays = model.param_arrays()
-    entries = [{"name": name, "shape": list(array.shape)} for name, array in arrays.items()]
-    header = json.dumps(
-        {"config": model.config.to_dict(), "params": entries}, sort_keys=True
-    ).encode("utf-8")
-    # Write straight from the parameter buffers: no payload-sized intermediate copy.
+    """Write config and every named parameter, each straight from its buffer.
+    The file is replaced whole: a write that fails keeps the previous one."""
+    config = json.dumps(model.config.to_dict(), sort_keys=True).encode("utf-8")
+    records = [(CONFIG_RECORD, np.frombuffer(config, dtype="|u1"))]
+    records += [(name, np.asarray(array, dtype="<f8"))
+                for name, array in model.param_arrays().items()]
     with atomic_write(path) as out:
-        out.write(struct.pack("<I", len(header)) + header)
-        for array in arrays.values():
-            out.write(memoryview(np.ascontiguousarray(array, dtype="<f8")))
+        write_container(records, out)
 
 
 def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Return the stored config dict and the name-to-array parameter map.
-
-    The arrays are read-only views of the file's bytes; `restore_parameters`
-    copies them into a model.
-    """
+    """Return the stored config dict and the name-to-array parameter map, the
+    arrays read-only views of the file's bytes. Every container fault is a
+    CheckpointError, as is a missing or undecodable `.config` record or a
+    parameter that is not float64."""
     try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from None
-    if len(raw) < 4:
-        raise CheckpointError(f"checkpoint too short: {path}")
-    (header_len,) = struct.unpack("<I", raw[:4])
-    if 4 + header_len > len(raw):
-        raise CheckpointError("checkpoint header extends past end of file")
+        records = read_container(path, "checkpoint")
+    except BadMagicError:
+        raise CheckpointError(f"checkpoint {shown(path)} does not start with DRXF: an "
+                              f"old-format checkpoint, or not a checkpoint") from None
+    except DataError as exc:
+        raise CheckpointError(str(exc)) from None
+    for name, array in records.items():
+        dtype = "|u1" if name == CONFIG_RECORD else "<f8"
+        if array.dtype.str != dtype:
+            raise CheckpointError(f"checkpoint record {name!r} is {array.dtype.str}, not {dtype}")
+    if CONFIG_RECORD not in records:
+        raise CheckpointError("checkpoint has no .config record")
     try:
-        header = json.loads(raw[4:4 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"checkpoint header is not valid JSON: {exc}") from None
-    if not (isinstance(header, dict) and isinstance(header.get("config"), dict)
-            and isinstance(header.get("params"), list)):
-        raise CheckpointError("checkpoint header must be an object with a config object "
-                              "and a params list")
-    arrays: dict[str, np.ndarray] = {}
-    offset = 4 + header_len
-    for entry in header["params"]:
-        # bool is an int subclass, and a JSON true is no dimension.
-        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
-                and isinstance(entry.get("shape"), list)
-                and all(type(n) is int and n >= 0 for n in entry["shape"])):
-            raise CheckpointError(
-                f"checkpoint params entry needs a string name and a shape of "
-                f"non-negative integers: {entry!r}"
-            )
-        if entry["name"] in arrays:
-            raise CheckpointError(f"checkpoint names parameter {entry['name']!r} more than once")
-        shape = tuple(entry["shape"])
-        count = math.prod(shape)
-        end = offset + count * 8
-        if end > len(raw):
-            raise CheckpointError(f"checkpoint payload truncated at {entry['name']!r}")
-        arrays[entry["name"]] = (
-            np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
-        )
-        offset = end
-    if offset != len(raw):
-        raise CheckpointError(f"{len(raw) - offset} trailing bytes after parameters")
-    return header["config"], arrays
+        config = json.loads(records.pop(CONFIG_RECORD).tobytes().decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise CheckpointError(f"checkpoint .config record is not valid JSON: {exc}") from None
+    if not isinstance(config, dict):
+        raise CheckpointError("checkpoint .config record is not a JSON object")
+    return config, records
 
 
 def load_model(path, overrides: dict | None = None) -> DraxModel:

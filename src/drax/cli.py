@@ -26,6 +26,7 @@ from .data import (
     load_dataset,
     read_features,
     save_dataset,
+    shown,
 )
 from .model import ConfigError, DraxConfig, DraxModel
 from .tensor import ShapeError
@@ -62,13 +63,13 @@ def parse_config_file(path) -> dict[str, str]:
     leading UTF-8 byte-order mark is dropped."""
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL byte in the path
+        raise ConfigError(f"cannot read config file {shown(path)}: {exc}") from None
     values: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
-            key, value = _split_item(stripped, f"{path}:{lineno}")
+            key, value = _split_item(stripped, f"{shown(path)}:{lineno}")
             values[key] = value
     return values
 
@@ -121,8 +122,9 @@ def _out_dir(args) -> Path | None:
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot make output directory {out}: {exc.strerror}") from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise ConfigError(f"cannot make output directory {shown(out)}: "
+                          f"{getattr(exc, 'strerror', exc)}") from None
     return out
 
 
@@ -139,7 +141,7 @@ def cmd_train(args) -> int:
         f"trained {final['epoch']} epoch(s); "
         f"final loss {final['loss']:.6f}, accuracy {final['accuracy']:.4f}"
     )
-    print(f"checkpoint: {out / 'model.ckpt'}")
+    print(f"checkpoint: {shown(out / 'model.ckpt')}")
     return EXIT_OK
 
 
@@ -170,8 +172,8 @@ def cmd_gen_data(args) -> int:
     out = _out_dir(args)
     bundles = generate_synthetic(spec)
     manifest = save_dataset(bundles, out, spec=spec)
-    print(f"wrote {len(bundles)} sample(s) under {out}")
-    print(f"manifest: {manifest}")
+    print(f"wrote {len(bundles)} sample(s) under {shown(out)}")
+    print(f"manifest: {shown(manifest)}")
     return EXIT_OK
 
 
@@ -202,7 +204,7 @@ def cmd_inspect_attention(args) -> int:
             {"record": "density", "site": rec.site, "d_f": rec.d_f, "density": rec.density}
         )
     _write_jsonl(out / "trace.jsonl", records)
-    print(f"traced {len(masker.records)} masking site(s) to {out / 'trace.jsonl'}")
+    print(f"traced {len(masker.records)} masking site(s) to {shown(out / 'trace.jsonl')}")
     return EXIT_OK
 
 

@@ -1,10 +1,13 @@
-"""Feature bundles, their binary file format, and the synthetic benchmark.
+"""Feature bundles, the one binary file format, and the synthetic benchmark.
 
-A sample is four modalities plus a label. On disk each sample is a "DRXF"
-container: little-endian named float32 tensors followed by a CRC-32 over the
-payload bytes. In memory a bundle holds float32 arrays too, the values the
-file stores; the model widens them to float64 when it embeds them. Every
-output file is written whole or not at all (`atomic_write`).
+Every binary file drax writes is a "DRXF" container (`write_container`,
+`read_container`): magic, version, then named little-endian tensors, each
+with a dtype code from `DTYPES`, then a CRC-32 over the payload bytes. This
+module holds the only byte codec; checkpoints use it too. A sample is four
+modalities plus a label, stored as a container of float32 tensors. In memory
+a bundle holds float32 arrays too, the values the file stores; the model
+widens them to float64 when it embeds them. Every output file is written
+whole or not at all (`atomic_write`).
 
 The synthetic generator plants a shared signal vector into a minority of
 video tokens and into the correct answer, buries everything in noise, and
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import io
 import json
 import math
 import numbers
@@ -30,6 +34,8 @@ import numpy as np
 
 MAGIC = b"DRXF"
 FORMAT_VERSION = 1
+# A container record's dtype code is its index here.
+DTYPES = ("<f4", "<f8", "|u1")
 ANSWER_COUNT = 4
 DISTRACTOR_SIGMA = 3.0
 _FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
@@ -107,6 +113,12 @@ def _tensor_records(bundle: FeatureBundle) -> list[tuple[str, np.ndarray]]:
     return _feature_records(bundle) + [("label", np.array([float(bundle.label)]))]
 
 
+def shown(path) -> str:
+    """`path` as message text: non-printable characters escaped as by `repr`,
+    so stderr stays printable; every other one, non-ASCII included, kept."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(path))
+
+
 @contextlib.contextmanager
 def atomic_write(path, mode: str = "wb"):
     """Write `path` whole or not at all.
@@ -127,94 +139,98 @@ def atomic_write(path, mode: str = "wb"):
         raise
 
 
-def write_features(bundle: FeatureBundle, path) -> None:
-    """Serialize a bundle as float32 tensors with a trailing payload CRC.
-
-    The bundle is checked as at construction first, so a field reassigned
-    since then raises DataError instead of writing a file `read_features`
-    refuses.
-    """
-    records = _tensor_records(dataclasses.replace(bundle))
-    payload_crc = 0
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<HI", FORMAT_VERSION, len(records))
+def write_container(records, out) -> None:
+    """Write (name, array) records to the binary handle `out` as one DRXF
+    container, each payload straight from its array: no copy of the file is
+    built in memory. An array's dtype must be one of `DTYPES`; the reader
+    gets back each name, dtype, shape and byte, in order."""
+    out.write(MAGIC + struct.pack("<HI", FORMAT_VERSION, len(records)))
+    crc = 0
     for name, array in records:
+        array = np.asarray(array, order="C")  # ascontiguousarray would make rank 0 rank 1
         encoded = name.encode("utf-8")
-        data = np.ascontiguousarray(array, dtype="<f4").tobytes()
-        blob += struct.pack("<H", len(encoded)) + encoded
-        blob += struct.pack("<BB", 0, array.ndim)  # dtype code 0 = float32
-        blob += struct.pack(f"<{array.ndim}I", *array.shape)
-        blob += data
-        payload_crc = zlib.crc32(data, payload_crc)
-    blob += struct.pack("<I", payload_crc)
-    with atomic_write(path) as out:
-        out.write(blob)
+        out.write(struct.pack(f"<H{len(encoded)}sBB{array.ndim}I", len(encoded), encoded,
+                              DTYPES.index(array.dtype.str), array.ndim, *array.shape))
+        out.write(array)
+        crc = zlib.crc32(array, crc)
+    out.write(struct.pack("<I", crc))
 
 
-class _Reader:
-    """Reads a memoryview front to back; each slice is a view, not a copy."""
+def read_container(path, what: str = "DRXF container") -> dict[str, np.ndarray]:
+    """The records of the DRXF container at `path`, by name in file order.
 
-    def __init__(self, raw: memoryview):
-        self.raw = raw
-        self.offset = 0
-
-    def take(self, count: int) -> memoryview:
-        if self.offset + count > len(self.raw):
-            raise TruncatedError(
-                f"file ends at byte {len(self.raw)}, needed {self.offset + count}"
-            )
-        chunk = self.raw[self.offset:self.offset + count]
-        self.offset += count
-        return chunk
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
-def read_features(path) -> FeatureBundle:
-    """Read a bundle back, checking magic, version, CRC, tensor names, label
-    and values. The file must hold each of `TENSOR_NAMES` once and no other.
-
-    Each feature array is a read-only float32 view of the file's bytes, not
-    a copy; the model widens it to float64 when it embeds it.
+    Each array is a read-only view of the file's bytes. Every fault is a
+    DataError: a file that cannot be read (named as `what`), bad magic,
+    another version, a file cut short, a name that is not UTF-8 or repeats,
+    an unknown dtype code, bytes after the CRC, or a CRC mismatch.
     """
     try:
         raw = Path(path).read_bytes()
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise DataError(f"cannot read feature file {path}: {exc}") from None
-    reader = _Reader(memoryview(raw))
-    if reader.take(len(MAGIC)) != MAGIC:
-        raise BadMagicError(f"not a feature file: {path}")
-    version, count = reader.unpack("<HI")
-    if version != FORMAT_VERSION:
-        raise VersionError(f"unsupported feature-file version {version}")
-    tensors: dict[str, np.ndarray] = {}
-    payload_crc = 0
-    for _ in range(count):
-        (name_len,) = reader.unpack("<H")
-        try:
-            name = str(reader.take(name_len), "utf-8")
-        except UnicodeDecodeError:
-            raise DataError(f"tensor name is not UTF-8 in {path}") from None
+        raise DataError(f"cannot read {what} {shown(path)}: {exc}") from None
+    if raw[:len(MAGIC)] != MAGIC:
+        raise BadMagicError(f"not a {what}: {shown(path)}")
+    records, crc, offset = {}, 0, len(MAGIC) + 6
+    try:  # struct.error: a field, or a payload, past the end of the file
+        version, count = struct.unpack_from("<HI", raw, len(MAGIC))
+        if version != FORMAT_VERSION:
+            raise VersionError(f"unsupported {what} version {version}")
+        for _ in range(count):
+            (name_len,) = struct.unpack_from("<H", raw, offset)
+            name, code, rank = struct.unpack_from(f"<{name_len}sBB", raw, offset + 2)
+            shape = struct.unpack_from(f"<{rank}I", raw, offset + 4 + name_len)
+            try:
+                name = name.decode("utf-8")
+            except UnicodeDecodeError:
+                raise DataError(f"tensor name is not UTF-8 in {shown(path)}") from None
+            if name in records:
+                raise DataError(f"tensor {name!r} appears more than once in {shown(path)}")
+            if code >= len(DTYPES):
+                raise DataError(f"unknown dtype code {code} for tensor {name!r}")
+            dtype, size = np.dtype(DTYPES[code]), math.prod(shape)
+            start = offset + 4 + name_len + 4 * rank
+            offset = start + size * dtype.itemsize
+            if offset > len(raw):
+                raise struct.error
+            records[name] = np.frombuffer(raw, dtype, size, start).reshape(shape)
+            crc = zlib.crc32(records[name], crc)
+        (stored_crc,) = struct.unpack_from("<I", raw, offset)
+    except struct.error:
+        raise TruncatedError(f"truncated: file ends at byte {len(raw)}") from None
+    if offset + 4 != len(raw):
+        raise DataError(f"{len(raw) - offset - 4} trailing bytes after the payload CRC")
+    if stored_crc != crc:
+        raise ChecksumError(f"payload CRC mismatch: stored {stored_crc:#010x}, "
+                            f"computed {crc:#010x}")
+    return records
+
+
+def write_features(bundle: FeatureBundle, path) -> None:
+    """Write a bundle as a container of float32 tensors, `TENSOR_NAMES` in
+    order. The bundle is checked as at construction first, so a field
+    reassigned since then raises DataError, not a file `read_features` refuses.
+    """
+    records = [(name, np.asarray(array, dtype="<f4"))
+               for name, array in _tensor_records(dataclasses.replace(bundle))]
+    # A feature file is small: one write of it costs less than two per record.
+    blob = io.BytesIO()
+    write_container(records, blob)
+    with atomic_write(path) as out:
+        out.write(blob.getbuffer())
+
+
+def read_features(path) -> FeatureBundle:
+    """Read a bundle back: the container's checks, then tensor names, dtypes,
+    label and values. The file must hold each of `TENSOR_NAMES` once, as
+    float32, and no other. Each feature array is a read-only view of the
+    file's bytes, not a copy; the model widens it to float64 when it embeds it.
+    """
+    tensors = read_container(path, "feature file")
+    for name, array in tensors.items():
         if name not in TENSOR_NAMES:
-            raise DataError(f"unknown tensor {name!r} in {path}")
-        if name in tensors:
-            raise DataError(f"tensor {name!r} appears more than once in {path}")
-        dtype_code, rank = reader.unpack("<BB")
-        if dtype_code != 0:
-            raise DataError(f"unknown dtype code {dtype_code} for tensor {name!r}")
-        shape = reader.unpack(f"<{rank}I") if rank else ()
-        data = reader.take(math.prod(shape) * 4)
-        payload_crc = zlib.crc32(data, payload_crc)
-        tensors[name] = np.frombuffer(data, dtype="<f4").reshape(shape)
-    (stored_crc,) = reader.unpack("<I")
-    if reader.offset != len(raw):
-        raise DataError(f"{len(raw) - reader.offset} trailing bytes after the payload CRC")
-    if stored_crc != payload_crc:
-        raise ChecksumError(
-            f"payload CRC mismatch: stored {stored_crc:#010x}, computed {payload_crc:#010x}"
-        )
+            raise DataError(f"unknown tensor {name!r} in {shown(path)}")
+        if array.dtype.str != "<f4":
+            raise DataError(f"tensor {name!r} is {array.dtype.str}, not <f4, in {shown(path)}")
     try:
         *features, label = [tensors[name] for name in TENSOR_NAMES]
     except KeyError as exc:
@@ -360,16 +376,18 @@ def iter_dataset(directory) -> Iterator[FeatureBundle]:
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.is_file():
-        raise DataError(f"no manifest.json under {directory}")
+        raise DataError(f"no manifest.json under {shown(directory)}")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError for non-UTF-8 bytes
         raise DataError(f"manifest is not valid JSON: {exc}") from None
     entries = manifest.get("samples", []) if isinstance(manifest, dict) else None
     if not isinstance(entries, list):
-        raise DataError(f"manifest under {directory} must be an object with a samples list")
+        raise DataError(
+            f"manifest under {shown(directory)} must be an object with a samples list"
+        )
     if not entries:
-        raise DataError(f"dataset under {directory} is empty")
+        raise DataError(f"dataset under {shown(directory)} is empty")
     for entry in entries:
         # bool is an int subclass, and a JSON true is no label.
         if not (isinstance(entry, dict) and isinstance(entry.get("path"), str)
@@ -378,7 +396,7 @@ def iter_dataset(directory) -> Iterator[FeatureBundle]:
         bundle = read_features(directory / entry["path"])
         if bundle.label != entry["label"]:
             raise DataError(
-                f"label mismatch for {entry['path']}: manifest says {entry['label']}, "
+                f"label mismatch for {shown(entry['path'])}: manifest says {entry['label']}, "
                 f"file says {bundle.label}"
             )
         yield bundle

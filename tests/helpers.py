@@ -1,12 +1,25 @@
 """Shared numeric test utilities: finite differences, brute-force oracles,
 the composite head split/merge that the fused attention ops replace, the
 composite encoder blocks that the fused block ops replace, the select
-form of the ELU kernel that the branch-free one replaces, and the
-graph-search backward that creation-order backward replaces."""
+form of the ELU kernel that the branch-free one replaces, the graph-search
+backward that creation-order backward replaces, and a DRXF container record
+rewriter."""
 
 import numpy as np
 
+from drax import data
 from drax import tensor as T
+
+
+def rewrite_record(src, dst, name, value):
+    """Copy the DRXF container at `src` to `dst` with record `name` set to
+    `value` (bytes are stored as `|u1`): replaced in place, appended if `src`
+    has no such record, or dropped if `value` is None. The copy is well
+    formed, CRC included, so it holds what no writer of drax writes."""
+    records = dict(data.read_container(src))
+    records[name] = np.frombuffer(value, dtype="|u1") if isinstance(value, bytes) else value
+    with open(dst, "wb") as out:
+        data.write_container([(k, v) for k, v in records.items() if v is not None], out)
 
 
 def finite_difference(f, x, step=1e-6):

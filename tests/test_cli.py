@@ -6,7 +6,6 @@ import json
 import os
 import re
 import shutil
-import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -35,6 +34,7 @@ from drax.data import (
     write_features,
 )
 from drax.model import DraxConfig, DraxModel
+from helpers import rewrite_record
 
 
 TINY_MODEL_SETS = [
@@ -414,13 +414,10 @@ class TestCheckpointOverrides:
     )
     def test_invalid_stored_config_is_exit_4(self, checkpoint, dataset_dir, tmp_path, capsys,
                                              key, value, extra):
-        raw = checkpoint.read_bytes()
-        (length,) = struct.unpack("<I", raw[:4])
-        header = json.loads(raw[4:4 + length])
-        header["config"][key] = value
-        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        config, _ = read_checkpoint(checkpoint)
         bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(struct.pack("<I", len(blob)) + blob + raw[4 + length:])
+        rewrite_record(checkpoint, bad, ".config",
+                       json.dumps(dict(config, **{key: value}), sort_keys=True).encode("utf-8"))
         assert main([
             "eval", "--checkpoint", str(bad), "--data", str(dataset_dir),
             "--out", str(tmp_path / "out"), *extra,
@@ -566,44 +563,147 @@ class TestMalformedFeatureFile:
         assert "3 trailing bytes after the payload CRC" in capsys.readouterr().err
 
 
+def _patch(offset, value):
+    """An edit that copies a checkpoint with `value` over the bytes at `offset`."""
+    def edit(src, dst):
+        raw = bytearray(src.read_bytes())
+        raw[offset:offset + len(value)] = value
+        dst.write_bytes(bytes(raw))
+    return edit
+
+
+# A checkpoint starts: magic (4), version (2), the record count (4) at byte 6,
+# then the `.config` record: name length (2), ".config" (7) at byte 12, dtype
+# code (1) at byte 19, rank (1) and its one extent (4) at byte 21.
+COUNT, CONFIG_NAME, CONFIG_CODE, CONFIG_EXTENT = 6, 12, 19, 21
+
+
 class TestMalformedCheckpointHeader:
-    """A header that is valid JSON but not shaped as `save_checkpoint` writes
-    it is a checkpoint error (exit 4) that names what is wrong."""
+    """A checkpoint whose bytes are not what `save_checkpoint` writes is a
+    checkpoint error (exit 4), one line that names what is wrong. Each case
+    once edited the old JSON header; each now makes the fault the container
+    or the `.config` record check refuses in its place."""
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda header: 5, "header must be an object"),
-        (lambda header: dict(header, config=[1, 2]), "header must be an object"),
-        (lambda header: dict(header, params=5), "header must be an object"),
-        (lambda header: dict(header, params=[["decoder.w_a", [8, 8]]]), "params entry"),
-        (lambda header: dict(header, params=[{"name": "decoder.w_a"}]), "params entry"),
-        (lambda header: dict(header, params=[{"name": "decoder.w_a", "shape": [-1]}]),
-         "params entry"),
-        (lambda header: dict(header, params=[{"name": 3, "shape": [1]}]), "params entry"),
+        (lambda src, dst: rewrite_record(src, dst, ".config", b"5"), "not a JSON object"),
+        (lambda src, dst: rewrite_record(src, dst, ".config", b"[1, 2]"), "not a JSON object"),
+        # A config that is a number, not bytes: the record's dtype is checked.
+        (lambda src, dst: rewrite_record(src, dst, ".config", np.array([5.0])),
+         "record '.config' is <f8, not |u1"),
+        # A parameter entry of the wrong type: a parameter record not float64.
+        (lambda src, dst: rewrite_record(src, dst, "decoder.w_a", np.ones((8, 8), "<f4")),
+         "record 'decoder.w_a' is <f4, not <f8"),
+        # Every record has a rank and extents; a shape unlike the model's is refused.
+        (lambda src, dst: rewrite_record(src, dst, "decoder.w_a", np.array(1.0)),
+         "shape mismatch for 'decoder.w_a'"),
+        # Extents are stored unsigned: a -1 reads as 2**32 - 1, past the end.
+        (_patch(CONFIG_EXTENT, b"\xff" * 4), "truncated: file ends at byte"),
+        # Names are bytes on disk; one that is not UTF-8 is refused.
+        (_patch(CONFIG_NAME, b"\xff"), "tensor name is not UTF-8"),
     ], ids=["number", "config-list", "params-number", "entry-list", "no-shape",
             "negative-dim", "non-string-name"])
     def test_eval_exits_4(self, checkpoint, dataset_dir, tmp_path, capsys, edit, message):
-        raw = checkpoint.read_bytes()
-        (length,) = struct.unpack("<I", raw[:4])
-        blob = json.dumps(edit(json.loads(raw[4:4 + length]))).encode("utf-8")
         bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(struct.pack("<I", len(blob)) + blob + raw[4 + length:])
+        edit(checkpoint, bad)
         assert main(["eval", "--checkpoint", str(bad), "--data", str(dataset_dir)]) == 4
         err = capsys.readouterr().err
-        assert err.startswith("checkpoint error: checkpoint") and message in err
+        assert err.startswith("checkpoint error: ") and message in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda raw: raw[:3], "checkpoint too short"),
-        (lambda raw: struct.pack("<I", len(raw)) + raw[4:], "header extends past end of file"),
-        (lambda raw: struct.pack("<I", 2) + b"\xff\xfe" + raw[4:], "header is not valid JSON"),
-        (lambda raw: struct.pack("<I", 1) + b"{" + raw[4:], "header is not valid JSON"),
+        (lambda src, dst: dst.write_bytes(src.read_bytes()[:3]), "does not start with DRXF"),
+        # More records than the file holds: a name runs past the end.
+        (_patch(COUNT, b"\xff\xff"), "truncated: file ends at byte"),
+        (lambda src, dst: rewrite_record(src, dst, ".config", b"\xff\xfe"),
+         ".config record is not valid JSON"),
+        (lambda src, dst: rewrite_record(src, dst, ".config", b"{"),
+         ".config record is not valid JSON"),
     ], ids=["three-bytes", "length-past-eof", "non-utf8", "truncated-json"])
     def test_unreadable_header_exits_4(self, checkpoint, dataset_dir, tmp_path, capsys,
                                        edit, message):
         bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(edit(checkpoint.read_bytes()))
+        edit(checkpoint, bad)
         assert main(["eval", "--checkpoint", str(bad), "--data", str(dataset_dir)]) == 4
         err = capsys.readouterr().err
-        assert err.startswith("checkpoint error: checkpoint") and message in err
+        assert err.startswith("checkpoint error: ") and message in err and err.count("\n") == 1
+
+
+class TestCheckpointContainer:
+    """A checkpoint is a DRXF container: its CRC, dtype codes, record dtypes
+    and `.config` record are checked (exit 4)."""
+
+    def _eval(self, bad, dataset_dir, capsys):
+        code = main(["eval", "--checkpoint", str(bad), "--data", str(dataset_dir)])
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint error: ") and err.count("\n") == 1
+        return code, err
+
+    def test_flipped_payload_bit_exits_4(self, checkpoint, dataset_dir, tmp_path, capsys):
+        raw = bytearray(checkpoint.read_bytes())
+        raw[-5] ^= 0x01  # the last payload byte, just before the CRC
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bytes(raw))
+        code, err = self._eval(bad, dataset_dir, capsys)
+        assert code == 4 and "payload CRC mismatch" in err
+
+    def test_unknown_dtype_code_exits_4(self, checkpoint, dataset_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.ckpt"
+        _patch(CONFIG_CODE, bytes([7]))(checkpoint, bad)
+        code, err = self._eval(bad, dataset_dir, capsys)
+        assert code == 4 and "unknown dtype code 7 for tensor '.config'" in err
+
+    def test_parameter_record_not_float64_exits_4(self, checkpoint, dataset_dir, tmp_path,
+                                                  capsys):
+        bad = tmp_path / "bad.ckpt"
+        rewrite_record(checkpoint, bad, "decoder.b_out", np.zeros(1, "|u1"))
+        code, err = self._eval(bad, dataset_dir, capsys)
+        assert code == 4 and "record 'decoder.b_out' is |u1, not <f8" in err
+
+    def test_missing_config_record_exits_4(self, checkpoint, dataset_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.ckpt"
+        rewrite_record(checkpoint, bad, ".config", None)
+        code, err = self._eval(bad, dataset_dir, capsys)
+        assert code == 4 and "checkpoint has no .config record" in err
+
+    def test_old_format_checkpoint_exits_4(self, checkpoint, dataset_dir, tmp_path, capsys):
+        # The layout before checkpoints were containers: a little-endian u32
+        # header length, the JSON header, then the raw float64 payloads.
+        config, arrays = read_checkpoint(checkpoint)
+        header = json.dumps({"config": config, "params": [
+            {"name": name, "shape": list(a.shape)} for name, a in arrays.items()]}).encode()
+        bad = tmp_path / "old.ckpt"
+        bad.write_bytes(len(header).to_bytes(4, "little") + header
+                        + b"".join(a.tobytes() for a in arrays.values()))
+        code, err = self._eval(bad, dataset_dir, capsys)
+        assert code == 4 and "an old-format checkpoint" in err
+
+
+class TestNulBytePaths:
+    """A path holding a NUL byte is refused with its exit code and one
+    printable error line; the OS refuses such a path with ValueError, not
+    OSError."""
+
+    @pytest.mark.parametrize("where, code, prefix", [
+        ("manifest", 3, "data error: cannot read feature file ds/a\\x00b.drxf"),
+        ("--checkpoint", 4, "checkpoint error: cannot read checkpoint a\\x00b.ckpt"),
+        ("--config", 2, "config error: cannot read config file a\\x00b.cfg"),
+        ("--out", 2, "config error: cannot make output directory a\\x00b"),
+    ])
+    def test_exits_with_one_printable_line(self, checkpoint, dataset_dir, tmp_path, capsys,
+                                           monkeypatch, where, code, prefix):
+        monkeypatch.chdir(tmp_path)
+        shutil.copytree(dataset_dir, "ds")
+        argv = {
+            "manifest": ["eval", "--checkpoint", str(checkpoint), "--data", "ds"],
+            "--checkpoint": ["eval", "--checkpoint", "a\x00b.ckpt", "--data", "ds"],
+            "--config": ["train", "--config", "a\x00b.cfg", "--data", "ds", "--out", "o"],
+            "--out": ["train", "--data", "ds", "--out", "a\x00b"],
+        }[where]
+        if where == "manifest":
+            Path("ds/manifest.json").write_text(json.dumps(
+                {"samples": [{"path": "a\u0000b.drxf", "label": 0}]}))
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1 and err[:-1].isprintable()
 
 
 class TestNonFiniteCheckpoint:
@@ -958,6 +1058,22 @@ class TestPairsScript:
         negated = [(self._run(cost=-p), self._run(cost=-c)) for p, c in zip(parent, change)]
         (row,) = pairs.compare([flipped], negated)
         assert pairs.verdict(row).split(" (")[0] == f"cost: {expect}".split(" (")[0]
+
+    def test_process_moded_side_is_flagged(self):
+        """A side whose values split into two clusters farther apart than the
+        bound times its median gets one `process-moded` line; a unimodal side
+        gets none, and the verdict reads the same without the flag."""
+        pairs = _load_tool("pairs")
+        metric = {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}
+        parent = [0.050, 0.052, 0.051, 0.080, 0.082, 0.049, 0.081, 0.050, 0.083, 0.052]
+        change = [0.053, 0.054, 0.052, 0.055, 0.053, 0.056, 0.054, 0.052, 0.055, 0.053]
+        (row,) = pairs.compare([metric], [(self._run(setup_s=p), self._run(setup_s=c))
+                                          for p, c in zip(parent, change)])
+        assert row["modes"] == {"parent": pytest.approx(0.028)}
+        assert pairs.mode_lines(row) == [
+            "process-moded setup_s: parent values split into two clusters 0.028 apart, "
+            "53.8% of its median > bound 25%"]
+        assert pairs.verdict(row) == pairs.verdict(dict(row, modes={}))
 
     def test_ratio_interval(self):
         pairs = _load_tool("pairs")

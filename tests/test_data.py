@@ -1,10 +1,14 @@
 """Feature-file round-trips, corruption detection, and generator statistics."""
 
 import dataclasses
+import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from drax import data
 from drax.data import (
@@ -226,6 +230,69 @@ class TestFeatureFile:
         write_features(bundle, path)
         with pytest.raises(DataError, match=message):
             read_features(path)
+
+
+@st.composite
+def container_records(draw):
+    """Up to five records, each name once (any UTF-8 text, non-ASCII
+    included), each of any `DTYPES` code and rank 0 to 3, zero extents
+    included, holding arbitrary bytes."""
+    records = []
+    for name in draw(st.lists(st.text(max_size=6), max_size=5, unique=True)):
+        dtype = np.dtype(draw(st.sampled_from(data.DTYPES)))
+        shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+        size = math.prod(shape) * dtype.itemsize
+        payload = draw(st.binary(min_size=size, max_size=size))
+        records.append((name, np.frombuffer(payload, dtype).reshape(shape)))
+    return records
+
+
+@pytest.fixture(scope="module")
+def container_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("container") / "c.drxf"
+
+
+class TestContainer:
+    """`write_container` and `read_container` on arbitrary records."""
+
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(records=container_records(), flip=st.integers(0, 2**16), cut=st.integers(0, 2**16))
+    @example(records=[("", np.array(1.5, "<f8")), ("é✓", np.zeros((2, 0, 3), "<f4")),
+                      ("ζ", np.arange(6, dtype="|u1").reshape(2, 3))], flip=0, cut=11)
+    def test_round_trip_flip_and_cut(self, container_path, records, flip, cut):
+        """The reader returns what was written: names in order, dtypes, shapes
+        and bytes, as read-only arrays. Flipping any one payload byte raises
+        ChecksumError; cutting the file at any length raises a DataError."""
+        with open(container_path, "wb") as out:
+            data.write_container(records, out)
+        back = data.read_container(container_path)
+        assert list(back) == [name for name, _ in records]
+        for (_, want), got in zip(records, back.values()):
+            assert (got.dtype.str, got.shape) == (want.dtype.str, want.shape)
+            assert got.tobytes() == want.tobytes() and not got.flags.writeable
+        raw = container_path.read_bytes()
+        # The payload bytes: after magic, version and count (10 bytes), each
+        # record's name length, name, dtype code, rank and extents.
+        payload, offset = [], 10
+        for name, array in records:
+            offset += 4 + len(name.encode("utf-8")) + 4 * array.ndim
+            payload += range(offset, offset + array.nbytes)
+            offset += array.nbytes
+        assert offset + 4 == len(raw)
+        if payload:
+            flipped = bytearray(raw)
+            flipped[payload[flip % len(payload)]] ^= 0xFF
+            container_path.write_bytes(bytes(flipped))
+            with pytest.raises(data.ChecksumError):
+                data.read_container(container_path)
+        container_path.write_bytes(raw[:cut % len(raw)])
+        with pytest.raises(data.DataError):
+            data.read_container(container_path)
+
+    def test_shown_escapes_only_non_printable_characters(self):
+        # A printable path, non-ASCII included, keeps every character.
+        assert data.shown(Path("ds/é ✓/a.drxf")) == "ds/é ✓/a.drxf"
+        assert data.shown("a\x00b\tc\udcff") == "a\\x00b\\tc\\udcff"
 
 
 def linear_oracle_accuracy(bundles, signal_dims) -> float:

@@ -75,3 +75,16 @@ def test_quoted_annotations_and_type_checking_imports_count():
     )
     used = _used_names(tree)
     assert sorted(name for name, _ in _module_imports(tree) if name not in used) == ["Unused"]
+
+
+def test_only_data_py_holds_a_byte_codec():
+    """Feature files and checkpoints share one container reader and writer in
+    `data.py`: no other `src/drax` module imports `struct` or `zlib`, at any
+    depth."""
+    codecs = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            codecs += [f"{path.name}: {name}" for name in names if name in ("struct", "zlib")]
+    assert codecs == ["data.py: struct", "data.py: zlib"]

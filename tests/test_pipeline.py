@@ -1,9 +1,7 @@
 """Three-stage model wiring: CLS handling, decoding, loss, training loop."""
 
 import dataclasses
-import json
 import math
-import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,7 +24,9 @@ from drax.data import (
     SyntheticSpec,
     generate_synthetic,
     load_dataset,
+    read_container,
     save_dataset,
+    write_container,
 )
 from drax.distraction import MaskController, MaskRecord, schedule_df
 from drax.model import (
@@ -43,7 +43,7 @@ from drax.model import (
 from drax.tensor import ParamStore, ShapeError, Tensor
 from drax.train import evaluate, fit, global_grad_norm, sgd_step, train_epoch
 
-from helpers import reference_backward
+from helpers import reference_backward, rewrite_record
 
 
 def tiny_config(**overrides) -> DraxConfig:
@@ -1341,18 +1341,14 @@ class TestCheckpoint:
             load_model(path)
 
     def test_repeated_parameter_name_rejected(self, tmp_path, capsys):
-        """A header that names a parameter twice is refused, not loaded with
+        """A file that names a parameter twice is refused, not loaded with
         the later payload silently winning; the CLI exits 4."""
         path = tmp_path / "m.ckpt"
         save_checkpoint(DraxModel(tiny_config()), path)
-        config_dict, arrays = read_checkpoint(path)
-        entries = [{"name": name, "shape": list(a.shape)} for name, a in arrays.items()]
-        entries.append({"name": "decoder.b_out", "shape": [1]})
-        header = json.dumps({"config": config_dict, "params": entries}).encode("utf-8")
-        payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays.values())
-        path.write_bytes(struct.pack("<I", len(header)) + header + payload
-                         + np.full(1, 7.0, dtype="<f8").tobytes())
-        with pytest.raises(CheckpointError, match="'decoder.b_out' more than once"):
+        records = [*read_container(path).items(), ("decoder.b_out", np.full(1, 7.0))]
+        with open(path, "wb") as out:
+            write_container(records, out)
+        with pytest.raises(CheckpointError, match="'decoder.b_out' appears more than once"):
             read_checkpoint(path)
         save_dataset([tiny_bundle()], tmp_path / "data")
         assert cli_main(["eval", "--checkpoint", str(path), "--data", str(tmp_path / "data"),
@@ -1360,21 +1356,18 @@ class TestCheckpoint:
         assert "more than once" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda arrays: arrays.update({"decoder.w_a": np.zeros((2, 2))}), "shape mismatch"),
-        (lambda arrays: arrays.pop("decoder.w_a"), "missing parameters: decoder.w_a"),
-        (lambda arrays: arrays.update({"mystery": np.zeros(3)}), "unknown parameters: mystery"),
+        (lambda path: rewrite_record(path, path, "decoder.w_a", np.zeros((2, 2))),
+         "shape mismatch"),
+        (lambda path: rewrite_record(path, path, "decoder.w_a", None),
+         "missing parameters: decoder.w_a"),
+        (lambda path: rewrite_record(path, path, "mystery", np.zeros(3)),
+         "unknown parameters: mystery"),
     ])
     def test_load_model_rejects_stored_layout_mismatch(self, tmp_path, edit, message):
         path = tmp_path / "m.ckpt"
         save_checkpoint(DraxModel(tiny_config()), path)
-        config_dict, arrays = read_checkpoint(path)
-        arrays = dict(arrays)
-        edit(arrays)
-        # A well-formed file whose header and payload agree with each other,
-        # but not with the model its config builds.
-        entries = [{"name": name, "shape": list(a.shape)} for name, a in arrays.items()]
-        header = json.dumps({"config": config_dict, "params": entries}).encode("utf-8")
-        payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays.values())
-        path.write_bytes(struct.pack("<I", len(header)) + header + payload)
+        # A well-formed file (valid CRC), but not one that fits the model its
+        # config builds.
+        edit(path)
         with pytest.raises(CheckpointError, match=message):
             load_model(path)

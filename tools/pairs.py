@@ -28,6 +28,12 @@ change/parent ratios and a 95% percentile-bootstrap interval for it: 2,000
 resamples of the pairs, drawn from a fixed seed, so the same runs always
 print the same interval. It is reported beside the verdict, not used by it.
 
+Below the ratio line, a `process-moded` line names each side whose sorted
+values split into two clusters, at their widest gap between neighbours,
+farther apart than the metric's `bound` times that side's median: a metric
+whose value a run's process draws from one of two modes (a set-up time, say)
+is then read with that in mind. It too leaves the verdict as it is.
+
 The exit status is 1, naming the pair and side, when a run exits
 non-zero, prints no JSON last line, or reports failed ops. Each run writes
 its result files under `bench/out/` in its own checkout, as `bench/run.py`
@@ -87,10 +93,20 @@ def ratio_interval(parent: list[float], change: list[float]) -> tuple[float, flo
     return float(np.median(ratios)), float(low), float(high)
 
 
+def mode_gap(values: list[float], bound: float | None) -> float | None:
+    """The widest gap between neighbouring sorted values, if it is wider than
+    `bound` times their median: the gap between two clusters. Else None."""
+    if bound is None or len(values) < 2:
+        return None
+    gap = float(np.max(np.diff(np.sort(values))))
+    return gap if gap > bound * abs(float(np.median(values))) else None
+
+
 def compare(end_to_end: list[dict], pairs: list[tuple[dict, dict]]) -> list[dict]:
     """Per metric: each side's (q1, median, q3), the change's wins and ties,
-    the metric's bound, whether every change run beat every parent run, and
-    the paired change/parent ratio with its bootstrap interval."""
+    the metric's bound, whether every change run beat every parent run, the
+    paired change/parent ratio with its bootstrap interval, and each side's
+    gap between two clusters (`mode_gap`), where it has one."""
     rows = []
     for metric in end_to_end:
         name = metric["name"]
@@ -112,6 +128,8 @@ def compare(end_to_end: list[dict], pairs: list[tuple[dict, dict]]) -> list[dict
             "separated": min(sign * (p - c) for p in values["parent"]
                              for c in values["change"]) > 0,
             "ratio": ratio_interval(values["parent"], values["change"]),
+            "modes": {side: gap for side in SIDES
+                      if (gap := mode_gap(values[side], metric.get("bound"))) is not None},
         })
     return rows
 
@@ -133,6 +151,13 @@ def verdict(row: dict) -> str:
                 f"{spread / abs(p_med):.1%} of its median > bound {bound:.0%})")
     return (f"{row['name']}: within bound ({won}; change median "
             f"{(c_med - p_med) / abs(p_med):+.1%} against the parent's, bound {bound:.0%})")
+
+
+def mode_lines(row: dict) -> list[str]:
+    """One `process-moded` line per side whose values split into two clusters."""
+    return [f"process-moded {row['name']}: {side} values split into two clusters "
+            f"{gap:.6g} apart, {gap / abs(row[side][1]):.1%} of its median > bound "
+            f"{row['bound']:.0%}" for side, gap in row["modes"].items()]
 
 
 def format_rows(rows: list[dict]) -> list[str]:
@@ -190,6 +215,8 @@ def main(argv=None) -> int:
         median, low, high = row["ratio"]
         print(f"ratio {row['name']}: change/parent median {median:.4f}, "
               f"95% bootstrap interval [{low:.4f}, {high:.4f}] over {row['pairs']} pairs")
+        for line in mode_lines(row):
+            print(line)
     return 0
 
 
