@@ -21,6 +21,7 @@ from .data import (
     DataError,
     SyntheticSpec,
     atomic_write,
+    file_fault,
     generate_synthetic,
     iter_dataset,
     load_dataset,
@@ -64,7 +65,7 @@ def parse_config_file(path) -> dict[str, str]:
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL byte in the path
-        raise ConfigError(f"cannot read config file {shown(path)}: {exc}") from None
+        raise ConfigError(file_fault(path, getattr(exc, "strerror", exc))) from None
     values: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -123,8 +124,8 @@ def _out_dir(args) -> Path | None:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise ConfigError(f"cannot make output directory {shown(out)}: "
-                          f"{getattr(exc, 'strerror', exc)}") from None
+        raise ConfigError(file_fault(out, f"cannot make a directory here: "
+                                          f"{getattr(exc, 'strerror', exc)}")) from None
     return out
 
 

@@ -7,7 +7,8 @@ module holds the only byte codec; checkpoints use it too. A sample is four
 modalities plus a label, stored as a container of float32 tensors. In memory
 a bundle holds float32 arrays too, the values the file stores; the model
 widens them to float64 when it embeds them. Every output file is written
-whole or not at all (`atomic_write`).
+whole or not at all (`atomic_write`); a reader names its file once in each
+fault, in `file_fault`'s form, and `read_container` leaves that to them.
 
 The synthetic generator plants a shared signal vector into a minority of
 video tokens and into the correct answer, buries everything in noise, and
@@ -71,9 +72,9 @@ class FeatureBundle:
 
     Every feature array is held as float32, the precision a DRXF file
     stores, so a bundle in memory holds exactly what `write_features` writes
-    and `read_features` returns. Arrays already float32 are kept, not
-    copied. A value that is NaN, infinite or beyond float32's range raises
-    DataError, and so does a label that is not an integer (a bool is not).
+    and `read_features` returns. Arrays already float32 are kept, not copied.
+    A feature array not 2-D, or with a value NaN, infinite or beyond float32's
+    range, raises DataError, as does a label not an integer (a bool is not).
     """
 
     appearance: np.ndarray
@@ -97,10 +98,10 @@ class FeatureBundle:
         if not 0 <= self.label < ANSWER_COUNT:
             raise DataError(f"label {self.label} out of range [0, {ANSWER_COUNT})")
         for name, array in _feature_records(self):
+            if array.ndim != 2:
+                raise DataError(f"{name} features must be 2-D, got {array.shape}")
             if not np.isfinite(array).all():
-                raise DataError(
-                    f"{name} features hold non-finite values (NaN, inf, or beyond float32 range)"
-                )
+                raise DataError(f"{name} features hold non-finite values (NaN, inf or beyond float32)")
 
 
 def _feature_records(bundle: FeatureBundle) -> list[tuple[str, np.ndarray]]:
@@ -109,14 +110,15 @@ def _feature_records(bundle: FeatureBundle) -> list[tuple[str, np.ndarray]]:
     return list(zip(TENSOR_NAMES, arrays))
 
 
-def _tensor_records(bundle: FeatureBundle) -> list[tuple[str, np.ndarray]]:
-    return _feature_records(bundle) + [("label", np.array([float(bundle.label)]))]
-
-
 def shown(path) -> str:
     """`path` as message text: non-printable characters escaped as by `repr`,
     so stderr stays printable; every other one, non-ASCII included, kept."""
     return "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(path))
+
+
+def file_fault(path, fault) -> str:
+    """A fault in the file at `path` in its one message form: the file, then the fault."""
+    return f"{shown(path)}: {fault}"
 
 
 @contextlib.contextmanager
@@ -160,21 +162,21 @@ def read_container(path, what: str = "DRXF container") -> dict[str, np.ndarray]:
     """The records of the DRXF container at `path`, by name in file order.
 
     Each array is a read-only view of the file's bytes. Every fault is a
-    DataError: a file that cannot be read (named as `what`), bad magic,
-    another version, a file cut short, a name that is not UTF-8 or repeats,
-    an unknown dtype code, bytes after the CRC, or a CRC mismatch.
+    DataError, left for the caller to name the file: one that cannot be read,
+    bad magic (not a `what`), another version, a file cut short, a name not
+    UTF-8 or repeated, an unknown dtype code, bytes after the CRC, a CRC mismatch.
     """
     try:
         raw = Path(path).read_bytes()
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise DataError(f"cannot read {what} {shown(path)}: {exc}") from None
+        raise DataError(getattr(exc, "strerror", exc)) from None
     if raw[:len(MAGIC)] != MAGIC:
-        raise BadMagicError(f"not a {what}: {shown(path)}")
+        raise BadMagicError(f"does not start with DRXF: not a {what}")
     records, crc, offset = {}, 0, len(MAGIC) + 6
     try:  # struct.error: a field, or a payload, past the end of the file
         version, count = struct.unpack_from("<HI", raw, len(MAGIC))
         if version != FORMAT_VERSION:
-            raise VersionError(f"unsupported {what} version {version}")
+            raise VersionError(f"unsupported DRXF version {version}")
         for _ in range(count):
             (name_len,) = struct.unpack_from("<H", raw, offset)
             name, code, rank = struct.unpack_from(f"<{name_len}sBB", raw, offset + 2)
@@ -182,9 +184,9 @@ def read_container(path, what: str = "DRXF container") -> dict[str, np.ndarray]:
             try:
                 name = name.decode("utf-8")
             except UnicodeDecodeError:
-                raise DataError(f"tensor name is not UTF-8 in {shown(path)}") from None
+                raise DataError("tensor name is not UTF-8") from None
             if name in records:
-                raise DataError(f"tensor {name!r} appears more than once in {shown(path)}")
+                raise DataError(f"tensor {name!r} appears more than once")
             if code >= len(DTYPES):
                 raise DataError(f"unknown dtype code {code} for tensor {name!r}")
             dtype, size = np.dtype(DTYPES[code]), math.prod(shape)
@@ -210,8 +212,9 @@ def write_features(bundle: FeatureBundle, path) -> None:
     order. The bundle is checked as at construction first, so a field
     reassigned since then raises DataError, not a file `read_features` refuses.
     """
+    bundle = dataclasses.replace(bundle)
     records = [(name, np.asarray(array, dtype="<f4"))
-               for name, array in _tensor_records(dataclasses.replace(bundle))]
+               for name, array in [*_feature_records(bundle), ("label", [bundle.label])]]
     # A feature file is small: one write of it costs less than two per record.
     blob = io.BytesIO()
     write_container(records, blob)
@@ -221,25 +224,28 @@ def write_features(bundle: FeatureBundle, path) -> None:
 
 def read_features(path) -> FeatureBundle:
     """Read a bundle back: the container's checks, then tensor names, dtypes,
-    label and values. The file must hold each of `TENSOR_NAMES` once, as
-    float32, and no other. Each feature array is a read-only view of the
-    file's bytes, not a copy; the model widens it to float64 when it embeds it.
+    label and the bundle's checks; a fault is a DataError naming the file. It
+    must hold each of `TENSOR_NAMES` once, as float32, and no other. Each
+    feature array is a read-only view of the file's bytes, not a copy.
     """
-    tensors = read_container(path, "feature file")
-    for name, array in tensors.items():
-        if name not in TENSOR_NAMES:
-            raise DataError(f"unknown tensor {name!r} in {shown(path)}")
-        if array.dtype.str != "<f4":
-            raise DataError(f"tensor {name!r} is {array.dtype.str}, not <f4, in {shown(path)}")
     try:
-        *features, label = [tensors[name] for name in TENSOR_NAMES]
-    except KeyError as exc:
-        raise DataError(f"feature file missing tensor {exc.args[0]!r}") from None
-    # is_integer() is False for NaN and inf.
-    if label.shape != (1,) or not float(label[0]).is_integer():
-        raise DataError(f"label tensor must hold one integral value, got {label}")
-    return FeatureBundle(*features[:len(STREAMS)], answers=tuple(features[len(STREAMS):]),
-                         label=int(label[0]))
+        tensors = read_container(path, "feature file")
+        for name, array in tensors.items():
+            if name not in TENSOR_NAMES:
+                raise DataError(f"unknown tensor {name!r}")
+            if array.dtype.str != "<f4":
+                raise DataError(f"tensor {name!r} is {array.dtype.str}, not <f4")
+        try:
+            *features, label = [tensors[name] for name in TENSOR_NAMES]
+        except KeyError as exc:
+            raise DataError(f"missing tensor {exc.args[0]!r}") from None
+        # is_integer() is False for NaN and inf.
+        if label.shape != (1,) or not float(label[0]).is_integer():
+            raise DataError(f"label tensor must hold one integral value, got {label}")
+        return FeatureBundle(*features[:len(STREAMS)], answers=tuple(features[len(STREAMS):]),
+                             label=int(label[0]))
+    except DataError as exc:
+        raise type(exc)(file_fault(path, exc)) from None
 
 
 def check_fields(settings, error: type[Exception], positive=(), choices=None) -> None:
@@ -371,34 +377,34 @@ def save_dataset(bundles, directory, spec: SyntheticSpec | None = None) -> Path:
 
 
 def iter_dataset(directory) -> Iterator[FeatureBundle]:
-    """Yield a dataset's bundles in manifest order, each file read only when
-    its bundle is asked for and checked against the manifest's label."""
-    directory = Path(directory)
-    manifest_path = directory / "manifest.json"
-    if not manifest_path.is_file():
-        raise DataError(f"no manifest.json under {shown(directory)}")
+    """Yield a dataset's bundles in manifest order, each file read only when its
+    bundle is asked for and checked against the manifest (which faults name)."""
+    manifest = Path(directory) / "manifest.json"
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError for non-UTF-8 bytes
-        raise DataError(f"manifest is not valid JSON: {exc}") from None
-    entries = manifest.get("samples", []) if isinstance(manifest, dict) else None
-    if not isinstance(entries, list):
-        raise DataError(
-            f"manifest under {shown(directory)} must be an object with a samples list"
-        )
-    if not entries:
-        raise DataError(f"dataset under {shown(directory)} is empty")
+        if not manifest.is_file():
+            raise DataError("no such file")
+        try:
+            loaded = json.loads(manifest.read_text(encoding="utf-8"))
+        except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError for non-UTF-8 bytes
+            raise DataError(f"not valid JSON: {exc}") from None
+        entries = loaded.get("samples", []) if isinstance(loaded, dict) else None
+        if not isinstance(entries, list):
+            raise DataError("must be an object with a samples list")
+        if not entries:
+            raise DataError("lists no samples")
+        for entry in entries:
+            # bool is an int subclass, and a JSON true is no label.
+            if not (isinstance(entry, dict) and isinstance(entry.get("path"), str)
+                    and type(entry.get("label")) is int):
+                raise DataError(f"entry needs a string path and an integer label: {entry!r}")
+    except DataError as exc:
+        raise DataError(file_fault(manifest, exc)) from None
     for entry in entries:
-        # bool is an int subclass, and a JSON true is no label.
-        if not (isinstance(entry, dict) and isinstance(entry.get("path"), str)
-                and type(entry.get("label")) is int):
-            raise DataError(f"manifest entry needs a string path and an integer label: {entry!r}")
-        bundle = read_features(directory / entry["path"])
+        path = manifest.parent / entry["path"]
+        bundle = read_features(path)
         if bundle.label != entry["label"]:
-            raise DataError(
-                f"label mismatch for {shown(entry['path'])}: manifest says {entry['label']}, "
-                f"file says {bundle.label}"
-            )
+            raise DataError(file_fault(path, f"label mismatch: the file says {bundle.label}, "
+                                             f"the manifest {entry['label']}"))
         yield bundle
 
 

@@ -2,24 +2,43 @@
 the composite head split/merge that the fused attention ops replace, the
 composite encoder blocks that the fused block ops replace, the select
 form of the ELU kernel that the branch-free one replaces, the graph-search
-backward that creation-order backward replaces, and a DRXF container record
-rewriter."""
+backward that creation-order backward replaces, DRXF container rewriters,
+and the tiny model settings the CLI tests train with."""
 
 import numpy as np
 
 from drax import data
 from drax import tensor as T
 
+TINY_MODEL_SETS = [
+    "--set", "d=8",
+    "--set", "heads=2",
+    "--set", "layers=1",
+    "--set", "appearance_dim=12",
+    "--set", "motion_dim=16",
+    "--set", "text_dim=10",
+    "--set", "max_positions=14",
+    "--set", "epochs=2",
+    "--set", "learning_rate=0.01",
+]
+
+
+def rewrite_container(src, dst, edit):
+    """Copy the DRXF container at `src` to `dst` with its (name, array)
+    records, a list in file order, passed through `edit`. The copy is well
+    formed, CRC included, so it holds what no writer of drax writes."""
+    records = edit(list(data.read_container(src).items()))
+    with open(dst, "wb") as out:
+        data.write_container(records, out)
+
 
 def rewrite_record(src, dst, name, value):
-    """Copy the DRXF container at `src` to `dst` with record `name` set to
-    `value` (bytes are stored as `|u1`): replaced in place, appended if `src`
-    has no such record, or dropped if `value` is None. The copy is well
-    formed, CRC included, so it holds what no writer of drax writes."""
-    records = dict(data.read_container(src))
-    records[name] = np.frombuffer(value, dtype="|u1") if isinstance(value, bytes) else value
-    with open(dst, "wb") as out:
-        data.write_container([(k, v) for k, v in records.items() if v is not None], out)
+    """`rewrite_container` with record `name` set to `value` (bytes are
+    stored as `|u1`): replaced in place, appended if `src` has no such
+    record, or dropped if `value` is None."""
+    value = np.frombuffer(value, dtype="|u1") if isinstance(value, bytes) else value
+    rewrite_container(src, dst, lambda records: [
+        (k, v) for k, v in {**dict(records), name: value}.items() if v is not None])
 
 
 def finite_difference(f, x, step=1e-6):
