@@ -32,8 +32,9 @@ def save_checkpoint(model: DraxModel, path) -> None:
 
 def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     """The stored config dict and the name-to-array parameter map (read-only
-    views of the file's bytes). A container fault, a missing or undecodable
-    `.config` record, or a parameter not float64 is a CheckpointError."""
+    views of the file's bytes). A file that cannot be read, a container fault,
+    a missing or undecodable `.config` record, or a parameter not float64 is a
+    CheckpointError."""
     try:
         records = read_container(path, "checkpoint, or an old-format one")
         for name, array in records.items():
@@ -48,7 +49,7 @@ def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
             raise CheckpointError(f".config record is not valid JSON: {exc}") from None
         if not isinstance(config, dict):
             raise CheckpointError(".config record is not a JSON object")
-    except (DataError, CheckpointError) as exc:
+    except (DataError, CheckpointError, OSError, ValueError) as exc:
         raise CheckpointError(file_fault(path, exc)) from None
     return config, records
 

@@ -65,7 +65,7 @@ def parse_config_file(path) -> dict[str, str]:
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL byte in the path
-        raise ConfigError(file_fault(path, getattr(exc, "strerror", exc))) from None
+        raise ConfigError(file_fault(path, exc)) from None
     values: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -124,8 +124,7 @@ def _out_dir(args) -> Path | None:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise ConfigError(file_fault(out, f"cannot make a directory here: "
-                                          f"{getattr(exc, 'strerror', exc)}")) from None
+        raise ConfigError(f"cannot make --out {file_fault(out, exc)}") from None
     return out
 
 

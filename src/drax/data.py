@@ -117,8 +117,9 @@ def shown(path) -> str:
 
 
 def file_fault(path, fault) -> str:
-    """A fault in the file at `path` in its one message form: the file, then the fault."""
-    return f"{shown(path)}: {fault}"
+    """A fault in the file at `path` in its one message form: the file, then
+    the fault. An OSError gives only its strerror, as its text names the file."""
+    return f"{shown(path)}: {getattr(fault, 'strerror', None) or fault}"
 
 
 @contextlib.contextmanager
@@ -161,15 +162,12 @@ def write_container(records, out) -> None:
 def read_container(path, what: str = "DRXF container") -> dict[str, np.ndarray]:
     """The records of the DRXF container at `path`, by name in file order.
 
-    Each array is a read-only view of the file's bytes. Every fault is a
-    DataError, left for the caller to name the file: one that cannot be read,
-    bad magic (not a `what`), another version, a file cut short, a name not
-    UTF-8 or repeated, an unknown dtype code, bytes after the CRC, a CRC mismatch.
-    """
-    try:
-        raw = Path(path).read_bytes()
-    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise DataError(getattr(exc, "strerror", exc)) from None
+    Each array is a read-only view of the file's bytes. An unreadable file
+    raises its OSError (ValueError: a NUL byte in the path); any other fault is
+    a DataError, for the caller to name the file: bad magic (not a `what`),
+    another version, a file cut short, a name not UTF-8 or repeated, an unknown
+    dtype code, bytes after the CRC, a CRC mismatch."""
+    raw = Path(path).read_bytes()
     if raw[:len(MAGIC)] != MAGIC:
         raise BadMagicError(f"does not start with DRXF: not a {what}")
     records, crc, offset = {}, 0, len(MAGIC) + 6
@@ -244,6 +242,8 @@ def read_features(path) -> FeatureBundle:
             raise DataError(f"label tensor must hold one integral value, got {label}")
         return FeatureBundle(*features[:len(STREAMS)], answers=tuple(features[len(STREAMS):]),
                              label=int(label[0]))
+    except (OSError, ValueError) as exc:  # cannot be read; ValueError: a NUL byte in the path
+        raise DataError(file_fault(path, exc)) from None
     except DataError as exc:
         raise type(exc)(file_fault(path, exc)) from None
 

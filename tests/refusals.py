@@ -190,10 +190,11 @@ ROWS = [
         "inspect-attention --checkpoint model.ckpt --data absent.drxf --out out",
         "No such file or directory", names="absent.drxf"),
     # The data is absent: had it been read before `--out` was checked, the
-    # exit would be 3.
+    # exit would be 3. `gen-data` reads none; `TestConfigPlumbing::
+    # test_gen_data_makes_out_before_generating` checks that it makes none first.
     *(Row(PLUMBING + f"test_out_that_cannot_be_a_directory_is_exit_2[{command}]", "path", 2,
           f"{command} {_inputs(command, 'absent')} --out {out}",
-          "cannot make a directory here", raw("blocker", lambda _: b"kept"), names=out)
+          "cannot make --out", raw("blocker", lambda _: b"kept"), names=out)
       for command in COMMANDS for out in ("blocker", "blocker/sub")),
     *(Row(f"test_cli.py::TestNulBytePaths::test_exits_with_one_printable_line[{case}]", "path",
           code, argv, "embedded null byte", breaks, names=name)
@@ -367,34 +368,35 @@ def check(row, dataset_dir, checkpoint, workdir, monkeypatch, capsys):
 
 
 def _test(cases):
-    """A test method running each row of a case: plain for one case with no
-    id, else parametrized by case id."""
-    def run(rows, dataset_dir, checkpoint, tmp_path, monkeypatch, capsys):
+    """A test method checking the rows of each case: parametrized by case id,
+    or, for one case with no id, taking its rows as a default."""
+    def test(self, dataset_dir, checkpoint, tmp_path, monkeypatch, capsys, rows=cases.get("")):
         for i, row in enumerate(rows):
             check(row, dataset_dir, checkpoint, tmp_path / str(i), monkeypatch, capsys)
 
-    if list(cases) == [""]:
-        def test(self, dataset_dir, checkpoint, tmp_path, monkeypatch, capsys):
-            run(cases[""], dataset_dir, checkpoint, tmp_path, monkeypatch, capsys)
-        return test
-
     @pytest.mark.parametrize("rows", list(cases.values()), ids=list(cases))
-    def test(self, rows, dataset_dir, checkpoint, tmp_path, monkeypatch, capsys):
-        run(rows, dataset_dir, checkpoint, tmp_path, monkeypatch, capsys)
-    return test
+    def case(self, rows, dataset_dir, checkpoint, tmp_path, monkeypatch, capsys):
+        test(self, dataset_dir, checkpoint, tmp_path, monkeypatch, capsys, rows)
+    return test if list(cases) == [""] else case
+
+
+PLACED = []  # the rows `install` has placed, each on a test of the module its id names
 
 
 def install(namespace):
-    """Add the rows filed under the test module whose globals are `namespace`
-    to it, one test method per name; a module whose rows should run calls
-    this last. A class the module already defines keeps its own tests: the
-    rows' methods go on a subclass of that name."""
+    """Place the rows filed under the test module whose globals are
+    `namespace` on it, one test method per name; a module whose rows should
+    run calls this last. A class the module already defines keeps its own
+    tests: the rows' methods go on a subclass of that name, and may not
+    replace one of them. `test_cli.py` checks that every row is placed."""
     classes = {}
     for row in ROWS:
         where, cls, name = row.test.split("::")
-        if where == f"{namespace['__name__']}.py":
+        if where == Path(namespace["__file__"]).name:
             method, _, case = name.removesuffix("]").partition("[")
             classes.setdefault(cls, {}).setdefault(method, {}).setdefault(case, []).append(row)
+            PLACED.append(row)
     for cls, methods in classes.items():
         base = namespace.get(cls, object)
+        assert not any(hasattr(base, name) for name in methods), f"a row hides a test of {cls}"
         namespace[cls] = type(cls, (base,), {name: _test(c) for name, c in methods.items()})

@@ -27,7 +27,7 @@ from drax.cli import (
 from drax.data import SyntheticSpec, load_dataset, save_dataset
 from drax.model import DraxConfig, DraxModel
 from helpers import TINY_MODEL_SETS
-from refusals import ROWS, install
+from refusals import PLACED, ROWS, install
 
 
 def _summary(eval_dir):
@@ -103,6 +103,14 @@ class TestConfigPlumbing:
                   "--seed", "1"])
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
+
+    def test_gen_data_makes_out_before_generating(self, tmp_path, monkeypatch, capsys):
+        """An `--out` that cannot be a directory exits 2 before any sample is made."""
+        monkeypatch.setattr("drax.cli.generate_synthetic", lambda spec: 1 / 0)
+        (tmp_path / "blocker").write_text("kept")
+        assert main(["gen-data", "--out", str(tmp_path / "blocker")]) == 2
+        assert "cannot make --out" in capsys.readouterr().err
+
 
 class TestGenData:
     def test_writes_dataset_and_manifest(self, tmp_path):
@@ -188,16 +196,8 @@ class TestTrainEval:
         for name, array in fresh.param_arrays().items():
             np.testing.assert_array_equal(array, arrays[name])
 
-    def test_eval_stdout_mode(self, dataset_dir, tmp_path, capsys):
-        run = tmp_path / "run"
-        main([
-            "train", "--data", str(dataset_dir), "--out", str(run),
-            "--seed", "0", *TINY_MODEL_SETS, "--set", "epochs=1",
-        ])
-        capsys.readouterr()
-        assert main([
-            "eval", "--checkpoint", str(run / "model.ckpt"), "--data", str(dataset_dir),
-        ]) == 0
+    def test_eval_stdout_mode(self, checkpoint, dataset_dir, capsys):
+        assert main(["eval", "--checkpoint", str(checkpoint), "--data", str(dataset_dir)]) == 0
         out = capsys.readouterr().out
         json_lines = [l for l in out.splitlines() if l.startswith("{")]
         assert len(json_lines) == 5
@@ -276,16 +276,10 @@ class TestAtomicWrites:
 
 
 class TestInspectAttention:
-    def test_trace_schema_and_densities(self, dataset_dir, tmp_path, capsys):
-        run = tmp_path / "run"
-        main([
-            "train", "--data", str(dataset_dir), "--out", str(run),
-            "--seed", "0", *TINY_MODEL_SETS, "--set", "epochs=1",
-        ])
-        capsys.readouterr()
+    def test_trace_schema_and_densities(self, checkpoint, dataset_dir, tmp_path):
         trace_dir = tmp_path / "trace"
         assert main([
-            "inspect-attention", "--checkpoint", str(run / "model.ckpt"),
+            "inspect-attention", "--checkpoint", str(checkpoint),
             "--data", str(dataset_dir), "--out", str(trace_dir),
         ]) == 0
         records = [json.loads(l) for l in (trace_dir / "trace.jsonl").read_text().splitlines()]
@@ -341,16 +335,10 @@ class TestInspectAttention:
             if record["record"] == "density":
                 assert record["density"] == 0.0
 
-    def test_accepts_single_feature_file(self, dataset_dir, tmp_path, capsys):
-        run = tmp_path / "run"
-        main([
-            "train", "--data", str(dataset_dir), "--out", str(run),
-            "--seed", "0", *TINY_MODEL_SETS, "--set", "epochs=1",
-        ])
-        capsys.readouterr()
+    def test_accepts_single_feature_file(self, checkpoint, dataset_dir, tmp_path):
         trace_dir = tmp_path / "trace"
         assert main([
-            "inspect-attention", "--checkpoint", str(run / "model.ckpt"),
+            "inspect-attention", "--checkpoint", str(checkpoint),
             "--data", str(dataset_dir / "sample_00001.drxf"), "--out", str(trace_dir),
         ]) == 0
         assert (trace_dir / "trace.jsonl").exists()
@@ -379,6 +367,7 @@ class TestInspectAttention:
         ]) == 0
         traced = (tmp_path / "dir" / "trace.jsonl").read_bytes()
         assert traced == (tmp_path / "file" / "trace.jsonl").read_bytes()
+
 
 class TestAblate:
     def test_emits_exactly_the_seven_variants(self, dataset_dir, tmp_path, capsys):
@@ -635,6 +624,12 @@ class TestReadmeKeys:
         documented = {(kind.strip(), int(code)) for kind, codes in rows
                       for code in codes.split(",")}
         assert documented == {(row.kind, row.code) for row in ROWS}
+
+
+def test_every_refused_input_row_is_placed():
+    """Each row of `refusals.ROWS` runs: the module its id names placed it."""
+    import test_data, test_pipeline  # noqa: F401, E401 -- each places its rows on import
+    assert {id(row) for row in PLACED} == {id(row) for row in ROWS}
 
 
 class TestChangelog:
