@@ -131,7 +131,7 @@ def _out_dir(args) -> Path | None:
 def cmd_train(args) -> int:
     config = DraxConfig.from_dict(settings(DraxConfig, args))
     out = _out_dir(args)
-    dataset = load_dataset(args.data)
+    dataset = load_dataset(args.data, config.check_bundle)
     model = DraxModel(config)
     history = fit(model, dataset)
     _write_jsonl(out / "metrics.jsonl", history)
@@ -148,7 +148,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = load_model(args.checkpoint, settings(DraxConfig, args))
     out = _out_dir(args)
-    dataset = load_dataset(args.data)
+    dataset = load_dataset(args.data, model.config.check_bundle)
     result = evaluate(model, dataset)
     records = [{"record": "sample", **sample} for sample in result["samples"]]
     records.append(
@@ -180,8 +180,8 @@ def cmd_gen_data(args) -> int:
 def cmd_inspect_attention(args) -> int:
     model = load_model(args.checkpoint, settings(DraxConfig, args))
     out = _out_dir(args)
-    data = Path(args.data)
-    bundle = next(iter_dataset(data)) if data.is_dir() else read_features(data)
+    data, check = Path(args.data), model.config.check_bundle
+    bundle = next(iter_dataset(data, check)) if data.is_dir() else read_features(data, check)
     masker = model.make_masker(record="full")
     model.forward(bundle, masker)
     records = []
@@ -211,7 +211,7 @@ def cmd_inspect_attention(args) -> int:
 def cmd_ablate(args) -> int:
     base = DraxConfig.from_dict(settings(DraxConfig, args))
     out = _out_dir(args)
-    dataset = load_dataset(args.data)
+    dataset = load_dataset(args.data, base.check_bundle)
     records = []
     for name, overrides in ABLATION_VARIANTS:
         model = DraxModel(dataclasses.replace(base, **overrides))
@@ -229,8 +229,16 @@ def cmd_ablate(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError: one `config error: ` line and
+    exit 2, as every other refusal; `--help` still prints the usage."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="drax",
         description="Distraction-removing cross-attention models over feature bundles.",
     )
@@ -278,9 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -220,11 +220,12 @@ def write_features(bundle: FeatureBundle, path) -> None:
         out.write(blob.getbuffer())
 
 
-def read_features(path) -> FeatureBundle:
+def read_features(path, check=None) -> FeatureBundle:
     """Read a bundle back: the container's checks, then tensor names, dtypes,
-    label and the bundle's checks; a fault is a DataError naming the file. It
-    must hold each of `TENSOR_NAMES` once, as float32, and no other. Each
-    feature array is a read-only view of the file's bytes, not a copy.
+    label, the bundle's checks and `check(bundle)`, if given (a model's
+    width rule, say); a fault is a DataError naming the file. It must hold
+    each of `TENSOR_NAMES` once, as float32, and no other. Each feature array
+    is a read-only view of the file's bytes, not a copy.
     """
     try:
         tensors = read_container(path, "feature file")
@@ -240,9 +241,12 @@ def read_features(path) -> FeatureBundle:
         # is_integer() is False for NaN and inf.
         if label.shape != (1,) or not float(label[0]).is_integer():
             raise DataError(f"label tensor must hold one integral value, got {label}")
-        return FeatureBundle(*features[:len(STREAMS)], answers=tuple(features[len(STREAMS):]),
-                             label=int(label[0]))
-    except (OSError, ValueError) as exc:  # cannot be read; ValueError: a NUL byte in the path
+        bundle = FeatureBundle(*features[:len(STREAMS)],
+                               answers=tuple(features[len(STREAMS):]), label=int(label[0]))
+        if check is not None:
+            check(bundle)
+        return bundle
+    except (OSError, ValueError) as exc:  # unreadable, a NUL byte in the path, or a ShapeError
         raise DataError(file_fault(path, exc)) from None
     except DataError as exc:
         raise type(exc)(file_fault(path, exc)) from None
@@ -376,9 +380,10 @@ def save_dataset(bundles, directory, spec: SyntheticSpec | None = None) -> Path:
     return manifest_path
 
 
-def iter_dataset(directory) -> Iterator[FeatureBundle]:
+def iter_dataset(directory, check=None) -> Iterator[FeatureBundle]:
     """Yield a dataset's bundles in manifest order, each file read only when its
-    bundle is asked for and checked against the manifest (which faults name)."""
+    bundle is asked for (`read_features(path, check)`) and checked against the
+    manifest (which faults name)."""
     manifest = Path(directory) / "manifest.json"
     try:
         if not manifest.is_file():
@@ -401,12 +406,12 @@ def iter_dataset(directory) -> Iterator[FeatureBundle]:
         raise DataError(file_fault(manifest, exc)) from None
     for entry in entries:
         path = manifest.parent / entry["path"]
-        bundle = read_features(path)
+        bundle = read_features(path, check)
         if bundle.label != entry["label"]:
             raise DataError(file_fault(path, f"label mismatch: the file says {bundle.label}, "
                                              f"the manifest {entry['label']}"))
         yield bundle
 
 
-def load_dataset(directory) -> list[FeatureBundle]:
-    return list(iter_dataset(directory))
+def load_dataset(directory, check=None) -> list[FeatureBundle]:
+    return list(iter_dataset(directory, check))

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import EncoderLayerParams, run_encoder_stack
-from .data import check_fields
+from .data import STREAMS, check_fields
 from .distraction import MaskController, schedule_df
 from .fusion import FusionParams, cross_aligned_fuse, simple_concat_fuse, vector_space_transform
 from .tensor import ParamStore, Parameter, ShapeError, Tensor
@@ -41,6 +41,9 @@ STAGES = (
     ("stage2", "fused", "question"),
     ("stage3", "fused", "answer"),
 )
+# Each modality's raw feature width, by config key; answers share the text width.
+RAW_WIDTHS = {"appearance": "appearance_dim", "motion": "motion_dim", "question": "text_dim",
+              "answer": "text_dim"}
 
 
 @dataclass
@@ -93,6 +96,21 @@ class DraxConfig:
             value = getattr(self, key)
             if value > 1.0:
                 raise ConfigError(f"{key} must lie in [0, 1], got {value}")
+
+    def check_features(self, raw: np.ndarray, modality: str) -> None:
+        """The one feature-width rule: `raw` is (n, width) for `modality`'s
+        width, or, for answers only, a candidate batch (K, n, width)."""
+        width = getattr(self, RAW_WIDTHS[modality])
+        if raw.ndim not in ((2, 3) if modality == "answer" else (2,)) or raw.shape[-1] != width:
+            raise ShapeError(f"{modality} features must be (n, {width}), got {raw.shape}")
+
+    def check_bundle(self, bundle) -> None:
+        """`check_features` on every feature of `bundle`; a reader applies it
+        as it reads a file, so a width this config does not take names it."""
+        for name in STREAMS:
+            self.check_features(getattr(bundle, name), name)
+        for answer in bundle.answers:
+            self.check_features(answer, "answer")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -233,14 +251,9 @@ class DraxModel:
         eps = config.layer_norm_eps
 
         self.embeddings: dict[str, tuple[Parameter, Parameter]] = {}
-        for modality, raw_dim in (
-            ("appearance", config.appearance_dim),
-            ("motion", config.motion_dim),
-            ("question", config.text_dim),
-            ("answer", config.text_dim),
-        ):
+        for modality, key in RAW_WIDTHS.items():
             self.embeddings[modality] = (
-                store.matrix(f"embed.{modality}.w", raw_dim, d),
+                store.matrix(f"embed.{modality}.w", getattr(config, key), d),
                 store.zeros(f"embed.{modality}.b", (d,)),
             )
 
@@ -291,12 +304,7 @@ class DraxModel:
         w, b = self.embeddings[modality]
         # Bundles hold float32 features; this is where they become float64.
         raw = np.asarray(raw, dtype=np.float64)
-        # Only answers come as a candidate batch (K, n, raw_dim).
-        ranks = (2, 3) if modality == "answer" else (2,)
-        if raw.ndim not in ranks or raw.shape[-1] != w.shape[0]:
-            raise ShapeError(
-                f"{modality} features must be (n, {w.shape[0]}), got {raw.shape}"
-            )
+        self.config.check_features(raw, modality)
         return ModalitySequence(T.affine(Tensor(raw), w, b), modality)
 
     def run_stage(self, index: int, seq1: ModalitySequence, seq2: ModalitySequence,

@@ -8,7 +8,7 @@ vocabulary the encoder, masking and fusion stack needs, and every operation
 records a vector-Jacobian closure so a single scalar `backward` call fills
 in leaf gradients. Only `add`, `sub` and `mul` (and so the `+`, `-` and `*`
 operators) accept a scalar or an array operand; every other op takes
-Tensors.
+Tensors. An operand of a bad shape raises ShapeError, not numpy's ValueError.
 
 Every recorded op result carries a creation number from one module
 counter. An op's operands exist before its result, so a parent is always
@@ -452,9 +452,13 @@ def self_attention_block(x, w_q, w_k, w_v, w_o, gain, bias, head_count: int, sca
     as one op; every operand is a Tensor."""
     xd, wv, wo = x.data, w_v.data, w_o.data
     weights, softmax_vjp = _head_softmax(xd, w_q.data, xd, w_k.data, head_count, scale)
-    mixed, mix_vjp = _head_mix(weights, xd @ wv)
-    summed = mixed @ wo
-    summed += xd
+    try:
+        mixed, mix_vjp = _head_mix(weights, xd @ wv)
+        summed = mixed @ wo
+        summed += xd
+    except ValueError as exc:
+        raise ShapeError(f"self_attention_block shape mismatch: x {xd.shape}, "
+                         f"w_v {wv.shape}, w_o {wo.shape}") from exc
     data, norm_vjp = _layer_norm(summed, gain.data, bias.data, eps)
 
     def vjp(g):
@@ -473,12 +477,16 @@ def feed_forward_block(x, w1, b1, w2, b2, gain, bias, eps: float = 1e-5) -> Tens
     """`layer_norm(x + affine(elu(affine(x, w1, b1)), w2, b2))` as one op;
     every operand is a Tensor."""
     xd, wd1, wd2 = x.data, w1.data, w2.data
-    pre = xd @ wd1
-    pre += b1.data
-    hidden, elu_vjp = _elu(pre)
-    summed = hidden @ wd2
-    summed += b2.data
-    summed += xd
+    try:
+        pre = xd @ wd1
+        pre += b1.data
+        hidden, elu_vjp = _elu(pre)
+        summed = hidden @ wd2
+        summed += b2.data
+        summed += xd
+    except ValueError as exc:
+        raise ShapeError(f"feed_forward_block shape mismatch: x {xd.shape}, w1 {wd1.shape}, "
+                         f"b1 {b1.shape}, w2 {wd2.shape}, b2 {b2.shape}") from exc
     data, norm_vjp = _layer_norm(summed, gain.data, bias.data, eps)
 
     def vjp(g):
@@ -495,9 +503,13 @@ def attend(x, weights, src, w_v, w_o, b_o) -> Tensor:
     residual update of `x` from `src`'s values under per-head weights. Every
     operand is a Tensor."""
     sd, wv, wo = src.data, w_v.data, w_o.data
-    mixed, mix_vjp = _head_mix(weights.data, sd @ wv)
-    update = mixed @ wo
-    update += b_o.data
+    try:
+        mixed, mix_vjp = _head_mix(weights.data, sd @ wv)
+        update = mixed @ wo
+        update += b_o.data
+    except ValueError as exc:
+        raise ShapeError(f"attend shape mismatch: weights {weights.shape}, src {sd.shape}, "
+                         f"w_v {wv.shape}, w_o {wo.shape}, b_o {b_o.shape}") from exc
     if update.shape != x.shape:
         raise ShapeError(f"attend update {update.shape} does not fit x {x.shape}")
     update += x.data

@@ -18,11 +18,10 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-import pytest
 
 from drax.cli import EXIT_CONFIG, main
 from drax.data import read_container, shown
-from helpers import TINY_MODEL_SETS, rewrite_container, rewrite_record
+from helpers import TINY_MODEL_SETS, place, rewrite_container, rewrite_record
 
 PREFIX = {2: "config error: ", 3: "data error: ", 4: "checkpoint error: "}
 CKPT, FIRST, LAST = "model.ckpt", "data/sample_00000.drxf", "data/sample_00003.drxf"
@@ -165,6 +164,12 @@ ROWS = [
               ("noise_sigma=nan", "noise_sigma must be finite, got nan"),
               ("noise_sigma=inf", "noise_sigma must be finite, got inf"),
               ("seed=-1", "seed must be >= 0, got -1")]),
+    # Usage errors: the checkpoint's config carries the seed, so these commands take none.
+    *(Row(PLUMBING + f"test_seed_is_a_usage_error_with_a_checkpoint[{command}]", "usage", 2,
+          f"{command} {_inputs(command)} --out out --seed 1", "unrecognized arguments: --seed 1")
+      for command in ("eval", "inspect-attention")),
+    Row("test_cli.py::TestRefusedInputs::test_refused[no-data]", "usage", 2,
+        "train --out out", "the following arguments are required: --data"),
     # `--set` on eval and inspect-attention, checked against the stored config.
     *(Row(OVERRIDES + f"test_bad_override_exit_code[{case}-{command}]", "override", code,
           f"{command} {_inputs(command)} --out out --set {item}", fragment,
@@ -229,7 +234,8 @@ ROWS = [
       for test, argv in [
               ("test_cli.py::TestInspectAttention::"
                "test_first_entry_label_checked_against_manifest", INSPECT),
-              ("test_data.py::TestDatasetRoundTrip::test_manifest_label_cross_check", TRAIN)]),
+              ("test_data.py::TestDatasetRoundTrip::test_manifest_label_cross_check",
+               f"{TRAIN} {TINY}")]),
     # A dataset's feature files.
     Row("test_cli.py::TestNonFiniteFeatures::test_nan_feature_file_is_exit_3", "feature file", 3,
         EVAL, "appearance features hold non-finite", record(FIRST, "appearance", poked(np.nan))),
@@ -254,8 +260,18 @@ ROWS = [
               # Each earlier sample trains first, unless the file is refused as read.
               ("1-d-question", f"{TRAIN} {TINY}", "question features must be 2-D, got (10,)",
                record(LAST, "question", lambda a: a[0])),
-              ("fourth-file-flipped-byte", TRAIN, "payload CRC mismatch",
-               raw(LAST, lambda old: old[:-5] + bytes([old[-5] ^ 0x01]) + old[-4:]))]),
+              ("fourth-file-flipped-byte", f"{TRAIN} {TINY}", "payload CRC mismatch",
+               raw(LAST, lambda old: old[:-5] + bytes([old[-5] ^ 0x01]) + old[-4:])),
+              # Widths the model does not take, refused as each file is read, so
+              # a bad last file stops `train` and `ablate` before their first step.
+              *((f"{name}-width-{argv.split()[0]}", argv,
+                 f"{modality} features must be (n, {width}), got ({rows}, {width + 1})",
+                 record(path, name, lambda a: np.zeros((a.shape[0], a.shape[1] + 1), "<f4")))
+                for name, modality, width, rows, argv, path in [
+                    ("appearance", "appearance", 12, 10, EVAL, FIRST),
+                    ("motion", "motion", 16, 5, INSPECT, FIRST),
+                    ("question", "question", 10, 3, f"{TRAIN} {TINY}", LAST),
+                    ("answer2", "answer", 10, 2, f"ablate --data data --out out {TINY}", LAST)])]),
     # Checkpoints.
     *(Row(OVERRIDES + f"test_invalid_stored_config_is_exit_4[{case}-{extra_id}]", "checkpoint",
           4, f"{EVAL} {extra}", "stored config invalid", record(CKPT, ".config", stored_config(
@@ -345,12 +361,14 @@ def _files():
     return {path: path.read_bytes() for path in Path(".").rglob("*") if path.is_file()}
 
 
-def check(row, dataset_dir, checkpoint, workdir, monkeypatch, capsys):
-    """Run `row` in `workdir` on fresh copies of the shared inputs, and
-    assert what every refusal holds (see the module docstring)."""
-    shutil.copytree(dataset_dir, workdir / "data")
-    shutil.copy(checkpoint, workdir / CKPT)
-    monkeypatch.chdir(workdir)
+def check(row, request):
+    """Run `row` in a directory of its own on fresh copies of the shared
+    inputs, and assert what every refusal holds (see the module docstring)."""
+    fixture = request.getfixturevalue
+    capsys, workdir = fixture("capsys"), fixture("tmp_path_factory").mktemp("row")
+    shutil.copytree(fixture("dataset_dir"), workdir / "data")
+    shutil.copy(fixture("checkpoint"), workdir / CKPT)
+    fixture("monkeypatch").chdir(workdir)
     broken = row.breaks() if row.breaks else None
     named = row.names or broken
     argv = shlex.split(row.argv)
@@ -367,36 +385,11 @@ def check(row, dataset_dir, checkpoint, workdir, monkeypatch, capsys):
         assert line.count(shown(named)) == 1, line
 
 
-def _test(cases):
-    """A test method checking the rows of each case: parametrized by case id,
-    or, for one case with no id, taking its rows as a default."""
-    def test(self, dataset_dir, checkpoint, tmp_path, monkeypatch, capsys, rows=cases.get("")):
-        for i, row in enumerate(rows):
-            check(row, dataset_dir, checkpoint, tmp_path / str(i), monkeypatch, capsys)
-
-    @pytest.mark.parametrize("rows", list(cases.values()), ids=list(cases))
-    def case(self, rows, dataset_dir, checkpoint, tmp_path, monkeypatch, capsys):
-        test(self, dataset_dir, checkpoint, tmp_path, monkeypatch, capsys, rows)
-    return test if list(cases) == [""] else case
-
-
 PLACED = []  # the rows `install` has placed, each on a test of the module its id names
 
 
 def install(namespace):
     """Place the rows filed under the test module whose globals are
-    `namespace` on it, one test method per name; a module whose rows should
-    run calls this last. A class the module already defines keeps its own
-    tests: the rows' methods go on a subclass of that name, and may not
-    replace one of them. `test_cli.py` checks that every row is placed."""
-    classes = {}
-    for row in ROWS:
-        where, cls, name = row.test.split("::")
-        if where == Path(namespace["__file__"]).name:
-            method, _, case = name.removesuffix("]").partition("[")
-            classes.setdefault(cls, {}).setdefault(method, {}).setdefault(case, []).append(row)
-            PLACED.append(row)
-    for cls, methods in classes.items():
-        base = namespace.get(cls, object)
-        assert not any(hasattr(base, name) for name in methods), f"a row hides a test of {cls}"
-        namespace[cls] = type(cls, (base,), {name: _test(c) for name, c in methods.items()})
+    `namespace` on it (`helpers.place`); a module whose rows should run
+    calls this last. `test_cli.py` checks that every row is placed."""
+    PLACED.extend(place(namespace, ROWS, check))

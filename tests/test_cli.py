@@ -95,15 +95,6 @@ class TestConfigPlumbing:
         ])
         assert DraxConfig.from_dict(settings(DraxConfig, args)).seed == 11
 
-    @pytest.mark.parametrize("command", ["eval", "inspect-attention"])
-    def test_seed_is_a_usage_error_with_a_checkpoint(self, command, capsys):
-        # The checkpoint's config carries the seed, so these commands take none.
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--checkpoint", "c.ckpt", "--data", "d", "--out", "o",
-                  "--seed", "1"])
-        assert exc.value.code == 2
-        assert "--seed" in capsys.readouterr().err
-
     def test_gen_data_makes_out_before_generating(self, tmp_path, monkeypatch, capsys):
         """An `--out` that cannot be a directory exits 2 before any sample is made."""
         monkeypatch.setattr("drax.cli.generate_synthetic", lambda spec: 1 / 0)
@@ -348,9 +339,9 @@ class TestInspectAttention:
         read = []
         real = drax.data.read_features
 
-        def counted(path):
+        def counted(path, check=None):
             read.append(Path(path).name)
-            return real(path)
+            return real(path, check)
 
         monkeypatch.setattr(drax.data, "read_features", counted)
         monkeypatch.setattr(drax.cli, "read_features", counted)

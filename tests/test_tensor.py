@@ -1,4 +1,9 @@
-"""Forward-value oracles and finite-difference gradient checks for the tensor core."""
+"""Tensor-core tests. Each op's value, gradient, candidate-axis, shape-fault,
+tape-node and constant-operand cases are rows of `ops.py`, placed on the
+classes below by `install`; the tests here check one thing each that is not
+a single op's row."""
+
+import inspect
 
 import numpy as np
 import pytest
@@ -7,125 +12,13 @@ from drax import tensor as T
 from drax.tensor import ParamStore, Parameter, ShapeError, Tensor
 
 from helpers import (
-    attend_composite,
     check_gradients,
     elu_select,
-    feed_forward_composite,
     finite_difference,
-    matmul_oracle,
-    merge_heads,
     reference_backward,
     relative_error,
-    self_attention_composite,
-    softmax_oracle,
-    split_heads,
 )
-
-
-class TestForwardValues:
-    def test_add_broadcast(self):
-        a = Tensor(np.arange(6.0).reshape(2, 3))
-        b = Tensor(np.array([10.0, 20.0, 30.0]))
-        out = a + b
-        np.testing.assert_array_equal(out.data, a.data + b.data)
-
-    def test_matmul_matches_triple_loop(self):
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            a = rng.normal(size=(4, 3))
-            b = rng.normal(size=(3, 5))
-            got = T.matmul(Tensor(a), Tensor(b)).data
-            np.testing.assert_allclose(got, matmul_oracle(a, b), rtol=0, atol=1e-12)
-
-    def test_batched_matmul_matches_per_slice(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=(3, 4, 2))
-        b = rng.normal(size=(3, 2, 5))
-        got = T.matmul(Tensor(a), Tensor(b)).data
-        for h in range(3):
-            np.testing.assert_allclose(got[h], matmul_oracle(a[h], b[h]), atol=1e-12)
-
-    def test_matmul_shape_errors(self):
-        with pytest.raises(ShapeError):
-            T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
-        with pytest.raises(ShapeError):
-            T.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
-        with pytest.raises(ShapeError):
-            T.matmul(Tensor(np.zeros(3)), Tensor(np.zeros(3)))
-
-    def test_softmax_rows_sum_to_one(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(4, 7)) * 5
-        out = T.softmax(Tensor(x), axis=-1).data
-        np.testing.assert_allclose(out.sum(axis=-1), np.ones(4), atol=1e-12)
-        for i in range(4):
-            np.testing.assert_allclose(out[i], softmax_oracle(x[i]), atol=1e-12)
-
-    def test_softmax_handles_large_values(self):
-        x = Tensor(np.array([[1000.0, 1000.0, 999.0]]))
-        out = T.softmax(x, axis=-1).data
-        assert np.all(np.isfinite(out))
-        np.testing.assert_allclose(out.sum(), 1.0, atol=1e-12)
-
-    def test_elu_values(self):
-        x = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
-        out = T.elu(Tensor(x)).data
-        expected = np.where(x >= 0, x, np.exp(x) - 1.0)
-        np.testing.assert_allclose(out, expected, atol=1e-12)
-
-    def test_relu_values(self):
-        x = np.array([-1.0, 0.0, 2.0])
-        np.testing.assert_array_equal(T.relu(Tensor(x)).data, [0.0, 0.0, 2.0])
-
-    def test_layer_norm_zero_mean_unit_variance(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(5, 8)) * 3 + 1
-        gain = Tensor(np.ones(8))
-        bias = Tensor(np.zeros(8))
-        out = T.layer_norm(Tensor(x), gain, bias).data
-        np.testing.assert_allclose(out.mean(axis=-1), np.zeros(5), atol=1e-10)
-        np.testing.assert_allclose(out.var(axis=-1), np.ones(5), atol=1e-4)
-
-    def test_concat_and_split_grad_shapes(self):
-        a = Tensor(np.ones((2, 3)))
-        b = Tensor(np.zeros((4, 3)))
-        out = T.concat([a, b], axis=0)
-        assert out.shape == (6, 3)
-
-    def test_mean_matches_numpy(self):
-        x = np.arange(12.0).reshape(3, 4)
-        np.testing.assert_allclose(T.tensor_mean(Tensor(x), axis=0).data, x.mean(axis=0))
-        np.testing.assert_allclose(T.tensor_mean(Tensor(x)).data, x.mean())
-
-    def test_item_requires_scalar(self):
-        with pytest.raises(ShapeError):
-            Tensor(np.zeros(3)).item()
-
-
-def _zeros(*shape) -> Tensor:
-    return Tensor(np.zeros(shape))
-
-
-class TestShapeErrors:
-    """A bad operand shape or axis raises ShapeError, which the CLI maps to
-    exit 3, not a bare ValueError from numpy."""
-
-    @pytest.mark.parametrize("call", [
-        lambda: T.add(_zeros(2, 3), _zeros(4)),
-        lambda: T.sub(_zeros(2, 3), _zeros(4)),
-        lambda: T.mul(_zeros(2, 3), _zeros(4)),
-        lambda: T.reshape(_zeros(2, 3), (4,)),
-        lambda: T.transpose(_zeros(2, 3), (0, 0)),
-        lambda: T.concat([]),
-        lambda: T.tensor_sum(_zeros(2, 3), axis=2),
-        lambda: T.softmax(_zeros(2, 3), axis=-3),
-        lambda: T.layer_norm(_zeros(2, 3), _zeros(4), _zeros(3)),
-        lambda: T.layer_norm(_zeros(2, 3), _zeros(3), _zeros(1, 3)),
-    ], ids=["add", "sub", "mul", "reshape", "transpose", "concat-empty", "sum-axis",
-            "softmax-axis", "layer_norm-gain", "layer_norm-bias"])
-    def test_raises_shape_error(self, call):
-        with pytest.raises(ShapeError):
-            call()
+from ops import NO_FAULT, NOT_OPS, ROWS, install, leaf
 
 
 class TestBackward:
@@ -171,88 +64,6 @@ class TestBackward:
             y = x * 3.0
         assert not y.requires_grad
         assert y.is_leaf()
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_matmul_chain_gradients(self, seed):
-        rng = np.random.default_rng(seed)
-        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-
-        def loss():
-            return T.tensor_sum(T.elu(T.matmul(a, b)))
-
-        check_gradients(loss, [a, b], tol=1e-7)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_softmax_gradients(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-        w = Tensor(rng.normal(size=(3, 5)))
-
-        def loss():
-            return T.tensor_sum(T.softmax(x, axis=-1) * w)
-
-        check_gradients(loss, [x], tol=1e-7)
-
-    def test_layer_norm_gradients(self):
-        rng = np.random.default_rng(7)
-        x = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
-        gain = Tensor(rng.normal(size=6), requires_grad=True)
-        bias = Tensor(rng.normal(size=6), requires_grad=True)
-        w = rng.normal(size=(2, 6))
-
-        def loss():
-            return T.tensor_sum(T.layer_norm(x, gain, bias) * w)
-
-        check_gradients(loss, [x, gain, bias], tol=1e-6)
-
-    def test_batched_matmul_gradients(self):
-        rng = np.random.default_rng(8)
-        a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
-
-        def loss():
-            return T.tensor_sum(T.matmul(a, b))
-
-        check_gradients(loss, [a, b], tol=1e-7)
-
-    def test_index_reshape_transpose_concat_gradients(self):
-        rng = np.random.default_rng(9)
-        x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
-        w = rng.normal(size=(6, 7))
-
-        def loss():
-            head = x[1:3]
-            rest = x[0:1]
-            merged = T.concat([head, rest, x[3:]], axis=0)
-            flipped = T.transpose(merged)
-            back = T.reshape(flipped, (4, 6))
-            return T.tensor_sum(T.matmul(back, Tensor(w)) * 0.5)
-
-        check_gradients(loss, [x], tol=1e-7)
-
-    def test_broadcast_add_gradients(self):
-        rng = np.random.default_rng(10)
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
-
-        def loss():
-            return T.tensor_sum(T.relu(x + b))
-
-        check_gradients(loss, [x, b], tol=1e-7)
-
-    @pytest.mark.parametrize("op, oracle", [(T.neg, np.negative), (T.exp, np.exp)],
-                             ids=["neg", "exp"])
-    def test_unary_values_and_gradients(self, op, oracle):
-        rng = np.random.default_rng(12)
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        w = Tensor(rng.normal(size=(3, 4)))
-        np.testing.assert_array_equal(op(x).data, oracle(x.data))
-
-        def loss():
-            return T.tensor_sum(op(x) * w)
-
-        check_gradients(loss, [x], tol=1e-7)
 
     def test_loss_without_grad_leaves_gradients(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
@@ -300,8 +111,8 @@ class TestCreationOrderBackward:
     def test_shared_subgraph_matches_reference(self):
         # `h` feeds three consumers made in an order unlike the DFS's.
         rng = np.random.default_rng(21)
-        x, w = _leaf(rng, 3, 4), _leaf(rng, 4, 4)
-        b = _leaf(rng, 4)
+        x, w = leaf(rng, 3, 4), leaf(rng, 4, 4)
+        b = leaf(rng, 4)
 
         def build():
             h = T.elu(T.affine(x, w, b))
@@ -316,7 +127,7 @@ class TestCreationOrderBackward:
 
     def test_interleaved_graphs_keep_their_own_gradients(self):
         rng = np.random.default_rng(22)
-        x, w = _leaf(rng, 2, 3), _leaf(rng, 3, 3)
+        x, w = leaf(rng, 2, 3), leaf(rng, 3, 3)
         a1 = T.matmul(x, w)
         b1 = T.elu(x)
         a2 = T.tensor_sum(T.relu(a1) * 2.0)
@@ -362,7 +173,7 @@ class TestCreationOrderBackward:
 
     def test_failed_vjp_leaves_gradients_and_next_backward(self):
         rng = np.random.default_rng(23)
-        x, w = _leaf(rng, 2, 3), _leaf(rng, 3, 2)
+        x, w = leaf(rng, 2, 3), leaf(rng, 3, 2)
 
         def broken_vjp(g):
             raise RuntimeError("vjp failed")
@@ -385,156 +196,7 @@ class TestCreationOrderBackward:
             np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-15)
 
 
-class TestConstantOperands:
-    """A constant operand gets no VJP part; the other operands' parts are
-    bit-identical to those taken with every operand requiring grad."""
-
-    @pytest.mark.parametrize("op, shapes", [
-        (T.affine, [(3, 2, 5), (5, 4), (4,)]),
-        (T.mul, [(2, 4, 3), (1, 3)]),
-        (T.add, [(4, 3), (3,)]),
-        (T.sub, [(4, 3), (4, 3)]),
-    ])
-    def test_parts_match_all_grad_operands(self, op, shapes):
-        rng = np.random.default_rng(len(shapes))
-        arrays = [rng.normal(size=shape) for shape in shapes]
-        full = op(*(Tensor(a, requires_grad=True) for a in arrays))
-        g = rng.normal(size=full.shape)
-        want = full._vjp(g)
-        for constant in range(len(arrays)):
-            inputs = [Tensor(a, requires_grad=k != constant) for k, a in enumerate(arrays)]
-            parts = op(*inputs)._vjp(g)
-            for k, (part, expected) in enumerate(zip(parts, want)):
-                if k == constant:
-                    assert part is None
-                else:
-                    assert part.tobytes() == expected.tobytes()
-
-
-def _value_and_grads(build, inputs, probe):
-    """Output data and every input gradient of sum(build() * probe)."""
-    for t in inputs:
-        t.zero_grad()
-    out = build()
-    T.backward(T.tensor_sum(T.mul(out, Tensor(probe))))
-    return out.data.copy(), [t.grad.copy() for t in inputs]
-
-
-def _assert_same_op(fused, composite, inputs, rng):
-    """Fused and composite ops agree in values and input gradients within 1e-12."""
-    probe = rng.normal(size=fused().shape)
-    got, got_grads = _value_and_grads(fused, inputs, probe)
-    want, want_grads = _value_and_grads(composite, inputs, probe)
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-    for g, w in zip(got_grads, want_grads):
-        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
-
-
-def _layer_norm_composite(x, gain, bias, eps=1e-5):
-    centered = T.sub(x, T.tensor_mean(x, axis=-1, keepdims=True))
-    variance = T.tensor_mean(T.mul(centered, centered), axis=-1, keepdims=True)
-    inv_std = T.pow_const(T.add(variance, eps), -0.5)
-    return T.add(T.mul(T.mul(centered, inv_std), gain), bias)
-
-
-def _head_softmax_composite(x_q, w_q, x_k, w_k, heads, scale):
-    qh = split_heads(T.matmul(x_q, w_q), heads)
-    kh = split_heads(T.matmul(x_k, w_k), heads)
-    return T.softmax(T.mul(T.matmul(qh, T.transpose(kh, (0, 2, 1))), scale), axis=-1)
-
-
-def _head_mix_composite(weights, values):
-    return merge_heads(T.matmul(weights, split_heads(values, weights.shape[0])))
-
-
-def _leaf(rng, *shape, scale=1.0, shift=0.0):
-    return Tensor(rng.normal(size=shape) * scale + shift, requires_grad=True)
-
-
 class TestFusedOps:
-    """Each fused op against the composite of primitives it replaces."""
-
-    @pytest.mark.parametrize("shape", [(5, 8), (2, 3, 6)])
-    def test_layer_norm_matches_composite(self, shape):
-        rng = np.random.default_rng(20)
-        x = _leaf(rng, *shape, scale=3.0, shift=1.0)
-        gain, bias = _leaf(rng, shape[-1]), _leaf(rng, shape[-1])
-        _assert_same_op(
-            lambda: T.layer_norm(x, gain, bias),
-            lambda: _layer_norm_composite(x, gain, bias),
-            [x, gain, bias], rng,
-        )
-
-    @pytest.mark.parametrize("heads,n,m,d", [(1, 3, 4, 5), (2, 4, 3, 6), (3, 2, 5, 9)])
-    def test_head_softmax_matches_composite(self, heads, n, m, d):
-        rng = np.random.default_rng(21)
-        x_q, x_k = _leaf(rng, n, 7, scale=2.0), _leaf(rng, m, 7, scale=2.0)
-        w_q, w_k = _leaf(rng, 7, d), _leaf(rng, 7, d)
-        scale = 1.0 / np.sqrt(d / heads)
-        _assert_same_op(
-            lambda: T.head_softmax(x_q, w_q, x_k, w_k, heads, scale),
-            lambda: _head_softmax_composite(x_q, w_q, x_k, w_k, heads, scale),
-            [x_q, w_q, x_k, w_k], rng,
-        )
-
-    def test_head_softmax_self_attention_accumulates_both_uses(self):
-        rng = np.random.default_rng(26)
-        x, w_q, w_k = _leaf(rng, 4, 6), _leaf(rng, 6, 6), _leaf(rng, 6, 6)
-        _assert_same_op(
-            lambda: T.head_softmax(x, w_q, x, w_k, 2, 0.5),
-            lambda: _head_softmax_composite(x, w_q, x, w_k, 2, 0.5),
-            [x, w_q, w_k], rng,
-        )
-
-    @pytest.mark.parametrize("heads,n,m,d", [(1, 3, 4, 5), (2, 4, 3, 6), (3, 2, 5, 9)])
-    def test_head_mix_matches_composite_on_partly_zeroed_weights(self, heads, n, m, d):
-        rng = np.random.default_rng(22)
-        keep = rng.random(size=(heads, n, m)) < 0.6
-        weights = Tensor(rng.random(size=(heads, n, m)) * keep, requires_grad=True)
-        values = _leaf(rng, m, d)
-        assert 0 < keep.sum() < keep.size
-        _assert_same_op(
-            lambda: T.head_mix(weights, values),
-            lambda: _head_mix_composite(weights, values),
-            [weights, values], rng,
-        )
-
-    def test_masked_attention_chain_matches_composite(self):
-        rng = np.random.default_rng(23)
-        heads, n, m, d = 2, 4, 5, 6
-        x_q, x_k, v = _leaf(rng, n, d), _leaf(rng, m, d), _leaf(rng, m, d)
-        w_q, w_k = _leaf(rng, d, d), _leaf(rng, d, d)
-        scale = 1.0 / np.sqrt(d / heads)
-        keep = Tensor((rng.random(size=(heads, n, m)) < 0.7).astype(np.float64))
-        _assert_same_op(
-            lambda: T.head_mix(
-                T.mul(T.head_softmax(x_q, w_q, x_k, w_k, heads, scale), keep), v
-            ),
-            lambda: _head_mix_composite(
-                T.mul(_head_softmax_composite(x_q, w_q, x_k, w_k, heads, scale), keep), v
-            ),
-            [x_q, w_q, x_k, w_k, v], rng,
-        )
-
-    @pytest.mark.parametrize("n,k,m,bias_shape", [(4, 3, 5, (5,)), (3, 6, 1, (1,))])
-    def test_affine_matches_composite(self, n, k, m, bias_shape):
-        rng = np.random.default_rng(24)
-        x, w, b = _leaf(rng, n, k), _leaf(rng, k, m), _leaf(rng, *bias_shape)
-        _assert_same_op(
-            lambda: T.affine(x, w, b),
-            lambda: T.add(T.matmul(x, w), b),
-            [x, w, b], rng,
-        )
-
-    def test_fused_ops_record_one_node(self):
-        rng = np.random.default_rng(25)
-        x, w, b = _leaf(rng, 3, 4), _leaf(rng, 4, 4), _leaf(rng, 4)
-        weights = T.head_softmax(x, w, x, w, 2, 0.5)
-        assert weights._parents == (x, w, x, w)
-        assert T.head_mix(weights, x)._parents == (weights, x)
-        assert T.layer_norm(x, b, b)._parents == (x, b, b)
-        assert T.affine(x, w, b)._parents == (x, w, b)
-
     @pytest.mark.parametrize("seed", range(5))
     def test_softmax_normaliser_reciprocal_is_row_max(self, seed):
         """The masker's relevance score `1 / sum` equals the largest softmax
@@ -558,202 +220,20 @@ class TestFusedOps:
         assert sums.shape == (2, 2, 5, 1)
         assert (1.0 / sums[..., 0]).tobytes() == w.max(axis=-1).tobytes()
 
-    def test_fused_op_shape_errors(self):
-        with pytest.raises(ShapeError):
-            T.affine(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
-        with pytest.raises(ShapeError):
-            T.affine(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 5))), Tensor(np.zeros(4)))
-        x, w = Tensor(np.zeros((2, 6))), Tensor(np.zeros((6, 6)))
-        with pytest.raises(ShapeError):
-            T.head_softmax(x, w, x, Tensor(np.zeros((6, 4))), 2, 1.0)
-        with pytest.raises(ShapeError):
-            T.head_softmax(x, w, Tensor(np.zeros((3, 4))), w, 2, 1.0)
-        with pytest.raises(ShapeError):
-            T.head_softmax(x, w, x, w, 4, 1.0)
-        with pytest.raises(ShapeError):
-            T.head_mix(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((5, 6))))
-        with pytest.raises(ShapeError):
-            T.head_mix(Tensor(np.zeros((4, 3, 5))), Tensor(np.zeros((5, 6))))
 
-
-def _assert_same_block(fused, composite, inputs, rng):
-    """`_assert_same_op`, with the values bit-identical: a block chains the
-    kernels of the ops it fuses."""
-    _assert_same_op(fused, composite, inputs, rng)
-    assert fused().data.tobytes() == composite().data.tobytes()
-
-
-def _attention_weights(rng, *shape, keep=0.7):
-    """Row-stochastic weights over the last axis with some entries zeroed, as
-    after masking."""
-    raw = rng.random(size=shape)
-    return Tensor(raw / raw.sum(axis=-1, keepdims=True) * (rng.random(size=shape) < keep),
-                  requires_grad=True)
-
-
-class TestFusedBlocks:
-    """Each fused encoder block against the composite of ops it replaces, on
-    (n, d) streams and on (K, n, d) candidate batches."""
-
-    @pytest.mark.parametrize("lead, heads", [((), 2), ((3,), 3)])
-    def test_self_attention_block(self, lead, heads):
-        rng = np.random.default_rng(40)
-        d = 6
-        x = _leaf(rng, *lead, 4, d, scale=2.0)
-        w_q, w_k, w_v, w_o = (_leaf(rng, d, d) for _ in range(4))
-        gain, bias = _leaf(rng, d, shift=1.0), _leaf(rng, d)
-        args = (x, w_q, w_k, w_v, w_o, gain, bias, heads, 1.0 / np.sqrt(d / heads))
-        _assert_same_block(
-            lambda: T.self_attention_block(*args), lambda: self_attention_composite(*args),
-            [x, w_q, w_k, w_v, w_o, gain, bias], rng,
-        )
-
-    @pytest.mark.parametrize("lead", [(), (3,)])
-    def test_feed_forward_block(self, lead):
-        rng = np.random.default_rng(41)
-        x = _leaf(rng, *lead, 4, 6)
-        w1, b1 = _leaf(rng, 6, 10), _leaf(rng, 10, scale=0.5)
-        w2, b2 = _leaf(rng, 10, 6), _leaf(rng, 6)
-        gain, bias = _leaf(rng, 6, shift=1.0), _leaf(rng, 6)
-        inputs = [x, w1, b1, w2, b2, gain, bias]
-        assert (T.affine(x, w1, b1).data < 0).any()  # both elu branches are taken
-        _assert_same_block(
-            lambda: T.feed_forward_block(*inputs), lambda: feed_forward_composite(*inputs),
-            inputs, rng,
-        )
-
-    @pytest.mark.parametrize("lead", [(), (3,)])
-    def test_attend(self, lead):
-        rng = np.random.default_rng(42)
-        x, src = _leaf(rng, *lead, 4, 6), _leaf(rng, *lead, 5, 6)
-        weights = _attention_weights(rng, *lead, 2, 4, 5)
-        w_v, w_o, b_o = _leaf(rng, 6, 6), _leaf(rng, 6, 6), _leaf(rng, 6)
-        inputs = [x, weights, src, w_v, w_o, b_o]
-        _assert_same_block(
-            lambda: T.attend(*inputs), lambda: attend_composite(*inputs), inputs, rng,
-        )
-
-    def test_cross_layer_with_shared_weights(self):
-        """Both directions of a cross layer: the streams are queries, keys and
-        values at once, and the Q/K projections serve both directions."""
-        rng = np.random.default_rng(43)
-        n1, n2, x1, x2 = (_leaf(rng, k, 6) for k in (4, 5, 4, 5))
-        w_q, w_k, w_v1, w_v2, g1_w, g2_w = (_leaf(rng, 6, 6) for _ in range(6))
-        g1_b, g2_b = _leaf(rng, 6), _leaf(rng, 6)
-        keep12 = Tensor((rng.random(size=(2, 4, 5)) < 0.7).astype(np.float64))
-        keep21 = Tensor((rng.random(size=(2, 5, 4)) < 0.7).astype(np.float64))
-
-        def layer(op):
-            a12 = T.mul(T.head_softmax(n1, w_q, n2, w_k, 2, 0.5), keep12)
-            a21 = T.mul(T.head_softmax(n2, w_q, n1, w_k, 2, 0.5), keep21)
-            y1 = op(x1, a12, n2, w_v2, g1_w, g1_b)
-            y2 = op(x2, a21, n1, w_v1, g2_w, g2_b)
-            return T.concat([y1, y2], axis=0)
-
-        _assert_same_block(
-            lambda: layer(T.attend), lambda: layer(attend_composite),
-            [n1, n2, x1, x2, w_q, w_k, w_v1, w_v2, g1_w, g2_w, g1_b, g2_b], rng,
-        )
-
-    def test_blocks_record_one_node(self):
-        rng = np.random.default_rng(44)
-        x, w, b = _leaf(rng, 3, 4), _leaf(rng, 4, 4), _leaf(rng, 4)
-        weights = _attention_weights(rng, 2, 3, 3)
-        out = T.self_attention_block(x, w, w, w, w, b, b, 2, 0.5)
-        assert out._parents == (x, w, w, w, w, b, b)
-        assert T.feed_forward_block(x, w, b, w, b, b, b)._parents == (x, w, b, w, b, b, b)
-        assert T.attend(x, weights, x, w, w, b)._parents == (x, weights, x, w, w, b)
-
-    def test_attend_shape_errors(self):
-        x, src, w, b = (Tensor(np.zeros(s)) for s in ((3, 6), (4, 6), (6, 6), (6,)))
-        with pytest.raises(ShapeError):  # 6 columns do not split into 4 heads
-            T.attend(x, Tensor(np.zeros((4, 3, 4))), src, w, w, b)
-        with pytest.raises(ShapeError):  # weights over 5 keys, 4 source rows
-            T.attend(x, Tensor(np.zeros((2, 3, 5))), src, w, w, b)
-        with pytest.raises(ShapeError):  # candidate axis on the weights only
-            T.attend(x, Tensor(np.zeros((2, 2, 3, 4))), src, w, w, b)
-        with pytest.raises(ShapeError):  # 3 query rows update a 2-row x
-            T.attend(Tensor(np.zeros((2, 6))), Tensor(np.zeros((2, 3, 4))), src, w, w, b)
-
-
-def _per_candidate(op, batched, shared):
-    """`op` run on each slice of the `batched` tensors, stacked on a new axis."""
-    count = batched[0].shape[0]
-    slices = []
-    for k in range(count):
-        out = op(*(t[k] for t in batched), *shared)
-        slices.append(T.reshape(out, (1,) + out.shape))
-    return T.concat(slices, axis=0)
-
-
-class TestCandidateAxis:
-    """Ops on a leading candidate axis against one op per candidate slice.
-
-    The shared weights' gradients sum over the candidates.
-    """
-
-    def test_matmul_3d_by_2d(self):
-        rng = np.random.default_rng(30)
-        x, w = _leaf(rng, 3, 4, 5), _leaf(rng, 5, 6)
-        _assert_same_op(
-            lambda: T.matmul(x, w), lambda: _per_candidate(T.matmul, [x], [w]), [x, w], rng
-        )
-
-    def test_affine(self):
-        rng = np.random.default_rng(31)
-        x, w, b = _leaf(rng, 4, 3, 5), _leaf(rng, 5, 2), _leaf(rng, 2)
-        _assert_same_op(
-            lambda: T.affine(x, w, b),
-            lambda: _per_candidate(T.affine, [x], [w, b]),
-            [x, w, b], rng,
-        )
-
-    @pytest.mark.parametrize("heads,n,m", [(1, 3, 4), (2, 4, 3)])
-    def test_head_softmax(self, heads, n, m):
-        rng = np.random.default_rng(32)
-        x_q, x_k = _leaf(rng, 3, n, 6, scale=2.0), _leaf(rng, 3, m, 6, scale=2.0)
-        w_q, w_k = _leaf(rng, 6, 4), _leaf(rng, 6, 4)
-        _assert_same_op(
-            lambda: T.head_softmax(x_q, w_q, x_k, w_k, heads, 0.7),
-            lambda: _per_candidate(
-                lambda q, k: T.head_softmax(q, w_q, k, w_k, heads, 0.7), [x_q, x_k], []
-            ),
-            [x_q, w_q, x_k, w_k], rng,
-        )
-
-    def test_head_mix(self):
-        rng = np.random.default_rng(33)
-        weights = _leaf(rng, 4, 2, 3, 5)
-        values = _leaf(rng, 4, 5, 6)
-        _assert_same_op(
-            lambda: T.head_mix(weights, values),
-            lambda: _per_candidate(T.head_mix, [weights, values], []),
-            [weights, values], rng,
-        )
-
-    def test_broadcast_repeats_and_sums_gradient(self):
-        rng = np.random.default_rng(34)
-        a = _leaf(rng, 3, 5)
-        _assert_same_op(
-            lambda: T.broadcast(a, 4),
-            lambda: T.concat([T.reshape(a, (1, 3, 5))] * 4, axis=0),
-            [a], rng,
-        )
-
-    def test_shape_errors(self):
-        w = Tensor(np.zeros((6, 6)))
-        with pytest.raises(ShapeError):
-            T.matmul(Tensor(np.zeros((2, 3, 4))), w)
-        with pytest.raises(ShapeError):
-            T.affine(Tensor(np.zeros((2, 3, 4, 6))), w, Tensor(np.zeros(6)))
-        with pytest.raises(ShapeError):
-            T.head_softmax(Tensor(np.zeros((2, 3, 6))), w, Tensor(np.zeros((3, 3, 6))), w, 2, 1.0)
-        with pytest.raises(ShapeError):
-            T.head_softmax(Tensor(np.zeros((2, 3, 6))), w, Tensor(np.zeros((3, 6))), w, 2, 1.0)
-        with pytest.raises(ShapeError):
-            T.head_mix(Tensor(np.zeros((2, 2, 3, 5))), Tensor(np.zeros((3, 5, 6))))
-        with pytest.raises(ShapeError):
-            T.head_mix(Tensor(np.zeros((2, 2, 3, 5))), Tensor(np.zeros((5, 6))))
+class TestOpTable:
+    def test_every_op_has_a_value_row_and_a_fault_row(self):
+        """A public op of `drax.tensor` without a value row (an oracle or a
+        composite) or a fault row fails here, unless `ops.NO_FAULT` says why
+        it has no fault row."""
+        ops = {f for name, f in vars(T).items() if inspect.isfunction(f)
+               and f.__module__ == T.__name__ and not name.startswith("_")}
+        assert NOT_OPS | NO_FAULT <= ops
+        ops -= NOT_OPS
+        valued = {row.op for row in ROWS if row.check in ("value", "same", "block")}
+        faulted = {row.op for row in ROWS if row.check == "fault"} | NO_FAULT
+        assert sorted(f.__name__ for f in ops - valued) == []
+        assert sorted(f.__name__ for f in ops - faulted) == []
 
 
 class TestCopyKernels:
@@ -896,3 +376,7 @@ class TestParamStore:
     def test_relative_error_helper(self):
         assert relative_error(np.array([1.0]), np.array([1.0])) == 0.0
         assert relative_error(np.array([2.0]), np.array([1.0])) == 0.5
+
+
+# The rows of the op table (`ops.ROWS`), each placed on the test its id names.
+install(globals())
