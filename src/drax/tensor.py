@@ -623,8 +623,8 @@ def tensor_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Te
 
 
 def tensor_mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    count = a.size if axis is None else a.shape[axis]
-    return tensor_sum(a, axis=axis, keepdims=keepdims) * (1.0 / count)
+    total = tensor_sum(a, axis=axis, keepdims=keepdims)  # checks `axis` first
+    return total * (1.0 / (a.size if axis is None else a.shape[axis]))
 
 
 def pow_const(a: Tensor, exponent: float) -> Tensor:

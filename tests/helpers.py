@@ -3,13 +3,10 @@ the composite head split/merge that the fused attention ops replace, the
 composite encoder blocks that the fused block ops replace, the select
 form of the ELU kernel that the branch-free one replaces, the graph-search
 backward that creation-order backward replaces, DRXF container rewriters,
-the tiny model settings the CLI tests train with, and `place`, which puts
-the rows of a test table on the tests their node ids name."""
-
-from pathlib import Path
+the tiny model settings the CLI tests train with, and the check that a
+table's parametrized test runs every row under its id."""
 
 import numpy as np
-import pytest
 
 from drax import data
 from drax import tensor as T
@@ -202,34 +199,13 @@ def reference_backward(loss):
             flowing[id(parent)] = part if held is None else held + part
 
 
-def place(namespace, rows, run) -> list:
-    """Put each row of `rows` whose `test`, a pytest node id, names the test
-    module whose globals are `namespace` on that module, one test method per
-    name, and return the rows placed. A method calls `run(row, request)` on
-    each of its rows, and is parametrized by the ids of its cases, if its
-    rows have ids. A class the module already defines keeps its own tests:
-    the methods go on a subclass of that name, and may not replace one."""
-    classes, placed = {}, []
-    for row in rows:
-        where, cls, name = row.test.split("::")
-        if where == Path(namespace["__file__"]).name:
-            method, _, case = name.removesuffix("]").partition("[")
-            classes.setdefault(cls, {}).setdefault(method, {}).setdefault(case, []).append(row)
-            placed.append(row)
-    for cls, methods in classes.items():
-        base = namespace.get(cls, object)
-        assert not any(hasattr(base, name) for name in methods), f"a row hides a test of {cls}"
-        namespace[cls] = type(cls, (base,), {name: _method(cases, run)
-                                             for name, cases in methods.items()})
-    return placed
-
-
-def _method(cases, run):
-    def test(self, request, rows=cases.get("")):
-        for row in rows:
-            run(row, request)
-
-    @pytest.mark.parametrize("rows", list(cases.values()), ids=list(cases))
-    def case(self, request, rows):
-        test(self, request, rows)
-    return test if list(cases) == [""] else case
+def assert_runs_every_row(request, rows):
+    """Assert that the ids of a table's `rows` are unique, non-empty and
+    printable, and that the parametrized test of the module that `request`
+    runs in collects exactly those rows, in table order, under those ids."""
+    ids = [row.id for row in rows]
+    assert all(i and i.isprintable() for i in ids), ids
+    assert len(set(ids)) == len(ids), sorted({i for i in ids if ids.count(i) > 1})
+    items = [item for item in request.node.parent.collect() if hasattr(item, "callspec")]
+    assert [item.callspec.id for item in items] == ids
+    assert all(item.callspec.params["row"] is row for item, row in zip(items, rows, strict=True))

@@ -27,7 +27,7 @@ from drax.cli import (
 from drax.data import SyntheticSpec, load_dataset, save_dataset
 from drax.model import DraxConfig, DraxModel
 from helpers import TINY_MODEL_SETS
-from refusals import PLACED, ROWS, install
+from test_refusals import ROWS
 
 
 def _summary(eval_dir):
@@ -609,18 +609,12 @@ class TestReadmeKeys:
 
     def test_refused_input_kinds_match_the_table(self):
         """Each kind of refused input is documented with exactly the exit
-        codes of its rows in `tests/refusals.py`."""
+        codes of its rows in `tests/test_refusals.py`."""
         block = self.readme.split("| kind | exit codes | refused |\n| --- | --- | --- |\n", 1)[1]
         rows = [line.split("|")[1:3] for line in block.split("\n\n", 1)[0].splitlines()]
         documented = {(kind.strip(), int(code)) for kind, codes in rows
                       for code in codes.split(",")}
         assert documented == {(row.kind, row.code) for row in ROWS}
-
-
-def test_every_refused_input_row_is_placed():
-    """Each row of `refusals.ROWS` runs: the module its id names placed it."""
-    import test_data, test_pipeline  # noqa: F401, E401 -- each places its rows on import
-    assert {id(row) for row in PLACED} == {id(row) for row in ROWS}
 
 
 class TestChangelog:
@@ -630,7 +624,3 @@ class TestChangelog:
         sections = text[text.index("\n## PR "):].splitlines()
         assert [line for line in sections if len(line) > 100 and not line.startswith("|")
                 and "://" not in line] == []
-
-
-# Rows of the table of refused inputs (`refusals.ROWS`) filed under this module.
-install(globals())

@@ -27,7 +27,6 @@ from drax.data import (
     write_features,
 )
 from helpers import rewrite_container, rewrite_record
-from refusals import install
 
 TINY = SyntheticSpec(
     samples=4, frames=6, clips=4, question_len=3, answer_len=2,
@@ -386,7 +385,3 @@ class TestDatasetRoundTrip:
         for got, want in zip(loaded, bundles):
             assert got.label == want.label
             np.testing.assert_allclose(got.motion, want.motion, atol=1e-6)
-
-
-# Rows of the table of refused inputs (`refusals.ROWS`) filed under this module.
-install(globals())

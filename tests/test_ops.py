@@ -1,9 +1,9 @@
 """One table of tensor-op cases, and one harness per check that runs them.
 
-A row gives the test that runs it (a pytest node id: a row that replaced a
-hand-written test keeps its name), the check, the op, its operands (a tuple,
-or `args(rng)` for operands drawn from the row's `seed`: leaf Tensors, then
-any plain arguments), `want` and `tol`. Each check is one harness:
+A row gives its id (the parametrize id of `test_op`, which runs it; the id
+starts with the check), the check, the op, its operands (a tuple, or
+`args(rng)` for operands drawn from the row's `seed`: leaf Tensors, then any
+plain arguments), `want` and `tol`. Each check is one harness:
 
 - `value`: `op(*operands)` against `want`, a numpy oracle of the operands'
   data, within `tol`;
@@ -20,8 +20,8 @@ any plain arguments), `want` and `tol`. Each check is one harness:
 - `constant`: each operand made constant gets no VJP part, and the other
   parts keep the bits they have with every operand requiring grad.
 
-`test_tensor.py` places the rows (`install`) and checks that every public
-op has a value row and a fault row, except the ops listed below.
+`test_tensor.py::TestOpTable` checks that every public op has a value row
+and a fault row, except the ops listed below.
 """
 
 from functools import partial
@@ -33,12 +33,12 @@ import pytest
 from drax import tensor as T
 from drax.tensor import ShapeError, Tensor
 from helpers import (
+    assert_runs_every_row,
     attend_composite,
     check_gradients,
     feed_forward_composite,
     matmul_oracle,
     merge_heads,
-    place,
     self_attention_composite,
     softmax_oracle,
     split_heads,
@@ -50,13 +50,11 @@ NO_FAULT = {
     T.neg, T.exp, T.pow_const, T.elu, T.relu, T.broadcast,
     # A key out of range is numpy's IndexError, as for any array.
     T.index,
-    # An axis out of range raises IndexError before `tensor_sum` checks it.
-    T.tensor_mean,
 }
 
 
 class Row(NamedTuple):
-    test: str
+    id: str
     check: str
     op: Callable
     args: Any
@@ -158,177 +156,177 @@ def crossing(rng):
     return *streams, *weights, leaf(rng, 6), leaf(rng, 6), *keep
 
 
-FILE = "test_tensor.py::"
-FV, SE = FILE + "TestForwardValues::", FILE + "TestShapeErrors::test_raises_shape_error"
-TB, FO, FB = FILE + "TestBackward::", FILE + "TestFusedOps::", FILE + "TestFusedBlocks::"
-CA, OT = FILE + "TestCandidateAxis::", FILE + "TestOpTable::"
 ARANGE = (Tensor(np.arange(6.0).reshape(2, 3)), Tensor(np.array([10.0, 20.0, 30.0])))
 X26, W, B6 = z(2, 6), z(6, 6), z(6)
 X36, SRC = z(3, 6), z(4, 6)  # attend: 3 query rows, 4 source rows
 
 ROWS = [
     # Values against numpy oracles.
-    Row(FV + "test_add_broadcast", "value", T.add, ARANGE, np.add, 0),
-    *(Row(FV + "test_matmul_matches_triple_loop", "value", T.matmul, lambda rng: (
+    Row("value-add-broadcast", "value", T.add, ARANGE, np.add, 0),
+    *(Row(f"value-matmul-seed{s}", "value", T.matmul, lambda rng: (
         Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=(3, 5)))), matmul_oracle, seed=s)
       for s in range(5)),
-    Row(FV + "test_batched_matmul_matches_per_slice", "value", T.matmul, lambda rng: (
+    Row("value-matmul-batched", "value", T.matmul, lambda rng: (
         Tensor(rng.normal(size=(3, 4, 2))), Tensor(rng.normal(size=(3, 2, 5)))),
         lambda a, b: np.stack([matmul_oracle(*pair) for pair in zip(a, b)]), seed=1),
-    *(Row(FV + "test_softmax_rows_sum_to_one", "value", op, lambda rng: (
-        Tensor(rng.normal(size=(4, 7)) * 5), -1), want, seed=2) for op, want in [
-            (T.softmax, lambda x, axis: np.apply_along_axis(softmax_oracle, axis, x)),
-            (lambda x, axis: T.tensor_sum(T.softmax(x, axis), axis), lambda x, axis: np.ones(4))]),
-    Row(FV + "test_softmax_handles_large_values", "value", T.softmax,
+    *(Row(row_id, "value", op, lambda rng: (
+        Tensor(rng.normal(size=(4, 7)) * 5), -1), want, seed=2) for row_id, op, want in [
+            ("value-softmax", T.softmax,
+             lambda x, axis: np.apply_along_axis(softmax_oracle, axis, x)),
+            ("value-softmax-row-sums", lambda x, axis: T.tensor_sum(T.softmax(x, axis), axis),
+             lambda x, axis: np.ones(4))]),
+    Row("value-softmax-large", "value", T.softmax,
         (Tensor([[1000.0, 1000.0, 999.0]]), -1), lambda x, axis: softmax_oracle(x[0])[None]),
-    Row(FV + "test_elu_values", "value", T.elu, (Tensor([-2.0, -0.5, 0.0, 0.5, 2.0]),),
+    Row("value-elu", "value", T.elu, (Tensor([-2.0, -0.5, 0.0, 0.5, 2.0]),),
         lambda x: np.where(x >= 0, x, np.exp(x) - 1.0)),
-    Row(FV + "test_relu_values", "value", T.relu, (Tensor([-1.0, 0.0, 2.0]),),
+    Row("value-relu", "value", T.relu, (Tensor([-1.0, 0.0, 2.0]),),
         lambda x: np.array([0.0, 0.0, 2.0]), 0),
-    Row(FV + "test_layer_norm_zero_mean_unit_variance", "value", T.layer_norm, lambda rng: (
+    Row("value-layer_norm", "value", T.layer_norm, lambda rng: (
         Tensor(rng.normal(size=(5, 8)) * 3 + 1), Tensor(np.ones(8)), Tensor(np.zeros(8))),
         lambda x, g, b: (x - x.mean(-1, keepdims=True)) / np.sqrt(x.var(-1, keepdims=True) + 1e-5)
         * g + b, seed=3),
-    Row(FV + "test_concat_and_split_grad_shapes", "value", T.concat,
+    Row("value-concat", "value", T.concat,
         ([Tensor(np.ones((2, 3))), Tensor(np.zeros((4, 3)))], 0), np.concatenate, 0),
-    *(Row(FV + "test_mean_matches_numpy", "value", T.tensor_mean,
+    *(Row(f"value-mean-axis-{axis}", "value", T.tensor_mean,
           (Tensor(np.arange(12.0).reshape(3, 4)), axis), lambda x, axis: x.mean(axis=axis))
       for axis in (0, None)),
-    Row(OT + "test_value[sub]", "value", T.sub, ARANGE, np.subtract, 0),
-    Row(OT + "test_value[mul]", "value", T.mul, ARANGE, np.multiply, 0),
-    Row(OT + "test_value[transpose]", "value", T.transpose,
+    Row("value-sub", "value", T.sub, ARANGE, np.subtract, 0),
+    Row("value-mul", "value", T.mul, ARANGE, np.multiply, 0),
+    Row("value-transpose", "value", T.transpose,
         (Tensor(np.arange(24.0).reshape(2, 3, 4)), (2, 0, 1)), np.transpose, 0),
-    Row(OT + "test_value[reshape]", "value", T.reshape, (ARANGE[0], (3, 2)), np.reshape, 0),
-    Row(OT + "test_value[index]", "value", T.index, (Tensor(np.arange(12.0).reshape(3, 4)), (
+    Row("value-reshape", "value", T.reshape, (ARANGE[0], (3, 2)), np.reshape, 0),
+    Row("value-index", "value", T.index, (Tensor(np.arange(12.0).reshape(3, 4)), (
         slice(None), np.array([2, 0, 2]))), lambda a, key: a[key], 0),
-    Row(OT + "test_value[sum]", "value", T.tensor_sum, (ARANGE[0], 1), np.sum, 0),
-    Row(OT + "test_value[pow_const]", "value", T.pow_const,
+    Row("value-sum", "value", T.tensor_sum, (ARANGE[0], 1), np.sum, 0),
+    Row("value-pow_const", "value", T.pow_const,
         (Tensor(np.arange(1.0, 7.0)), -0.5), np.power, 0),
-    *(Row(TB + f"test_unary_values_and_gradients[{op.__name__}]", check, op,
-          lambda rng: (leaf(rng, 3, 4),), oracle, tol, seed=12)
+    *(Row(f"{check}-{op.__name__}", check, op, lambda rng: (leaf(rng, 3, 4),), oracle, tol, seed=12)
       for op, oracle in [(T.neg, np.negative), (T.exp, np.exp)]
       for check, tol in [("value", 0), ("grads", 1e-7)]),
     # Gradients against finite differences.
-    *(Row(TB + f"test_matmul_chain_gradients[{s}]", "grads", lambda a, b: T.elu(T.matmul(a, b)),
+    *(Row(f"grads-elu-matmul-seed{s}", "grads", lambda a, b: T.elu(T.matmul(a, b)),
           lambda rng: (leaf(rng, 3, 4), leaf(rng, 4, 2)), tol=1e-7, seed=s) for s in range(4)),
-    *(Row(TB + f"test_softmax_gradients[{s}]", "grads", T.softmax,
-          lambda rng: (leaf(rng, 3, 5), -1), tol=1e-7, seed=100 + s) for s in range(4)),
-    Row(TB + "test_layer_norm_gradients", "grads", T.layer_norm,
+    *(Row(f"grads-softmax-seed{s}", "grads", T.softmax,
+          lambda rng: (leaf(rng, 3, 5), -1), tol=1e-7, seed=s) for s in range(100, 104)),
+    Row("grads-layer_norm", "grads", T.layer_norm,
         lambda rng: (leaf(rng, 2, 6), leaf(rng, 6), leaf(rng, 6)), tol=1e-6, seed=7),
-    Row(TB + "test_batched_matmul_gradients", "grads", T.matmul,
+    Row("grads-matmul-batched", "grads", T.matmul,
         lambda rng: (leaf(rng, 2, 3, 4), leaf(rng, 2, 4, 3)), tol=1e-7, seed=8),
-    Row(TB + "test_index_reshape_transpose_concat_gradients", "grads", shuffled,
+    Row("grads-index-concat-transpose-reshape", "grads", shuffled,
         lambda rng: (leaf(rng, 4, 6), Tensor(rng.normal(size=(6, 7)))), tol=1e-7, seed=9),
-    Row(TB + "test_broadcast_add_gradients", "grads", lambda x, b: T.relu(x + b),
+    Row("grads-relu-add-broadcast", "grads", lambda x, b: T.relu(x + b),
         lambda rng: (leaf(rng, 3, 4), leaf(rng, 1, 4)), tol=1e-7, seed=10),
     # Constant operands.
-    *(Row(FILE + f"TestConstantOperands::test_parts_match_all_grad_operands[{case}]", "constant",
-          op, lambda rng, shapes=shapes: [leaf(rng, *s) for s in shapes], seed=len(shapes))
-      for case, op, shapes in [
-          ("affine-shapes0", T.affine, [(3, 2, 5), (5, 4), (4,)]),
-          ("mul-shapes1", T.mul, [(2, 4, 3), (1, 3)]),
-          ("add-shapes2", T.add, [(4, 3), (3,)]),
-          ("sub-shapes3", T.sub, [(4, 3), (4, 3)])]),
+    *(Row(f"constant-{op.__name__}", "constant", op,
+          lambda rng, shapes=shapes: [leaf(rng, *s) for s in shapes], seed=len(shapes))
+      for op, shapes in [(T.affine, [(3, 2, 5), (5, 4), (4,)]), (T.mul, [(2, 4, 3), (1, 3)]),
+                         (T.add, [(4, 3), (3,)]), (T.sub, [(4, 3), (4, 3)])]),
     # Fused ops and blocks against their composites.
-    *(Row(FO + f"test_layer_norm_matches_composite[shape{i}]", "same", T.layer_norm,
+    *(Row(f"same-layer_norm-{len(shape)}d", "same", T.layer_norm,
           lambda rng, shape=shape: (leaf(rng, *shape, scale=3.0, shift=1.0), leaf(rng, shape[-1]),
                                     leaf(rng, shape[-1])), layer_norm_composite, seed=20)
-      for i, shape in enumerate([(5, 8), (2, 3, 6)])),
-    *(Row(FO + f"test_head_softmax_matches_composite[{heads}-{n}-{m}-{d}]", "same",
+      for shape in [(5, 8), (2, 3, 6)]),
+    *(Row(f"same-head_softmax-{heads}-{n}-{m}-{d}", "same",
           T.head_softmax, lambda rng, heads=heads, n=n, m=m, d=d: (
               leaf(rng, n, 7, scale=2.0), leaf(rng, 7, d), leaf(rng, m, 7, scale=2.0),
               leaf(rng, 7, d), heads, 1.0 / np.sqrt(d / heads)), head_softmax_composite, seed=21)
       for heads, n, m, d in [(1, 3, 4, 5), (2, 4, 3, 6), (3, 2, 5, 9)]),
-    Row(FO + "test_head_softmax_self_attention_accumulates_both_uses", "same", T.head_softmax,
+    Row("same-head_softmax-self", "same", T.head_softmax,
         lambda rng: ((x := leaf(rng, 4, 6)), leaf(rng, 6, 6), x, leaf(rng, 6, 6), 2, 0.5),
         head_softmax_composite, seed=26),
-    *(Row(FO + f"test_head_mix_matches_composite_on_partly_zeroed_weights[{'-'.join(map(str, s))}]",
-          "same", T.head_mix, partial(mixing, heads=s[0], n=s[1], m=s[2], d=s[3]),
-          head_mix_composite, seed=22) for s in [(1, 3, 4, 5), (2, 4, 3, 6), (3, 2, 5, 9)]),
-    Row(FO + "test_masked_attention_chain_matches_composite", "same", masked_attention,
+    *(Row(f"same-head_mix-{'-'.join(map(str, s))}", "same", T.head_mix,
+          partial(mixing, heads=s[0], n=s[1], m=s[2], d=s[3]), head_mix_composite, seed=22)
+      for s in [(1, 3, 4, 5), (2, 4, 3, 6), (3, 2, 5, 9)]),
+    Row("same-masked-attention", "same", masked_attention,
         lambda rng: (leaf(rng, 4, 6), leaf(rng, 6, 6), leaf(rng, 5, 6), leaf(rng, 6, 6),
                      leaf(rng, 5, 6), Tensor((rng.random(size=(2, 4, 5)) < 0.7) * 1.0), 2,
                      1.0 / np.sqrt(3)),
         partial(masked_attention, softmax=head_softmax_composite, mix=head_mix_composite), seed=23),
-    *(Row(FO + f"test_affine_matches_composite[{n}-{k}-{m}-bias_shape{i}]", "same", T.affine,
+    *(Row(f"same-affine-{n}-{k}-{m}", "same", T.affine,
           lambda rng, n=n, k=k, m=m, b=b: (leaf(rng, n, k), leaf(rng, k, m), leaf(rng, *b)),
           lambda x, w, b: T.add(T.matmul(x, w), b), seed=24)
-      for i, (n, k, m, b) in enumerate([(4, 3, 5, (5,)), (3, 6, 1, (1,))])),
-    *(Row(FB + f"test_self_attention_block[lead{i}-{heads}]", "block", T.self_attention_block,
+      for n, k, m, b in [(4, 3, 5, (5,)), (3, 6, 1, (1,))]),
+    *(Row(f"block-self_attention_block-{len(lead) + 2}d", "block", T.self_attention_block,
           partial(self_attention, lead=lead, heads=heads), self_attention_composite, seed=40)
-      for i, (lead, heads) in enumerate([((), 2), ((3,), 3)])),
-    *(Row(FB + f"test_feed_forward_block[lead{i}]", "block", T.feed_forward_block,
+      for lead, heads in [((), 2), ((3,), 3)]),
+    *(Row(f"block-feed_forward_block-{len(lead) + 2}d", "block", T.feed_forward_block,
           lambda rng, lead=lead: feed_forward(rng, *lead), feed_forward_composite, seed=41)
-      for i, lead in enumerate([(), (3,)])),
-    *(Row(FB + f"test_attend[lead{i}]", "block", T.attend,
+      for lead in [(), (3,)]),
+    *(Row(f"block-attend-{len(lead) + 2}d", "block", T.attend,
           lambda rng, lead=lead: attending(rng, *lead), attend_composite, seed=42)
-      for i, lead in enumerate([(), (3,)])),
-    Row(FB + "test_cross_layer_with_shared_weights", "block", cross_layer, crossing,
+      for lead in [(), (3,)]),
+    Row("block-cross-layer", "block", cross_layer, crossing,
         partial(cross_layer, attend=attend_composite), seed=43),
-    Row(CA + "test_broadcast_repeats_and_sums_gradient", "same", T.broadcast,
-        lambda rng: (leaf(rng, 3, 5), 4),
+    Row("same-broadcast", "same", T.broadcast, lambda rng: (leaf(rng, 3, 5), 4),
         lambda a, count: T.concat([T.reshape(a, (1, 3, 5))] * count, axis=0), seed=34),
     # A candidate axis against one call per candidate slice.
-    Row(CA + "test_matmul_3d_by_2d", "slices", T.matmul,
+    Row("slices-matmul", "slices", T.matmul,
         lambda rng: (leaf(rng, 3, 4, 5), leaf(rng, 5, 6)), (0,), seed=30),
-    Row(CA + "test_affine", "slices", T.affine,
+    Row("slices-affine", "slices", T.affine,
         lambda rng: (leaf(rng, 4, 3, 5), leaf(rng, 5, 2), leaf(rng, 2)), (0,), seed=31),
-    *(Row(CA + f"test_head_softmax[{heads}-{n}-{m}]", "slices", T.head_softmax,
+    *(Row(f"slices-head_softmax-{heads}-{n}-{m}", "slices", T.head_softmax,
           lambda rng, heads=heads, n=n, m=m: (
               leaf(rng, 3, n, 6, scale=2.0), leaf(rng, 6, 4), leaf(rng, 3, m, 6, scale=2.0),
               leaf(rng, 6, 4), heads, 0.7), (0, 2), seed=32)
       for heads, n, m in [(1, 3, 4), (2, 4, 3)]),
-    Row(CA + "test_head_mix", "slices", T.head_mix,
+    Row("slices-head_mix", "slices", T.head_mix,
         lambda rng: (leaf(rng, 4, 2, 3, 5), leaf(rng, 4, 5, 6)), (0, 1), seed=33),
-    Row(OT + "test_slices[self_attention_block]", "slices", T.self_attention_block,
+    Row("slices-self_attention_block", "slices", T.self_attention_block,
         partial(self_attention, lead=(3,), heads=2), (0,), seed=35),
-    Row(OT + "test_slices[feed_forward_block]", "slices", T.feed_forward_block,
+    Row("slices-feed_forward_block", "slices", T.feed_forward_block,
         lambda rng: feed_forward(rng, 3), (0,), seed=36),
-    Row(OT + "test_slices[attend]", "slices", T.attend,
-        lambda rng: attending(rng, 3), (0, 1, 2), seed=37),
+    Row("slices-attend", "slices", T.attend, lambda rng: attending(rng, 3), (0, 1, 2), seed=37),
     # One tape node, whose parents are the operands.
-    *(Row(FO + "test_fused_ops_record_one_node", "node", op, drawn(*pick), seed=25)
-      for op, pick in [(T.head_softmax, ("xwxw", 2, 0.5)), (T.head_mix, ("ax",)),
-                       (T.layer_norm, ("xbb",)), (T.affine, ("xwb",))]),
-    *(Row(FB + "test_blocks_record_one_node", "node", op, drawn(*pick), seed=44)
-      for op, pick in [(T.self_attention_block, ("xwwwwbb", 2, 0.5)),
-                       (T.feed_forward_block, ("xwbwbbb",)), (T.attend, ("xaxwwb",))]),
+    *(Row(f"node-{op.__name__}", "node", op, drawn(*pick), seed=seed)
+      for seed, op, pick in [
+          (25, T.head_softmax, ("xwxw", 2, 0.5)), (25, T.head_mix, ("ax",)),
+          (25, T.layer_norm, ("xbb",)), (25, T.affine, ("xwb",)),
+          (44, T.self_attention_block, ("xwwwwbb", 2, 0.5)),
+          (44, T.feed_forward_block, ("xwbwbbb",)), (44, T.attend, ("xaxwwb",))]),
     # Operands of a bad shape.
-    Row(FV + "test_item_requires_scalar", "fault", Tensor.item, (z(3),)),
-    *(Row(FV + "test_matmul_shape_errors", "fault", T.matmul, args)
-      for args in [(z(2, 3), z(4, 5)), (z(2, 3, 4), z(3, 4, 5)), (z(3), z(3))]),
-    *(Row(SE + f"[{case}]", "fault", op, args) for case, op, args in [
+    Row("fault-item", "fault", Tensor.item, (z(3),)),
+    *(Row(f"fault-matmul-{case}", "fault", T.matmul, args) for case, args in [
+        ("inner", (z(2, 3), z(4, 5))), ("batch", (z(2, 3, 4), z(3, 4, 5))),
+        ("1-d", (z(3), z(3)))]),
+    *(Row(f"fault-{case}", "fault", op, args) for case, op, args in [
         ("add", T.add, (z(2, 3), z(4))), ("sub", T.sub, (z(2, 3), z(4))),
         ("mul", T.mul, (z(2, 3), z(4))), ("reshape", T.reshape, (z(2, 3), (4,))),
         ("transpose", T.transpose, (z(2, 3), (0, 0))), ("concat-empty", T.concat, ([],)),
         ("sum-axis", T.tensor_sum, (z(2, 3), 2)), ("softmax-axis", T.softmax, (z(2, 3), -3)),
         ("layer_norm-gain", T.layer_norm, (z(2, 3), z(4), z(3))),
-        ("layer_norm-bias", T.layer_norm, (z(2, 3), z(3), z(1, 3)))]),
-    *(Row(FO + "test_fused_op_shape_errors", "fault", op, args) for op, args in [
-        (T.affine, (z(2, 3), z(4, 5), z(5))), (T.affine, (z(2, 3), z(3, 5), z(4))),
-        (T.head_softmax, (X26, W, X26, z(6, 4), 2, 1.0)),
-        (T.head_softmax, (X26, W, z(3, 4), W, 2, 1.0)),
-        (T.head_softmax, (X26, W, X26, W, 4, 1.0)),
-        (T.head_mix, (z(2, 3, 4), z(5, 6))), (T.head_mix, (z(4, 3, 5), z(5, 6)))]),
-    *(Row(FB + "test_attend_shape_errors", "fault", T.attend, args) for args in [
-        (X36, z(4, 3, 4), SRC, W, W, B6),  # 6 columns do not split into 4 heads
-        (X36, z(2, 3, 5), SRC, W, W, B6),  # weights over 5 keys, 4 source rows
-        (X36, z(2, 2, 3, 4), SRC, W, W, B6),  # candidate axis on the weights only
-        (z(2, 6), z(2, 3, 4), SRC, W, W, B6)]),  # 3 query rows update a 2-row x
-    *(Row(CA + "test_shape_errors", "fault", op, args) for op, args in [
-        (T.matmul, (z(2, 3, 4), W)), (T.affine, (z(2, 3, 4, 6), W, B6)),
-        (T.head_softmax, (z(2, 3, 6), W, z(3, 3, 6), W, 2, 1.0)),
-        (T.head_softmax, (z(2, 3, 6), W, z(3, 6), W, 2, 1.0)),
-        (T.head_mix, (z(2, 2, 3, 5), z(3, 5, 6))), (T.head_mix, (z(2, 2, 3, 5), z(5, 6)))]),
+        ("layer_norm-bias", T.layer_norm, (z(2, 3), z(3), z(1, 3))),
+        ("mean-axis", T.tensor_mean, (z(2, 3), 2))]),
+    *(Row(f"fault-{case}", "fault", op, args) for case, op, args in [
+        ("affine-w", T.affine, (z(2, 3), z(4, 5), z(5))),
+        ("affine-b", T.affine, (z(2, 3), z(3, 5), z(4))),
+        ("head_softmax-w_k", T.head_softmax, (X26, W, X26, z(6, 4), 2, 1.0)),
+        ("head_softmax-x_k", T.head_softmax, (X26, W, z(3, 4), W, 2, 1.0)),
+        ("head_softmax-heads", T.head_softmax, (X26, W, X26, W, 4, 1.0)),
+        ("head_mix-keys", T.head_mix, (z(2, 3, 4), z(5, 6))),
+        ("head_mix-heads", T.head_mix, (z(4, 3, 5), z(5, 6)))]),
+    *(Row(f"fault-attend-{case}", "fault", T.attend, args) for case, args in [
+        ("heads", (X36, z(4, 3, 4), SRC, W, W, B6)),  # 6 columns do not split into 4 heads
+        ("keys", (X36, z(2, 3, 5), SRC, W, W, B6)),  # weights over 5 keys, 4 source rows
+        ("weights-only-candidates", (X36, z(2, 2, 3, 4), SRC, W, W, B6)),
+        ("query-rows", (z(2, 6), z(2, 3, 4), SRC, W, W, B6))]),  # 3 query rows, a 2-row x
+    # A candidate axis that the operands do not share.
+    *(Row(f"fault-{case}", "fault", op, args) for case, op, args in [
+        ("matmul-candidates", T.matmul, (z(2, 3, 4), W)),
+        ("affine-4-d", T.affine, (z(2, 3, 4, 6), W, B6)),
+        ("head_softmax-candidates", T.head_softmax, (z(2, 3, 6), W, z(3, 3, 6), W, 2, 1.0)),
+        ("head_softmax-query-only-candidates", T.head_softmax,
+         (z(2, 3, 6), W, z(3, 6), W, 2, 1.0)),
+        ("head_mix-candidates", T.head_mix, (z(2, 2, 3, 5), z(3, 5, 6))),
+        ("head_mix-weights-only-candidates", T.head_mix, (z(2, 2, 3, 5), z(5, 6)))]),
     # A block's own weights, which the ops it chains do not check.
-    *(Row(OT + f"test_fault[self_attention_block-{name}]", "fault", T.self_attention_block,
-          args) for name, args in [("w_v", (X26, W, W, z(5, 6), W, B6, B6, 2, 0.5)),
-                                   ("w_o", (X26, W, W, W, z(5, 6), B6, B6, 2, 0.5))]),
-    *(Row(OT + f"test_fault[feed_forward_block-{name}]", "fault", T.feed_forward_block, args)
+    *(Row(f"fault-self_attention_block-{name}", "fault", T.self_attention_block, args)
+      for name, args in [("w_v", (X26, W, W, z(5, 6), W, B6, B6, 2, 0.5)),
+                         ("w_o", (X26, W, W, W, z(5, 6), B6, B6, 2, 0.5))]),
+    *(Row(f"fault-feed_forward_block-{name}", "fault", T.feed_forward_block, args)
       for name, args in [("w1", (X26, z(5, 10), z(10), z(10, 6), B6, B6, B6)),
                          ("b1", (X26, z(6, 10), z(9), z(10, 6), B6, B6, B6)),
                          ("w2", (X26, z(6, 10), z(10), z(9, 6), B6, B6, B6))]),
-    *(Row(OT + f"test_fault[attend-{name}]", "fault", T.attend, args) for name, args in [
+    *(Row(f"fault-attend-{name}", "fault", T.attend, args) for name, args in [
         ("w_v", (X36, z(2, 3, 4), SRC, z(5, 6), W, B6)),
         ("w_o", (X36, z(2, 3, 4), SRC, W, z(5, 6), B6)),
         ("b_o", (X36, z(2, 3, 4), SRC, W, W, z(5)))]),
@@ -407,12 +405,11 @@ CHECKS = {"value": value, "grads": grads, "same": same, "block": same, "slices":
           "fault": fault, "node": node, "constant": constant}
 
 
-def check(row, request=None):
+@pytest.mark.parametrize("row", ROWS, ids=[row.id for row in ROWS])
+def test_op(row):
     rng = np.random.default_rng(row.seed)
     CHECKS[row.check](row, row.args(rng) if callable(row.args) else row.args, rng)
 
 
-def install(namespace):
-    """Place the rows on `test_tensor.py`, whose globals are `namespace`
-    (`helpers.place`); every row names a test of it."""
-    assert len(place(namespace, ROWS, check)) == len(ROWS), "a row names another module"
+def test_every_row_runs_under_its_id(request):
+    assert_runs_every_row(request, ROWS)

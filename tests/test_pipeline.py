@@ -35,7 +35,6 @@ from drax.tensor import ParamStore, ShapeError, Tensor
 from drax.train import evaluate, fit, global_grad_norm, sgd_step, train_epoch
 
 from helpers import reference_backward
-from refusals import install
 
 
 def tiny_config(**overrides) -> DraxConfig:
@@ -1282,7 +1281,3 @@ class TestCheckpoint:
         config_dict, arrays = read_checkpoint(path)
         assert config_dict["d"] == model.config.d
         assert set(arrays) == set(model.store.params)
-
-
-# Rows of the table of refused inputs (`refusals.ROWS`) filed under this module.
-install(globals())

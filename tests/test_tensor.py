@@ -1,7 +1,6 @@
 """Tensor-core tests. Each op's value, gradient, candidate-axis, shape-fault,
-tape-node and constant-operand cases are rows of `ops.py`, placed on the
-classes below by `install`; the tests here check one thing each that is not
-a single op's row."""
+tape-node and constant-operand cases are rows of `test_ops.py`; the tests
+here check one thing each that is not a single op's row."""
 
 import inspect
 
@@ -18,7 +17,7 @@ from helpers import (
     reference_backward,
     relative_error,
 )
-from ops import NO_FAULT, NOT_OPS, ROWS, install, leaf
+from test_ops import NO_FAULT, NOT_OPS, ROWS, leaf
 
 
 class TestBackward:
@@ -224,8 +223,8 @@ class TestFusedOps:
 class TestOpTable:
     def test_every_op_has_a_value_row_and_a_fault_row(self):
         """A public op of `drax.tensor` without a value row (an oracle or a
-        composite) or a fault row fails here, unless `ops.NO_FAULT` says why
-        it has no fault row."""
+        composite) or a fault row fails here, unless `test_ops.NO_FAULT` says
+        why it has no fault row."""
         ops = {f for name, f in vars(T).items() if inspect.isfunction(f)
                and f.__module__ == T.__name__ and not name.startswith("_")}
         assert NOT_OPS | NO_FAULT <= ops
@@ -376,7 +375,3 @@ class TestParamStore:
     def test_relative_error_helper(self):
         assert relative_error(np.array([1.0]), np.array([1.0])) == 0.0
         assert relative_error(np.array([2.0]), np.array([1.0])) == 0.5
-
-
-# The rows of the op table (`ops.ROWS`), each placed on the test its id names.
-install(globals())
