@@ -1,10 +1,12 @@
-"""Inputs shared by the CLI tests and the table of refused inputs."""
+"""Inputs shared by the CLI tests, and `refused`, which runs rows of the
+table of refused inputs on them."""
 
 import pytest
 
 from drax.cli import main
 from drax.data import SyntheticSpec, generate_synthetic, save_dataset
 from helpers import TINY_MODEL_SETS
+import refusals
 
 
 @pytest.fixture(scope="session")
@@ -29,3 +31,14 @@ def checkpoint(dataset_dir, tmp_path_factory):
         "--seed", "0", *TINY_MODEL_SETS, "--set", "epochs=1",
     ]) == 0
     return run / "model.ckpt"
+
+
+@pytest.fixture
+def refused(capsys, monkeypatch, tmp_path, dataset_dir, checkpoint):
+    """Run rows of `refusals.ROWS`, by id, each in a directory of its own
+    (`refusals.check`)."""
+    def run(*ids):
+        for row_id in ids:
+            refusals.check(refusals.BY_ID[row_id], capsys, monkeypatch, tmp_path / row_id,
+                           dataset_dir, checkpoint)
+    return run

@@ -3,8 +3,12 @@ the composite head split/merge that the fused attention ops replace, the
 composite encoder blocks that the fused block ops replace, the select
 form of the ELU kernel that the branch-free one replaces, the graph-search
 backward that creation-order backward replaces, DRXF container rewriters,
-the tiny model settings the CLI tests train with, and the check that a
-table's parametrized test runs every row under its id."""
+the tiny model settings the CLI tests train with, and the check that each
+row of a test table is named by exactly one test."""
+
+import ast
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
@@ -199,13 +203,16 @@ def reference_backward(loss):
             flowing[id(parent)] = part if held is None else held + part
 
 
-def assert_runs_every_row(request, rows):
+def assert_each_row_named_once(rows):
     """Assert that the ids of a table's `rows` are unique, non-empty and
-    printable, and that the parametrized test of the module that `request`
-    runs in collects exactly those rows, in table order, under those ids."""
+    printable, and that each is the value of exactly one string literal in
+    the test modules (`tests/test_*.py`): the one test that runs that row."""
     ids = [row.id for row in rows]
     assert all(i and i.isprintable() for i in ids), ids
-    assert len(set(ids)) == len(ids), sorted({i for i in ids if ids.count(i) > 1})
-    items = [item for item in request.node.parent.collect() if hasattr(item, "callspec")]
-    assert [item.callspec.id for item in items] == ids
-    assert all(item.callspec.params["row"] is row for item, row in zip(items, rows, strict=True))
+    known = set(ids)
+    assert len(known) == len(ids), sorted({i for i in ids if ids.count(i) > 1})
+    named = Counter(node.value for path in Path(__file__).parent.glob("test_*.py")
+                    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                    if isinstance(node, ast.Constant) and node.value in known)
+    counts = {i: named[i] for i in ids if named[i] != 1}
+    assert not counts, f"ids not named by exactly one test: {counts}"

@@ -1,9 +1,9 @@
 """One table of tensor-op cases, and one harness per check that runs them.
 
-A row gives its id (the parametrize id of `test_op`, which runs it; the id
-starts with the check), the check, the op, its operands (a tuple, or
-`args(rng)` for operands drawn from the row's `seed`: leaf Tensors, then any
-plain arguments), `want` and `tol`. Each check is one harness:
+A row gives its id (which starts with the check), the check, the op, its
+operands (a tuple, or `args(rng)` for operands drawn from the row's `seed`:
+leaf Tensors, then any plain arguments), `want` and `tol`. Each check is one
+harness:
 
 - `value`: `op(*operands)` against `want`, a numpy oracle of the operands'
   data, within `tol`;
@@ -20,8 +20,9 @@ plain arguments), `want` and `tol`. Each check is one harness:
 - `constant`: each operand made constant gets no VJP part, and the other
   parts keep the bits they have with every operand requiring grad.
 
-`test_tensor.py::TestOpTable` checks that every public op has a value row
-and a fault row, except the ops listed below.
+A test runs rows by id through `run`, and each id is named by exactly one
+test. `test_tensor.py::TestOpTable` checks that, and that every public op
+has a value row and a fault row, except the ops listed below.
 """
 
 from functools import partial
@@ -33,7 +34,6 @@ import pytest
 from drax import tensor as T
 from drax.tensor import ShapeError, Tensor
 from helpers import (
-    assert_runs_every_row,
     attend_composite,
     check_gradients,
     feed_forward_composite,
@@ -405,11 +405,11 @@ CHECKS = {"value": value, "grads": grads, "same": same, "block": same, "slices":
           "fault": fault, "node": node, "constant": constant}
 
 
-@pytest.mark.parametrize("row", ROWS, ids=[row.id for row in ROWS])
-def test_op(row):
-    rng = np.random.default_rng(row.seed)
-    CHECKS[row.check](row, row.args(rng) if callable(row.args) else row.args, rng)
+BY_ID = {row.id: row for row in ROWS}
 
 
-def test_every_row_runs_under_its_id(request):
-    assert_runs_every_row(request, ROWS)
+def run(*ids):
+    """Check the rows `ids`, each on operands drawn from its own seed."""
+    for row in map(BY_ID.__getitem__, ids):
+        rng = np.random.default_rng(row.seed)
+        CHECKS[row.check](row, row.args(rng) if callable(row.args) else row.args, rng)

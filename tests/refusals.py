@@ -1,14 +1,15 @@
-"""One table of refused inputs, and the one test that checks every row.
+"""One table of refused inputs, and the one check that every row must pass.
 
-A row gives its id (the test's parametrize id), its kind of input (README,
-"Refused inputs"), the exit code, the argv, a fragment of the error line, and
-how the input is broken: bytes (`raw`), container records (`record`,
-`records`) or JSON (`manifest`). `test_refused` runs a row on fresh copies of
+A row gives its id, its kind of input (README, "Refused inputs"), the exit
+code, the argv, a fragment of the error line, and how the input is broken:
+bytes (`raw`), container records (`record`, `records`) or JSON (`manifest`).
+A test runs rows by id through the `refused` fixture (`conftest.py`), and
+each id is named by exactly one test. `check` runs a row on fresh copies of
 the shared inputs (`data/`, `model.ckpt`) and asserts the exit code; one
-printable stderr line with that code's prefix, the fragment and no traceback;
-no file written or changed, and `--out` not made by a config error (exit 2);
-and, when the fault is in a file, that file's `data.shown` path in the line
-exactly once.
+printable stderr line with that code's prefix, the fragment and no
+traceback; no file written or changed, and `--out` not made by a config
+error (exit 2); and, when the fault is in a file, that file's `data.shown`
+path in the line exactly once.
 """
 
 import json
@@ -18,11 +19,10 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-import pytest
 
 from drax.cli import EXIT_CONFIG, main
 from drax.data import read_container, shown
-from helpers import TINY_MODEL_SETS, assert_runs_every_row, rewrite_container, rewrite_record
+from helpers import TINY_MODEL_SETS, rewrite_container, rewrite_record
 
 PREFIX = {2: "config error: ", 3: "data error: ", 4: "checkpoint error: "}
 CKPT, FIRST, LAST = "model.ckpt", "data/sample_00000.drxf", "data/sample_00003.drxf"
@@ -324,18 +324,19 @@ ROWS = [
         records(CKPT, lambda rs: [*rs, ("decoder.b_out", np.full(1, 7.0))])),
 ]
 
+BY_ID = {row.id: row for row in ROWS}
+
 
 def _files():
     return {path: path.read_bytes() for path in Path(".").rglob("*") if path.is_file()}
 
 
-@pytest.mark.parametrize("row", ROWS, ids=[row.id for row in ROWS])
-def test_refused(row, capsys, monkeypatch, tmp_path, dataset_dir, checkpoint):
-    """Run `row` in a directory of its own on fresh copies of the shared
+def check(row, capsys, monkeypatch, workdir, dataset_dir, checkpoint):
+    """Run `row` in `workdir`, made here, on fresh copies of the shared
     inputs, and assert what every refusal holds (see the module docstring)."""
-    shutil.copytree(dataset_dir, tmp_path / "data")
-    shutil.copy(checkpoint, tmp_path / CKPT)
-    monkeypatch.chdir(tmp_path)
+    shutil.copytree(dataset_dir, workdir / "data")
+    shutil.copy(checkpoint, workdir / CKPT)
+    monkeypatch.chdir(workdir)
     broken = row.breaks() if row.breaks else None
     named = row.names or broken
     argv = shlex.split(row.argv)
@@ -350,7 +351,3 @@ def test_refused(row, capsys, monkeypatch, tmp_path, dataset_dir, checkpoint):
         assert not Path(argv[argv.index("--out") + 1]).is_dir(), "--out was made"
     if named is not None:
         assert line.count(shown(named)) == 1, line
-
-
-def test_every_row_runs_under_its_id(request):
-    assert_runs_every_row(request, ROWS)

@@ -26,8 +26,8 @@ from drax.cli import (
 )
 from drax.data import SyntheticSpec, load_dataset, save_dataset
 from drax.model import DraxConfig, DraxModel
-from helpers import TINY_MODEL_SETS
-from test_refusals import ROWS
+from helpers import TINY_MODEL_SETS, assert_each_row_named_once
+from refusals import ROWS
 
 
 def _summary(eval_dir):
@@ -102,6 +102,57 @@ class TestConfigPlumbing:
         assert main(["gen-data", "--out", str(tmp_path / "blocker")]) == 2
         assert "cannot make --out" in capsys.readouterr().err
 
+    def test_malformed_line_rejected(self, refused):
+        refused("config-file-no-equals", "set-no-equals")
+
+    def test_empty_key_rejected(self, refused):
+        refused("config-file-empty-key", "set-empty-key")
+
+    @pytest.mark.parametrize("row", [
+        "set-before-inputs-train", "set-before-inputs-ablate", "set-before-inputs-gen-data",
+        "set-before-inputs-eval", "set-before-inputs-inspect-attention",
+    ], ids=lambda row: row.removeprefix("set-before-inputs-"))
+    def test_every_command_types_set_items(self, refused, row):
+        refused(row)
+
+    def test_unknown_key_is_exit_2(self, refused):
+        refused("train-set-bogus=1", "train-set-learning_rate=nan", "train-set-learning_rate=inf",
+                "train-set-layer_norm_eps=nan", "train-set-delta=nan", "train-set-grad_clip=nan",
+                "train-set-seed=-3", "train-set-no_equals_sign", "train-set-layer_norm_eps=0",
+                "train-set-grad_clip=-1")
+
+    def test_non_utf8_config_file_is_exit_2(self, refused):
+        refused("config-file-non-utf8")
+
+    @pytest.mark.parametrize("row", [
+        "seed-flag-negative-gen-data", "seed-flag-negative-train", "seed-flag-negative-ablate",
+    ], ids=lambda row: row.removeprefix("seed-flag-negative-"))
+    def test_negative_seed_flag_is_exit_2(self, refused, row):
+        refused(row)
+
+    @pytest.mark.parametrize("row", ["usage-seed-eval", "usage-seed-inspect-attention"],
+                             ids=lambda row: row.removeprefix("usage-seed-"))
+    def test_seed_is_a_usage_error_with_a_checkpoint(self, refused, row):
+        refused(row)
+
+    def test_missing_config_file_is_exit_2(self, refused):
+        refused("missing-config-file")
+
+    def test_missing_dataset_is_exit_3(self, refused):
+        refused("missing-dataset")
+
+    def test_missing_checkpoint_is_exit_4(self, refused):
+        refused("missing-checkpoint")
+
+    @pytest.mark.parametrize("rows", [
+        ("out-file-train", "out-under-file-train"),
+        ("out-file-ablate", "out-under-file-ablate"),
+        ("out-file-gen-data", "out-under-file-gen-data"),
+        ("out-file-eval", "out-under-file-eval"),
+        ("out-file-inspect-attention", "out-under-file-inspect-attention"),
+    ], ids=lambda rows: rows[0].removeprefix("out-file-"))
+    def test_out_that_cannot_be_a_directory_is_exit_2(self, refused, rows):
+        refused(*rows)
 
 class TestGenData:
     def test_writes_dataset_and_manifest(self, tmp_path):
@@ -131,6 +182,12 @@ class TestGenData:
         for name in ("manifest.json", "sample_00000.drxf", "sample_00001.drxf"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_unknown_generator_key_is_exit_2(self, refused):
+        refused("gen-data-set-wat=3")
+
+    def test_invalid_spec_is_exit_2(self, refused):
+        refused("gen-data-set-samples=0", "gen-data-set-noise_sigma=nan",
+                "gen-data-set-noise_sigma=inf", "gen-data-set-seed=-1")
 
 class TestTrainEval:
     def test_train_then_eval_round_trip(self, dataset_dir, tmp_path, capsys):
@@ -208,6 +265,28 @@ class TestCheckpointOverrides:
         assert prob["loss"] != plain["loss"]
         assert prob["accuracy"] == plain["accuracy"]
 
+    @pytest.mark.parametrize("row", [
+        "override-shape-mismatch-eval", "override-invalid-value-eval", "override-unknown-key-eval",
+        "override-nan-value-eval", "override-inf-value-eval", "override-negative-seed-eval",
+        "override-shape-mismatch-inspect-attention", "override-invalid-value-inspect-attention",
+        "override-unknown-key-inspect-attention", "override-nan-value-inspect-attention",
+        "override-inf-value-inspect-attention", "override-negative-seed-inspect-attention",
+    ], ids=lambda row: row.removeprefix("override-"))
+    def test_bad_override_exit_code(self, refused, row):
+        refused(row)
+
+    @pytest.mark.parametrize("row", [
+        "ckpt-stored-config-out-of-range-plain", "ckpt-stored-config-out-of-range-with-set",
+        "ckpt-stored-config-str-int-plain", "ckpt-stored-config-str-int-with-set",
+        "ckpt-stored-config-float-int-plain", "ckpt-stored-config-float-int-with-set",
+        "ckpt-stored-config-null-plain", "ckpt-stored-config-null-with-set",
+        "ckpt-stored-config-str-bool-plain", "ckpt-stored-config-str-bool-with-set",
+        "ckpt-stored-config-nan-plain", "ckpt-stored-config-nan-with-set",
+        "ckpt-stored-config-inf-plain", "ckpt-stored-config-inf-with-set",
+        "ckpt-stored-config-negative-seed-plain", "ckpt-stored-config-negative-seed-with-set",
+    ], ids=lambda row: row.removeprefix("ckpt-stored-config-"))
+    def test_invalid_stored_config_is_exit_4(self, refused, row):
+        refused(row)
 
 class _HalfWrite:
     """A file handle that keeps the first half of a write, then fails."""
@@ -359,6 +438,11 @@ class TestInspectAttention:
         traced = (tmp_path / "dir" / "trace.jsonl").read_bytes()
         assert traced == (tmp_path / "file" / "trace.jsonl").read_bytes()
 
+    def test_missing_feature_file_is_exit_3(self, refused):
+        refused("missing-feature-file")
+
+    def test_first_entry_label_checked_against_manifest(self, refused):
+        refused("manifest-label-mismatch-inspect-attention")
 
 class TestAblate:
     def test_emits_exactly_the_seven_variants(self, dataset_dir, tmp_path, capsys):
@@ -383,6 +467,122 @@ class TestAblate:
             names.add(name)
             dataclasses.replace(base, **overrides).validate()
         assert len(names) == 7
+
+
+class TestRefusedInputs:
+    @pytest.mark.parametrize("row", [
+        pytest.param("usage-no-data", id="no-data"),
+        pytest.param("feature-f8", id="f8-feature"),
+        pytest.param("feature-u1", id="u1-feature"),
+        "feature-1-d-question", "feature-fourth-file-flipped-byte",
+        "feature-appearance-width-eval", "feature-motion-width-inspect-attention",
+        "feature-question-width-train", "feature-answer2-width-ablate",
+    ], ids=lambda row: row.removeprefix("feature-"))
+    def test_refused(self, refused, row):
+        refused(row)
+
+
+class TestNulBytePaths:
+    @pytest.mark.parametrize("row", [
+        pytest.param("nul-manifest-entry-eval",
+                     id="manifest-3-data error: cannot read feature file ds/a\\x00b.drxf"),
+        pytest.param("nul-checkpoint",
+                     id="--checkpoint-4-checkpoint error: cannot read checkpoint a\\x00b.ckpt"),
+        pytest.param("nul-config",
+                     id="--config-2-config error: cannot read config file a\\x00b.cfg"),
+        pytest.param("nul-out", id="--out-2-config error: cannot make output directory a\\x00b"),
+    ])
+    def test_exits_with_one_printable_line(self, refused, row):
+        refused(row)
+
+
+class TestMalformedManifest:
+    def test_nul_byte_in_path_exits_3(self, refused):
+        refused("nul-manifest-entry-train")
+
+    @pytest.mark.parametrize("row", [
+        "manifest-no-path", "manifest-list", "manifest-non-string-path", "manifest-string-label",
+        "manifest-bool-label",
+    ], ids=lambda row: row.removeprefix("manifest-"))
+    def test_train_exits_3(self, refused, row):
+        refused(row)
+
+    def test_empty_samples_list_exits_3(self, refused):
+        refused("manifest-empty-samples")
+
+    def test_non_utf8_manifest_exits_3(self, refused):
+        refused("manifest-non-utf8")
+
+
+class TestNonFiniteFeatures:
+    def test_nan_feature_file_is_exit_3(self, refused):
+        refused("feature-nan")
+
+    def test_nan_label_is_exit_3(self, refused):
+        refused("feature-nan-label")
+
+
+class TestMalformedFeatureFile:
+    def test_non_utf8_tensor_name_is_exit_3(self, refused):
+        refused("feature-name-non-utf8")
+
+    def test_repeated_tensor_name_is_exit_3(self, refused):
+        refused("feature-name-repeated")
+
+    def test_unknown_dtype_code_is_exit_3(self, refused):
+        refused("feature-dtype-code-7")
+
+    def test_trailing_bytes_are_exit_3(self, refused):
+        refused("feature-trailing-bytes")
+
+
+class TestMalformedCheckpointHeader:
+    @pytest.mark.parametrize("row", [
+        pytest.param("ckpt-config-number", id="number"),
+        pytest.param("ckpt-config-list", id="config-list"),
+        pytest.param("ckpt-config-f8", id="params-number"),
+        pytest.param("ckpt-param-f4", id="entry-list"),
+        pytest.param("ckpt-param-scalar", id="no-shape"),
+        pytest.param("ckpt-config-extent-past-eof", id="negative-dim"),
+        pytest.param("ckpt-name-non-utf8", id="non-string-name"),
+    ])
+    def test_eval_exits_4(self, refused, row):
+        refused(row)
+
+    @pytest.mark.parametrize("row", [
+        pytest.param("ckpt-three-bytes", id="three-bytes"),
+        pytest.param("ckpt-count-past-eof", id="length-past-eof"),
+        pytest.param("ckpt-config-non-utf8", id="non-utf8"),
+        pytest.param("ckpt-config-truncated-json", id="truncated-json"),
+    ])
+    def test_unreadable_header_exits_4(self, refused, row):
+        refused(row)
+
+
+class TestCheckpointContainer:
+    def test_flipped_payload_bit_exits_4(self, refused):
+        refused("ckpt-flipped-payload-bit")
+
+    def test_unknown_dtype_code_exits_4(self, refused):
+        refused("ckpt-dtype-code-7")
+
+    def test_parameter_record_not_float64_exits_4(self, refused):
+        refused("ckpt-param-u1")
+
+    def test_missing_config_record_exits_4(self, refused):
+        refused("ckpt-config-missing")
+
+    def test_old_format_checkpoint_exits_4(self, refused):
+        refused("ckpt-old-format")
+
+
+class TestNonFiniteCheckpoint:
+    @pytest.mark.parametrize("row", [
+        pytest.param("ckpt-param-nan-decoder.b_out-first", id="decoder.b_out-nan"),
+        pytest.param("ckpt-param-inf-decoder.w_a-first", id="decoder.w_a-inf"),
+    ])
+    def test_non_finite_parameter_is_exit_4(self, refused, row):
+        refused(row)
 
 
 def _load_tool(name):
@@ -609,13 +809,18 @@ class TestReadmeKeys:
 
     def test_refused_input_kinds_match_the_table(self):
         """Each kind of refused input is documented with exactly the exit
-        codes of its rows in `tests/test_refusals.py`."""
+        codes of its rows in `tests/refusals.py`."""
         block = self.readme.split("| kind | exit codes | refused |\n| --- | --- | --- |\n", 1)[1]
         rows = [line.split("|")[1:3] for line in block.split("\n\n", 1)[0].splitlines()]
         documented = {(kind.strip(), int(code)) for kind, codes in rows
                       for code in codes.split(",")}
         assert documented == {(row.kind, row.code) for row in ROWS}
 
+
+
+def test_every_refused_input_row_is_placed():
+    """Each row of `refusals.ROWS` runs: exactly one test names its id."""
+    assert_each_row_named_once(ROWS)
 
 class TestChangelog:
     def test_entries_fit_in_100_columns(self):

@@ -385,3 +385,9 @@ class TestDatasetRoundTrip:
         for got, want in zip(loaded, bundles):
             assert got.label == want.label
             np.testing.assert_allclose(got.motion, want.motion, atol=1e-6)
+
+    def test_missing_manifest(self, refused):
+        refused("missing-manifest")
+
+    def test_manifest_label_cross_check(self, refused):
+        refused("manifest-label-mismatch-train")

@@ -1281,3 +1281,35 @@ class TestCheckpoint:
         config_dict, arrays = read_checkpoint(path)
         assert config_dict["d"] == model.config.d
         assert set(arrays) == set(model.store.params)
+
+    def test_shape_mismatch_rejected(self, refused):
+        refused("ckpt-param-shape-mismatch-eval")
+
+    def test_missing_and_unknown_parameters_rejected(self, refused):
+        refused("ckpt-param-missing-eval", "ckpt-param-unknown-eval")
+
+    @pytest.mark.parametrize("row", [
+        pytest.param("ckpt-param-shape-mismatch-inspect-attention", id="<lambda>-shape mismatch"),
+        pytest.param("ckpt-param-missing-inspect-attention",
+                     id="<lambda>-missing parameters: decoder.w_a"),
+        pytest.param("ckpt-param-unknown-inspect-attention",
+                     id="<lambda>-unknown parameters: mystery"),
+    ])
+    def test_load_model_rejects_stored_layout_mismatch(self, refused, row):
+        refused(row)
+
+    def test_truncated_payload_rejected(self, refused):
+        refused("ckpt-truncated-eval")
+
+    def test_load_model_rejects_truncated_and_trailing_payloads(self, refused):
+        refused("ckpt-truncated-inspect-attention", "ckpt-trailing-bytes")
+
+    @pytest.mark.parametrize("row", [
+        pytest.param("ckpt-param-nan-decoder.b_out-last", id="decoder.b_out-nan"),
+        pytest.param("ckpt-param-inf-decoder.w_a-last", id="decoder.w_a-inf"),
+    ])
+    def test_load_model_rejects_non_finite_payload(self, refused, row):
+        refused(row)
+
+    def test_repeated_parameter_name_rejected(self, refused):
+        refused("ckpt-param-repeated")

@@ -1,6 +1,7 @@
 """Tensor-core tests. Each op's value, gradient, candidate-axis, shape-fault,
-tape-node and constant-operand cases are rows of `test_ops.py`; the tests
-here check one thing each that is not a single op's row."""
+tape-node and constant-operand cases are rows of `ops.py`, which the tests
+here run by id (`ops.run`); the other tests check one thing each that is not
+a single op's row."""
 
 import inspect
 
@@ -10,14 +11,16 @@ import pytest
 from drax import tensor as T
 from drax.tensor import ParamStore, Parameter, ShapeError, Tensor
 
+import ops
 from helpers import (
+    assert_each_row_named_once,
     check_gradients,
     elu_select,
     finite_difference,
     reference_backward,
     relative_error,
 )
-from test_ops import NO_FAULT, NOT_OPS, ROWS, leaf
+from ops import NO_FAULT, NOT_OPS, ROWS, leaf
 
 
 class TestBackward:
@@ -85,6 +88,93 @@ class TestBackward:
         fd = finite_difference(value, x)
         np.testing.assert_allclose(fd, 1.0 / np.cosh(x) ** 2, atol=1e-6)
 
+    @pytest.mark.parametrize("rows", [("value-neg", "grads-neg"), ("value-exp", "grads-exp")],
+                             ids=lambda rows: rows[0].removeprefix("value-"))
+    def test_unary_values_and_gradients(self, rows):
+        ops.run(*rows)
+
+    @pytest.mark.parametrize("row", [
+        "grads-elu-matmul-seed0", "grads-elu-matmul-seed1", "grads-elu-matmul-seed2",
+        "grads-elu-matmul-seed3",
+    ], ids=lambda row: row.removeprefix("grads-elu-matmul-seed"))
+    def test_matmul_chain_gradients(self, row):
+        ops.run(row)
+
+    @pytest.mark.parametrize("row", [
+        "grads-softmax-seed100", "grads-softmax-seed101", "grads-softmax-seed102",
+        "grads-softmax-seed103",
+    ], ids=["0", "1", "2", "3"])
+    def test_softmax_gradients(self, row):
+        ops.run(row)
+
+    def test_layer_norm_gradients(self):
+        ops.run("grads-layer_norm")
+
+    def test_batched_matmul_gradients(self):
+        ops.run("grads-matmul-batched")
+
+    def test_index_reshape_transpose_concat_gradients(self):
+        ops.run("grads-index-concat-transpose-reshape")
+
+    def test_broadcast_add_gradients(self):
+        ops.run("grads-relu-add-broadcast")
+
+
+class TestForwardValues:
+    def test_add_broadcast(self):
+        ops.run("value-add-broadcast")
+
+    def test_matmul_matches_triple_loop(self):
+        ops.run("value-matmul-seed0", "value-matmul-seed1", "value-matmul-seed2",
+                "value-matmul-seed3", "value-matmul-seed4")
+
+    def test_batched_matmul_matches_per_slice(self):
+        ops.run("value-matmul-batched")
+
+    def test_softmax_rows_sum_to_one(self):
+        ops.run("value-softmax", "value-softmax-row-sums")
+
+    def test_softmax_handles_large_values(self):
+        ops.run("value-softmax-large")
+
+    def test_elu_values(self):
+        ops.run("value-elu")
+
+    def test_relu_values(self):
+        ops.run("value-relu")
+
+    def test_layer_norm_zero_mean_unit_variance(self):
+        ops.run("value-layer_norm")
+
+    def test_concat_and_split_grad_shapes(self):
+        ops.run("value-concat")
+
+    def test_mean_matches_numpy(self):
+        ops.run("value-mean-axis-0", "value-mean-axis-None")
+
+    def test_item_requires_scalar(self):
+        ops.run("fault-item")
+
+    def test_matmul_shape_errors(self):
+        ops.run("fault-matmul-inner", "fault-matmul-batch", "fault-matmul-1-d")
+
+
+class TestShapeErrors:
+    @pytest.mark.parametrize("row", [
+        "fault-add", "fault-sub", "fault-mul", "fault-reshape", "fault-transpose",
+        "fault-concat-empty", "fault-sum-axis", "fault-softmax-axis", "fault-layer_norm-gain",
+        "fault-layer_norm-bias", "fault-mean-axis",
+    ], ids=lambda row: row.removeprefix("fault-"))
+    def test_raises_shape_error(self, row):
+        ops.run(row)
+
+
+class TestConstantOperands:
+    @pytest.mark.parametrize("row", [
+        "constant-affine", "constant-mul", "constant-add", "constant-sub",
+    ], ids=["affine-shapes0", "mul-shapes1", "add-shapes2", "sub-shapes3"])
+    def test_parts_match_all_grad_operands(self, row):
+        ops.run(row)
 
 def _grads_of(build, leaves, run_backward):
     """Each leaf's gradient after `run_backward` on a fresh `build()`."""
@@ -219,11 +309,99 @@ class TestFusedOps:
         assert sums.shape == (2, 2, 5, 1)
         assert (1.0 / sums[..., 0]).tobytes() == w.max(axis=-1).tobytes()
 
+    @pytest.mark.parametrize("row", ["same-layer_norm-2d", "same-layer_norm-3d"],
+                             ids=["shape0", "shape1"])
+    def test_layer_norm_matches_composite(self, row):
+        ops.run(row)
+
+    @pytest.mark.parametrize("row", [
+        "same-head_softmax-1-3-4-5", "same-head_softmax-2-4-3-6", "same-head_softmax-3-2-5-9",
+    ], ids=lambda row: row.removeprefix("same-head_softmax-"))
+    def test_head_softmax_matches_composite(self, row):
+        ops.run(row)
+
+    def test_head_softmax_self_attention_accumulates_both_uses(self):
+        ops.run("same-head_softmax-self")
+
+    @pytest.mark.parametrize("row", [
+        "same-head_mix-1-3-4-5", "same-head_mix-2-4-3-6", "same-head_mix-3-2-5-9",
+    ], ids=lambda row: row.removeprefix("same-head_mix-"))
+    def test_head_mix_matches_composite_on_partly_zeroed_weights(self, row):
+        ops.run(row)
+
+    def test_masked_attention_chain_matches_composite(self):
+        ops.run("same-masked-attention")
+
+    @pytest.mark.parametrize("row", ["same-affine-4-3-5", "same-affine-3-6-1"],
+                             ids=["4-3-5-bias_shape0", "3-6-1-bias_shape1"])
+    def test_affine_matches_composite(self, row):
+        ops.run(row)
+
+    def test_fused_ops_record_one_node(self):
+        ops.run("node-head_softmax", "node-head_mix", "node-layer_norm", "node-affine")
+
+    def test_fused_op_shape_errors(self):
+        ops.run("fault-affine-w", "fault-affine-b", "fault-head_softmax-w_k",
+                "fault-head_softmax-x_k", "fault-head_softmax-heads", "fault-head_mix-keys",
+                "fault-head_mix-heads")
+
+
+class TestFusedBlocks:
+    @pytest.mark.parametrize("row", [
+        "block-self_attention_block-2d", "block-self_attention_block-3d",
+    ], ids=["lead0-2", "lead1-3"])
+    def test_self_attention_block(self, row):
+        ops.run(row)
+
+    @pytest.mark.parametrize("row", [
+        "block-feed_forward_block-2d", "block-feed_forward_block-3d",
+    ], ids=["lead0", "lead1"])
+    def test_feed_forward_block(self, row):
+        ops.run(row)
+
+    @pytest.mark.parametrize("row", ["block-attend-2d", "block-attend-3d"],
+                             ids=["lead0", "lead1"])
+    def test_attend(self, row):
+        ops.run(row)
+
+    def test_cross_layer_with_shared_weights(self):
+        ops.run("block-cross-layer")
+
+    def test_blocks_record_one_node(self):
+        ops.run("node-self_attention_block", "node-feed_forward_block", "node-attend")
+
+    def test_attend_shape_errors(self):
+        ops.run("fault-attend-heads", "fault-attend-keys", "fault-attend-weights-only-candidates",
+                "fault-attend-query-rows")
+
+
+class TestCandidateAxis:
+    def test_broadcast_repeats_and_sums_gradient(self):
+        ops.run("same-broadcast")
+
+    def test_matmul_3d_by_2d(self):
+        ops.run("slices-matmul")
+
+    def test_affine(self):
+        ops.run("slices-affine")
+
+    @pytest.mark.parametrize("row", ["slices-head_softmax-1-3-4", "slices-head_softmax-2-4-3"],
+                             ids=lambda row: row.removeprefix("slices-head_softmax-"))
+    def test_head_softmax(self, row):
+        ops.run(row)
+
+    def test_head_mix(self):
+        ops.run("slices-head_mix")
+
+    def test_shape_errors(self):
+        ops.run("fault-matmul-candidates", "fault-affine-4-d", "fault-head_softmax-candidates",
+                "fault-head_softmax-query-only-candidates", "fault-head_mix-candidates",
+                "fault-head_mix-weights-only-candidates")
 
 class TestOpTable:
     def test_every_op_has_a_value_row_and_a_fault_row(self):
         """A public op of `drax.tensor` without a value row (an oracle or a
-        composite) or a fault row fails here, unless `test_ops.NO_FAULT` says
+        composite) or a fault row fails here, unless `ops.NO_FAULT` says
         why it has no fault row."""
         ops = {f for name, f in vars(T).items() if inspect.isfunction(f)
                and f.__module__ == T.__name__ and not name.startswith("_")}
@@ -234,6 +412,30 @@ class TestOpTable:
         assert sorted(f.__name__ for f in ops - valued) == []
         assert sorted(f.__name__ for f in ops - faulted) == []
 
+    def test_every_row_is_named_once(self):
+        """Each row of `ops.ROWS` runs: exactly one test names its id."""
+        assert_each_row_named_once(ROWS)
+
+    @pytest.mark.parametrize("row", [
+        "value-sub", "value-mul", "value-transpose", "value-reshape", "value-index", "value-sum",
+        "value-pow_const",
+    ], ids=lambda row: row.removeprefix("value-"))
+    def test_value(self, row):
+        ops.run(row)
+
+    @pytest.mark.parametrize("row", [
+        "slices-self_attention_block", "slices-feed_forward_block", "slices-attend",
+    ], ids=lambda row: row.removeprefix("slices-"))
+    def test_slices(self, row):
+        ops.run(row)
+
+    @pytest.mark.parametrize("row", [
+        "fault-self_attention_block-w_v", "fault-self_attention_block-w_o",
+        "fault-feed_forward_block-w1", "fault-feed_forward_block-b1",
+        "fault-feed_forward_block-w2", "fault-attend-w_v", "fault-attend-w_o", "fault-attend-b_o",
+    ], ids=lambda row: row.removeprefix("fault-"))
+    def test_fault(self, row):
+        ops.run(row)
 
 class TestCopyKernels:
     """concat's VJP slices `g` at running offsets; broadcast and tensor_sum's
