@@ -4,8 +4,8 @@ The tailing sequence is rewritten in the anchor's row space: each anchor row
 queries the tail, the resulting per-head weights pass through the mask
 callable the model gives, and the surviving weights form linear
 combinations of raw tail rows. Anchor and aligned tail are then
-concatenated feature-wise and fused by one affine map. A plain concat-and-project variant without alignment or
-masking is provided for ablation runs.
+concatenated feature-wise and fused by one affine map. The concat-and-project
+variant for ablation runs has no alignment, so no masking and no projections.
 """
 
 from __future__ import annotations
@@ -22,20 +22,20 @@ from .tensor import ParamStore, Parameter, ShapeError, Tensor
 
 @dataclass
 class FusionParams:
-    """Dedicated alignment projections plus the fusing affine map."""
+    """Alignment projections (cross-aligned fusion only) plus the fusing affine map."""
 
     head_count: int
-    w_q: Parameter
-    w_k: Parameter
+    w_q: Parameter | None
+    w_k: Parameter | None
     w_f: Parameter  # (2d, d)
     b: Parameter
 
     @classmethod
-    def create(cls, store: ParamStore, prefix: str, d: int, head_count: int):
+    def create(cls, store: ParamStore, prefix: str, d: int, head_count: int, aligned: bool):
         return cls(
             head_count=head_count,
-            w_q=store.matrix(f"{prefix}.w_q", d, d),
-            w_k=store.matrix(f"{prefix}.w_k", d, d),
+            w_q=store.matrix(f"{prefix}.w_q", d, d) if aligned else None,
+            w_k=store.matrix(f"{prefix}.w_k", d, d) if aligned else None,
             w_f=store.matrix(f"{prefix}.w_f", 2 * d, d),
             b=store.zeros(f"{prefix}.b", (d,)),
         )

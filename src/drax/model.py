@@ -270,7 +270,8 @@ class DraxModel:
                                                   config.heads, ffn_width, eps)
                         for k in range(1, config.layers + 1)
                     ],
-                    fusion=FusionParams.create(store, f"{name}.fusion", d, config.heads),
+                    fusion=FusionParams.create(store, f"{name}.fusion", d, config.heads,
+                                               aligned=config.fusion_mode == "cross-aligned"),
                 )
             )
         self.decoder = DecoderParams.create(store, "decoder", d)

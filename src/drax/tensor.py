@@ -176,8 +176,7 @@ class ParamStore:
     """
 
     def __init__(self, seed: int, draw: bool = True):
-        self.seed = int(seed)
-        self.rng = np.random.default_rng(self.seed)
+        self.rng = np.random.default_rng(seed)
         self.draw = draw
         self.params: dict[str, Parameter] = {}
 

@@ -3,10 +3,12 @@ the composite head split/merge that the fused attention ops replace, the
 composite encoder blocks that the fused block ops replace, the select
 form of the ELU kernel that the branch-free one replaces, the graph-search
 backward that creation-order backward replaces, DRXF container rewriters,
-the tiny model settings the CLI tests train with, and the check that each
-row of a test table is named by exactly one test."""
+the tiny model settings the CLI tests train with, the check that each
+row of a test table is named by exactly one test, and a loader for the
+scripts under `tools/`."""
 
 import ast
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
@@ -216,3 +218,12 @@ def assert_each_row_named_once(rows):
                     if isinstance(node, ast.Constant) and node.value in known)
     counts = {i: named[i] for i in ids if named[i] != 1}
     assert not counts, f"ids not named by exactly one test: {counts}"
+
+
+def load_tool(name):
+    """A script under `tools/` loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"tools_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -171,6 +171,10 @@ ROWS = [
           names=CKPT if code == 4 else None)
       for command in ("eval", "inspect-attention") for case, item, code, fragment in [
           ("shape-mismatch", "d=16", 4, "shape mismatch for"),
+          # The fixture checkpoint is cross-aligned; a simple-concat model has
+          # no alignment projections.
+          ("fusion-mode", "fusion_mode=simple-concat", 4,
+           "unknown parameters: stage1.fusion.w_k, stage1.fusion.w_q, stage2.fusion.w_k"),
           ("invalid-value", "d_f_fusion=2", 2, "d_f_fusion must lie in [0, 1], got 2.0"),
           ("unknown-key", "bogus=1", 2, "unknown config key: bogus"),
           ("nan-value", "delta=nan", 2, "delta must be finite, got nan"),

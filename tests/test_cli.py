@@ -1,12 +1,12 @@
 """End-to-end checks for the command-line entry points."""
 
 import dataclasses
-import importlib.util
 import json
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from drax.cli import (
 )
 from drax.data import SyntheticSpec, load_dataset, save_dataset
 from drax.model import DraxConfig, DraxModel
-from helpers import TINY_MODEL_SETS, assert_each_row_named_once
+from helpers import TINY_MODEL_SETS, assert_each_row_named_once, load_tool
 from refusals import ROWS
 
 
@@ -268,6 +268,7 @@ class TestCheckpointOverrides:
     @pytest.mark.parametrize("row", [
         "override-shape-mismatch-eval", "override-invalid-value-eval", "override-unknown-key-eval",
         "override-nan-value-eval", "override-inf-value-eval", "override-negative-seed-eval",
+        "override-fusion-mode-eval", "override-fusion-mode-inspect-attention",
         "override-shape-mismatch-inspect-attention", "override-invalid-value-inspect-attention",
         "override-unknown-key-inspect-attention", "override-nan-value-inspect-attention",
         "override-inf-value-inspect-attention", "override-negative-seed-inspect-attention",
@@ -585,21 +586,16 @@ class TestNonFiniteCheckpoint:
         refused(row)
 
 
-def _load_tool(name):
-    """A script under `tools/` loaded as a module."""
-    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"tools_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestGoldenScript:
     def test_names_the_file_whose_hash_differs(self, tmp_path):
+        """Exactly the keys whose printed hash differs from the expected one are
+        named; and on the host `GOLDEN.json` was recorded on, every printed hash
+        equals the stored one."""
         root = Path(__file__).resolve().parents[1]
-        golden = json.loads((root / "GOLDEN.json").read_text())
+        stored = json.loads((root / "GOLDEN.json").read_text())
+        golden = dict(stored)
         assert sorted(golden) == sorted([
-            "run/metrics.jsonl", "run/model.ckpt", "eval/eval.jsonl", "trace/trace.jsonl",
+            "host", "run/metrics.jsonl", "run/model.ckpt", "eval/eval.jsonl", "trace/trace.jsonl",
             "mixed/trace.jsonl", "abl/ablation.jsonl", "default/manifest.json",
             *(f"default/sample_{i:05d}.drxf" for i in range(8)),
             *(f"grid/{name}" for name in ("tiny", "deep", "capped", "above-one", "off",
@@ -621,10 +617,15 @@ class TestGoldenScript:
                  if line.startswith("hash differs: ")]
         assert "run/model.ckpt" in named and "grid/anchors" in named
         assert named == sorted(name for name in golden if printed[name] != golden[name])
+        if printed["host"] == stored["host"]:
+            assert printed == stored
+        else:
+            warnings.warn("golden hashes not compared with GOLDEN.json: its host fingerprint "
+                          "is another host's (tools/golden.py host_fingerprint)")
 
     def test_grid_hash_repeats(self):
         """One config's grid hash is the same twice, and differs from another's."""
-        golden = _load_tool("golden")
+        golden = load_tool("golden")
         first = golden.grid_hash("tiny")
         assert len(first) == 64
         assert golden.grid_hash("tiny") == first
@@ -673,7 +674,7 @@ class TestPairsScript:
                 "metrics": {name: {"value": v, "unit": "u"} for name, v in values.items()}}
 
     def test_summary_counts_wins_by_direction(self):
-        pairs = _load_tool("pairs")
+        pairs = load_tool("pairs")
         end_to_end = [{"name": "cost", "unit": "ratio", "better": "lower"},
                       {"name": "rate", "unit": "1/s", "better": "higher"}]
         runs = [((1.0, 5.0), (0.9, 5.0)), ((1.2, 4.0), (1.2, 4.5)),
@@ -701,9 +702,19 @@ class TestPairsScript:
         ([1.0, 1.6] * 5, [1.0] * 10, "unresolved (parent quartile distance 0.6, 46.2% of"),
         # As wide a parent spread, but every change run beats every parent run.
         ([1.0, 1.6] * 5, [0.9] * 8 + [0.95] * 2, "within bound (change won 10 of 10"),
-    ], ids=["gain", "within-bound", "regression", "unresolved", "separated"])
+        # Identical code, recorded: won 9 of 10 at -1.2%, past the parent's
+        # quartile distance 0.002 but below the 2% floor (gradcheck-tiny
+        # `op_rel_p50`, seed 2).
+        ([1.0, 1.002] * 5, [0.989] * 9 + [1.2], "within bound (change won 9 of 10 pairs; "
+                                                "change median -1.2% against the parent's"),
+        # Identical code, recorded: a 0.15 MB gap against a 0.012 MB quartile
+        # distance, 0.25% of the parent's median (`peak_rss_mb`).
+        ([60.0, 60.012] * 5, [59.856] * 10, "within bound (change won 10 of 10 pairs; "
+                                            "change median -0.2% against the parent's"),
+    ], ids=["gain", "within-bound", "regression", "unresolved", "separated", "a-a-op-rel",
+            "a-a-peak-rss"])
     def test_verdict_per_metric(self, parent, change, expect):
-        pairs = _load_tool("pairs")
+        pairs = load_tool("pairs")
         metric = {"name": "cost", "unit": "ratio", "better": "lower", "bound": 0.25}
         canned = [(self._run(cost=p), self._run(cost=c)) for p, c in zip(parent, change)]
         (row,) = pairs.compare([metric], canned)
@@ -718,7 +729,7 @@ class TestPairsScript:
         """A side whose values split into two clusters farther apart than the
         bound times its median gets one `process-moded` line; a unimodal side
         gets none, and the verdict reads the same without the flag."""
-        pairs = _load_tool("pairs")
+        pairs = load_tool("pairs")
         metric = {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}
         parent = [0.050, 0.052, 0.051, 0.080, 0.082, 0.049, 0.081, 0.050, 0.083, 0.052]
         change = [0.053, 0.054, 0.052, 0.055, 0.053, 0.056, 0.054, 0.052, 0.055, 0.053]
@@ -731,7 +742,7 @@ class TestPairsScript:
         assert pairs.verdict(row) == pairs.verdict(dict(row, modes={}))
 
     def test_ratio_interval(self):
-        pairs = _load_tool("pairs")
+        pairs = load_tool("pairs")
         # Every pair's ratio is 0.5, so every resample's median is too.
         assert pairs.ratio_interval([1.0, 2.0, 4.0, 8.0], [0.5, 1.0, 2.0, 4.0]) == (0.5, 0.5, 0.5)
         rng = np.random.default_rng(3)
@@ -753,13 +764,13 @@ class TestPairsScript:
         (0, '{"failed": 2, "attempted": 9, "metrics": {}}\n', "2 of 9 ops failed"),
     ], ids=["exit-code", "no-json", "no-output", "failed-ops"])
     def test_bad_run_names_pair_and_side(self, code, stdout, message):
-        pairs = _load_tool("pairs")
+        pairs = load_tool("pairs")
         with pytest.raises(pairs.RunError, match=f"^pair 3 change: .*{message}"):
             pairs.parse_run(code, stdout, "pair 3 change")
 
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_pairs_below_one_is_usage_error(self, count, tmp_path, capsys):
-        pairs = _load_tool("pairs")
+        pairs = load_tool("pairs")
         with pytest.raises(SystemExit) as exc:
             pairs.main([str(tmp_path), str(tmp_path), "--workload", "w", "--pairs", count])
         assert exc.value.code == 2
@@ -769,7 +780,7 @@ class TestPairsScript:
     def test_unknown_workload_is_usage_error(self, workload, tmp_path, capsys, monkeypatch):
         """A name `bench/run.py` accepts but the benchmark does not declare
         (`all` prints a table, not a JSON summary) fails before any run."""
-        pairs = _load_tool("pairs")
+        pairs = load_tool("pairs")
         (tmp_path / "BENCHMARK.json").write_text(json.dumps(
             {"workloads": [{"name": "w"}], "run_seconds": 1, "end_to_end": []}))
 

@@ -20,7 +20,7 @@ from helpers import check_gradients, softmax_oracle
 
 
 def make_params(seed, d, heads=1) -> FusionParams:
-    return FusionParams.create(ParamStore(seed), "fusion", d, heads)
+    return FusionParams.create(ParamStore(seed), "fusion", d, heads, aligned=True)
 
 
 def alignment_oracle(x_a, x_t, params, heads):

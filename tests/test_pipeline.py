@@ -9,7 +9,7 @@ import pytest
 
 from drax import tensor as T
 from drax.attention import run_encoder_stack
-from drax.checkpoint import load_model, read_checkpoint, save_checkpoint
+from drax.checkpoint import CheckpointError, load_model, read_checkpoint, save_checkpoint
 from drax.cli import settings
 from drax.data import (
     DataError,
@@ -25,6 +25,7 @@ from drax.model import (
     DecoderParams,
     DraxConfig,
     DraxModel,
+    STAGES,
     add_cls_and_pos,
     answer_decoder,
     hinge_loss,
@@ -34,7 +35,7 @@ from drax.model import (
 from drax.tensor import ParamStore, ShapeError, Tensor
 from drax.train import evaluate, fit, global_grad_norm, sgd_step, train_epoch
 
-from helpers import reference_backward
+from helpers import load_tool, reference_backward
 
 
 def tiny_config(**overrides) -> DraxConfig:
@@ -919,6 +920,45 @@ def zero_loss_case(config):
     return model, dataclasses.replace(bundle, label=label)
 
 
+GOLDEN = load_tool("golden")
+# Each golden grid config, plus simple-concat, whose video rows must reconcile
+# (7 frames plus 1 distractor against 3 clips plus 1): `simple_concat_fuse`
+# averages groups of tail rows.
+MOVING_CONFIGS = {**GOLDEN.GRID_CONFIGS, "simple-concat": (
+    {**GOLDEN.GRID_TINY, "fusion_mode": "simple-concat"}, {**GOLDEN.GRID_TINY_DATA, "frames": 7})}
+# Both hinge losses ignore a shift shared by every logit, and `decoder.b_out`
+# is one: its gradient is 0 up to rounding. Deleting it waits for a benchmark
+# change (ROADMAP item 22).
+SHIFT_ONLY = {"decoder.b_out"}
+# At a level whose factor exceeds 1 (`above-one`), every weight sits at or
+# below its row maximum, so every weight is masked, and the cross layer's
+# output is its two back-projection biases `g1_b` and `g2_b`; nothing else in
+# it reaches the loss.
+FULLY_MASKED = ("ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias", "f1_w", "f1_b", "f2_w", "f2_b",
+                "w_q", "w_k", "w_v1", "w_v2", "g1_w", "g2_w")
+
+
+class TestEveryParameterMoves:
+    @pytest.mark.parametrize("name", MOVING_CONFIGS)
+    def test_every_parameter_gets_a_gradient(self, name):
+        """Each parameter gets |grad| > 1e-10 on at least one of eight samples
+        (one has zero loss under `capped` and `above-one`, and so moves
+        nothing), apart from the two exception lists above: a parameter that
+        no forward reads, or that the loss cannot see, fails."""
+        overrides, data = MOVING_CONFIGS[name]
+        model = DraxModel(DraxConfig(**overrides))
+        moved = set()
+        for bundle in generate_synthetic(SyntheticSpec(samples=8, seed=0, **data)):
+            model.zero_grad()
+            T.backward(model.sample_loss(bundle)[0])
+            moved |= {p.name for p in model.parameters() if np.abs(p.grad).max() > 1e-10}
+        masked = {f"{stage}.stack.layer{k}.cross.{param}" for stage, _, _ in STAGES
+                  for k, d_f in enumerate(model.layer_factors or (), 1) if d_f > 1
+                  for param in FULLY_MASKED}
+        assert set(model.store.params) - moved == SHIFT_ONLY | masked
+        assert bool(masked) == (name == "above-one")
+
+
 class TestTraining:
     def make_dataset(self, count=6, config=None):
         return [tiny_bundle(seed=i, label=i % 4, config=config) for i in range(count)]
@@ -1313,3 +1353,12 @@ class TestCheckpoint:
 
     def test_repeated_parameter_name_rejected(self, refused):
         refused("ckpt-param-repeated")
+
+    def test_fusion_mode_override_needs_its_parameters(self, tmp_path):
+        """A simple-concat checkpoint holds no alignment projections, so a
+        cross-aligned model cannot be filled from it."""
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(DraxModel(tiny_config(fusion_mode="simple-concat")), path)
+        with pytest.raises(CheckpointError, match="missing parameters: stage1.fusion.w_k, "
+                                                  "stage1.fusion.w_q, stage2.fusion.w_k"):
+            load_model(path, {"fusion_mode": "cross-aligned"})

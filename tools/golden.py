@@ -13,16 +13,18 @@ and in replay under the first live pass's frozen masks, twice with the
 same masker. Every pass feeds its config's hash the loss, probabilities and
 every parameter gradient; a live pass also feeds it every `MaskRecord`
 field and its density (a replay records nothing). It prints one
-`<sha256>  <key>` line per file and per config, keyed `grid/<config>`:
+`<sha256>  <key>` line per file and per config, keyed `grid/<config>`, after
+a `host` line: the hash of what the other hashes depend on besides the code
+(`host_fingerprint`):
 
     python tools/golden.py                        # print the hashes
     python tools/golden.py --expect GOLDEN.json   # also compare them
 
 With `--expect`, every key whose hash differs from the JSON map of key to
 hash is named on stderr and the exit status is 1. The hashes depend on the
-numpy and BLAS build, so `GOLDEN.json` holds one host's values; the script
-holds BLAS to one thread. A change that moves a hash on purpose updates
-`GOLDEN.json`.
+numpy and BLAS build, so `GOLDEN.json` holds one host's values, and its
+`host` entry says whose; the script holds BLAS to one thread. A change that
+moves a hash on purpose updates `GOLDEN.json`.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -140,6 +143,16 @@ def run_sequence() -> dict[str, str]:
         return {name: hashlib.sha256((work / name).read_bytes()).hexdigest() for name in OUTPUTS}
 
 
+def host_fingerprint() -> str:
+    """The numpy version, its BLAS build, the machine, and the CPU features
+    numpy dispatches on (its SIMD baseline and the extensions it found), as
+    sorted-key JSON. Needs numpy 1.26 or later."""
+    config = np.show_config(mode="dicts")
+    return json.dumps({"numpy": np.__version__, "blas": config["Build Dependencies"]["blas"],
+                       "machine": platform.machine(), "simd": config["SIMD Extensions"]},
+                      sort_keys=True)
+
+
 def _hash_array(h, array) -> None:
     if array is None:
         h.update(b"None")
@@ -198,7 +211,7 @@ def main(argv=None) -> int:
     parser.add_argument("--expect", metavar="GOLDEN.json",
                         help="JSON map of key to sha256; exit 1 if any hash differs")
     args = parser.parse_args(argv)
-    hashes = run_sequence()
+    hashes = {"host": hashlib.sha256(host_fingerprint().encode()).hexdigest(), **run_sequence()}
     hashes.update((f"grid/{name}", grid_hash(name)) for name in GRID_CONFIGS)
     for name, digest in hashes.items():
         print(f"{digest}  {name}")

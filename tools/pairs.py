@@ -16,7 +16,8 @@ change won by the metric's `better` direction; a tie counts for neither
 side. Below those rows, one verdict line per metric reads, first match wins:
 
 - `gain`: the change won at least nine tenths of the pairs, and its median
-  is better than the parent's by more than the parent's quartile distance;
+  is better than the parent's by more than the parent's quartile distance
+  and by more than `GAIN_FLOOR` of the parent's median;
 - `regression`: the change's median is worse than the parent's by more than
   the metric's `bound`, a fraction of the parent's median;
 - `unresolved`: the parent's quartile distance is wider than the bound, and
@@ -52,6 +53,12 @@ import numpy as np
 
 SIDES = ("parent", "change")
 RESAMPLES = 2000
+GAIN_FLOOR = 0.02
+"""2%: the least median gap, as a fraction of the parent's median, that can
+read `gain`. A/A runs of identical code read `gain` twice without it:
+gradcheck-tiny's `op_rel_p50` at seed 2 won 9 of 10 pairs at -1.2%, and
+`peak_rss_mb` a 0.15 MB gap past a 0.012 MB quartile distance. 2% is the
+ROADMAP's reading of gradcheck-tiny's noise (item 17)."""
 
 
 class RunError(Exception):
@@ -140,9 +147,9 @@ def verdict(row: dict) -> str:
     (p_q1, p_med, p_q3), c_med = row["parent"], row["change"][1]
     gap, spread, bound = sign * (p_med - c_med), p_q3 - p_q1, row["bound"]
     won = f"change won {row['wins']} of {row['pairs']} pairs"
-    if 10 * row["wins"] >= 9 * row["pairs"] and gap > spread:
+    if 10 * row["wins"] >= 9 * row["pairs"] and gap > max(spread, GAIN_FLOOR * abs(p_med)):
         return (f"{row['name']}: gain ({won}; median gap {gap:.6g} > "
-                f"parent quartile distance {spread:.6g})")
+                f"parent quartile distance {spread:.6g} and {GAIN_FLOOR:.0%} of its median)")
     if -gap > bound * abs(p_med):
         return (f"{row['name']}: regression (change median worse by {-gap:.6g}, "
                 f"{-gap / abs(p_med):.1%} of the parent median > bound {bound:.0%})")
